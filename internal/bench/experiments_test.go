@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"path/filepath"
 	"testing"
 
 	"tca/internal/tcanet"
@@ -10,11 +11,13 @@ import (
 // TestAllExperimentsReproducePaperShapes runs every registered experiment
 // and applies its shape check — the repository's central claim: each of the
 // paper's tables and figures regenerates with the paper's qualitative
-// behaviour.
+// behaviour — and byte-pins each table's rendering against the digests in
+// testdata/tables.sha256.
 func TestAllExperimentsReproducePaperShapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full experiment suite in -short mode")
 	}
+	want := readDigests(t, filepath.Join("testdata", "tables.sha256"))
 	prm := tcanet.DefaultParams
 	for _, e := range All() {
 		e := e
@@ -25,6 +28,7 @@ func TestAllExperimentsReproducePaperShapes(t *testing.T) {
 				t.Fatalf("Format: %v", err)
 			}
 			t.Logf("\n%s", buf.String())
+			checkDigest(t, want, e.ID, buf.Bytes())
 			if len(tab.Rows) == 0 {
 				t.Fatal("experiment produced no rows")
 			}
