@@ -152,14 +152,20 @@ func run() int {
 	if *perfetto != "" {
 		// Run profiled so the trace carries the engine's cumulative
 		// host-time counter track next to the fabric telemetry.
-		res := bench.TelemetryForwardProfiled(tcanet.DefaultParams, 4, 0, 2, 4096, 64, units.Microsecond,
-			prof.New(prof.Options{}))
+		r, err := bench.NewRig(4, tcanet.DefaultParams, bench.Attach{Obsv: true,
+			Prof: prof.New(prof.Options{}), Label: "telemetry-forward", Interval: units.Microsecond})
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "tcabench:", err)
+			return 1
+		}
+		c := bench.Chain{Dst: 2, Size: 4096, Count: 64}
+		r.ChainDMA(c)
 		f, err := os.Create(*perfetto)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "tcabench:", err)
 			return 1
 		}
-		werr := obsv.WritePerfetto(f, res.Set.Recorder().Events(), res.Timeline)
+		werr := obsv.WritePerfetto(f, r.Set.Recorder().Events(), r.Set.Sampler().Timeline())
 		if cerr := f.Close(); werr == nil {
 			werr = cerr
 		}
@@ -167,12 +173,22 @@ func run() int {
 			fmt.Fprintln(os.Stderr, "tcabench:", werr)
 			return 1
 		}
-		fmt.Printf("scenario: %s\nperfetto trace: %s (open in ui.perfetto.dev)\n", res.Scenario, *perfetto)
+		fmt.Printf("scenario: forward DMA %d×%v node%d->node%d (4-node ring), sampled every %v\nperfetto trace: %s (open in ui.perfetto.dev)\n",
+			c.Count, c.Size, c.Src, c.Dst, units.Microsecond, *perfetto)
 		return 0
 	}
 
 	if *metrics != "" {
-		snap := bench.MetricsReport(tcanet.DefaultParams)
+		// A short representative workload on one observed 4-node ring: a
+		// 2-hop PIO forward, then a chained DMA to the adjacent node.
+		r, err := bench.NewRig(4, tcanet.DefaultParams, bench.Attach{Obsv: true})
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "tcabench:", err)
+			return 1
+		}
+		r.StoreStream(0, 2, 1, []byte{1, 0, 0, 0, 0, 0, 0, 0})
+		r.ChainDMA(bench.Chain{Dst: 1, Size: 4096, Count: 16})
+		snap := r.Snapshot()
 		switch *metrics {
 		case "table":
 			snap.WriteTable(os.Stdout)
@@ -191,14 +207,18 @@ func run() int {
 	}
 
 	if *faultStr != "" {
-		res, err := bench.TracePingPongFault(tcanet.DefaultParams, 4, 0, 2, 10, *faultStr, *seed)
+		r, err := bench.NewRig(4, tcanet.DefaultParams, bench.Attach{Obsv: true, Fault: *faultStr, Seed: *seed})
+		var res *bench.Result
+		if err == nil {
+			res, err = r.PingPong(0, 2, 10)
+		}
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "tcabench:", err)
 			return 1
 		}
-		fmt.Printf("scenario: %s\nend-to-end: %v\nspans: %d (all payloads verified byte-identical)\n\nmetrics:\n",
-			res.Scenario, res.EndToEnd, len(res.Spans))
-		res.Snapshot.WriteTable(os.Stdout)
+		fmt.Printf("scenario: fault ping-pong node0<->node2 ×10 (4-node ring, %s, seed %d)\nend-to-end: %v\n"+
+			"spans: %d (all payloads verified byte-identical)\n\nmetrics:\n", *faultStr, *seed, res.EndToEnd, len(res.Txns))
+		r.Snapshot().WriteTable(os.Stdout)
 		return 0
 	}
 

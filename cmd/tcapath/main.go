@@ -59,7 +59,17 @@ func run() int {
 			fmt.Fprintln(os.Stderr, "tcapath: -rounds must be positive")
 			return 2
 		}
-		fleet = bench.FleetPingPong(prm, *nodes, *src, *dst, *rounds)
+		r, err := bench.NewRig(*nodes, prm, bench.Attach{Obsv: true})
+		var res *bench.Result
+		if err == nil {
+			res, err = r.PingPong(*src, *dst, *rounds)
+		}
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "tcapath:", err)
+			return 1
+		}
+		fleet = critpath.Analyze(fmt.Sprintf("ping-pong node%d<->node%d (%d-node ring, %d rounds)",
+			*src, *dst, *nodes, *rounds), r.Set.Recorder(), res.Txns)
 		m := bench.PingPongModel(prm)
 		model = m.CompareFleet(fleet, bench.RingForwardHops(*nodes, *src, *dst))
 	case "chain-dma":
@@ -67,7 +77,15 @@ func run() int {
 			fmt.Fprintln(os.Stderr, "tcapath: -size, -count and -chains must be positive")
 			return 2
 		}
-		fleet = bench.FleetDMAChains(prm, units.ByteSize(*size), *count, *chains)
+		r, err := bench.NewRig(2, prm, bench.Attach{Obsv: true})
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "tcapath:", err)
+			return 1
+		}
+		c := bench.Chain{Dst: 1, Size: units.ByteSize(*size), Count: *count, Chains: *chains}
+		res := r.ChainDMA(c)
+		fleet = critpath.Analyze(fmt.Sprintf("chain-DMA %d×(%d×%v) node0->node1", c.Chains, c.Count, c.Size),
+			r.Set.Recorder(), res.Txns)
 	default:
 		fmt.Fprintf(os.Stderr, "tcapath: unknown scenario %q\n", *scenario)
 		return 2

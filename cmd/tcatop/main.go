@@ -51,43 +51,58 @@ func main() {
 	}
 	iv := units.Duration(*interval * float64(units.Microsecond))
 
-	prm := tcanet.DefaultParams
 	var p *prof.Profiler
 	if *profile {
 		p = prof.New(prof.Options{})
 	}
-	var res *bench.TelemetryResult
+	r, err := bench.NewRig(*nodes, tcanet.DefaultParams,
+		bench.Attach{Obsv: true, Prof: p, Label: "telemetry-" + *scenario, Interval: iv})
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "tcatop:", err)
+		os.Exit(1)
+	}
+	var title string
+	var res *bench.Result
 	switch *scenario {
 	case "forward":
-		res = bench.TelemetryForwardProfiled(prm, *nodes, *src, *dst, units.ByteSize(*size), *count, iv, p)
+		c := bench.Chain{Src: *src, Dst: *dst, Size: units.ByteSize(*size), Count: *count}
+		title = fmt.Sprintf("forward DMA %d×%v node%d->node%d (%d-node ring), sampled every %v",
+			c.Count, c.Size, c.Src, c.Dst, *nodes, iv)
+		res = r.ChainDMA(c)
 	case "pingpong":
-		res = bench.TelemetryPingPongProfiled(prm, *nodes, *src, *dst, *rounds, iv, p)
+		title = fmt.Sprintf("PIO ping-pong ×%d node%d<->node%d (%d-node ring), sampled every %v",
+			*rounds, *src, *dst, *nodes, iv)
+		if res, err = r.PingPong(*src, *dst, *rounds); err != nil {
+			fmt.Fprintln(os.Stderr, "tcatop:", err)
+			os.Exit(1)
+		}
 	default:
 		fmt.Fprintf(os.Stderr, "tcatop: unknown scenario %q\n", *scenario)
 		os.Exit(2)
 	}
 
-	fmt.Printf("scenario: %s\n", res.Scenario)
+	fmt.Printf("scenario: %s\n", title)
 	if res.Moved > 0 {
-		bw := units.Rate(res.Moved, res.Elapsed)
-		fmt.Printf("moved %v in %v (%.3f GB/s)\n", res.Moved, res.Elapsed, bw.GBps())
+		bw := units.Rate(res.Moved, res.EndToEnd)
+		fmt.Printf("moved %v in %v (%.3f GB/s)\n", res.Moved, res.EndToEnd, bw.GBps())
 	} else {
-		fmt.Printf("elapsed %v\n", res.Elapsed)
+		fmt.Printf("elapsed %v\n", res.EndToEnd)
 	}
 	fmt.Println()
 
-	hot := obsv.TopSeries(res.Timeline.Series(), *top)
+	tl := r.Set.Sampler().Timeline()
+	hot := obsv.TopSeries(tl.Series(), *top)
 	if len(hot) == 0 {
 		fmt.Println("no samples recorded (scenario shorter than one interval?)")
 	} else {
 		obsv.WriteSeriesTable(os.Stdout, hot, *rows)
 		fmt.Println()
 	}
-	res.Report.WriteReport(os.Stdout)
+	obsv.Attribute(r.Snapshot(), tl).WriteReport(os.Stdout)
 
-	if res.Prof != nil {
+	if p != nil {
 		fmt.Println()
 		fmt.Println(res.Stats.Headline())
-		res.Prof.WriteTable(os.Stdout, *top)
+		p.WriteTable(os.Stdout, *top)
 	}
 }

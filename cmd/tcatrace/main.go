@@ -53,15 +53,15 @@ type jsonTrace struct {
 	Spans      []jsonSpan `json:"spans"`
 }
 
-// traceJSON freezes a trace result into its -json document.
-func traceJSON(tr *bench.TraceResult) jsonTrace {
+// traceJSON freezes a traced run into its -json document.
+func traceJSON(scenario string, r *bench.Rig, res *bench.Result, spans []bench.Span) jsonTrace {
 	out := jsonTrace{
 		Schema:     "tca-trace/1",
-		Scenario:   tr.Scenario,
-		EndToEndNS: tr.EndToEnd.Nanoseconds(),
-		Evicted:    tr.Set.Recorder().Evicted(),
+		Scenario:   scenario,
+		EndToEndNS: res.EndToEnd.Nanoseconds(),
+		Evicted:    r.Set.Recorder().Evicted(),
 	}
-	for _, sp := range tr.Spans {
+	for _, sp := range spans {
 		b := critpath.BudgetOf(sp.Events)
 		js := jsonSpan{Txn: sp.Txn, Events: sp.Events, TotalNS: sp.Total.Nanoseconds(),
 			Budget: map[string]float64{}}
@@ -122,45 +122,59 @@ func main() {
 		os.Exit(2)
 	}
 
-	prm := tcanet.DefaultParams
-	var tr *bench.TraceResult
+	ring := *nodes
+	if *scenario == "dma" {
+		ring = 2
+	}
+	r, err := bench.NewRig(ring, tcanet.DefaultParams, bench.Attach{Obsv: true, Fault: *faultStr, Seed: *seed})
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "tcatrace:", err)
+		os.Exit(1)
+	}
+	var title string
+	var res *bench.Result
 	switch *scenario {
 	case "pingpong":
+		n := 1
+		title = fmt.Sprintf("ping-pong node%d<->node%d (%d-node ring)", *src, *dst, *nodes)
 		if *faultStr != "" {
-			var err error
-			tr, err = bench.TracePingPongFault(prm, *nodes, *src, *dst, *rounds, *faultStr, *seed)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "tcatrace:", err)
-				os.Exit(1)
-			}
-			break
+			n = *rounds
+			title = fmt.Sprintf("fault ping-pong node%d<->node%d ×%d (%d-node ring, %s, seed %d)",
+				*src, *dst, n, *nodes, *faultStr, *seed)
 		}
-		tr = bench.TracePingPong(prm, *nodes, *src, *dst)
+		if res, err = r.PingPong(*src, *dst, n); err != nil {
+			fmt.Fprintln(os.Stderr, "tcatrace:", err)
+			os.Exit(1)
+		}
 	case "forward":
-		tr = bench.TraceForward(prm, *nodes, *src, *dst)
+		title = fmt.Sprintf("forward node%d->node%d (%d-node ring)", *src, *dst, *nodes)
+		res = r.StoreStream(*src, *dst, 1, []byte{1, 0, 0, 0, 0, 0, 0, 0})
 	case "dma":
-		tr = bench.TraceDMA(prm, units.ByteSize(*size), *count)
+		c := bench.Chain{Dst: 1, Size: units.ByteSize(*size), Count: *count, Stride: 2 * units.ByteSize(*size)}
+		title = fmt.Sprintf("block-stride DMA %d×%v (stride %v) node0->node1", c.Count, c.Size, c.Stride)
+		res = r.ChainDMA(c)
 	default:
 		fmt.Fprintf(os.Stderr, "tcatrace: unknown scenario %q\n", *scenario)
 		os.Exit(2)
 	}
+	spans := r.Spans(res.Txns)
 
-	if evicted := tr.Set.Recorder().Evicted(); evicted > 0 {
+	if evicted := r.Set.Recorder().Evicted(); evicted > 0 {
 		fmt.Fprintf(os.Stderr, "tcatrace: WARNING: span ring evicted %d events — breakdowns may be truncated\n", evicted)
 	}
 
 	if *asJSON {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
-		if err := enc.Encode(traceJSON(tr)); err != nil {
+		if err := enc.Encode(traceJSON(title, r, res, spans)); err != nil {
 			fmt.Fprintln(os.Stderr, "tcatrace:", err)
 			os.Exit(1)
 		}
 		return
 	}
 
-	fmt.Printf("scenario: %s\n\n", tr.Scenario)
-	for i, sp := range tr.Spans {
+	fmt.Printf("scenario: %s\n\n", title)
+	for i, sp := range spans {
 		fmt.Printf("span %d (txn %d), %d events, hop sum %v:\n", i, sp.Txn, len(sp.Events), sp.Total)
 		obsv.WriteBreakdown(os.Stdout, sp.Hops)
 		if *crit {
@@ -182,7 +196,7 @@ func main() {
 		}
 		fmt.Println()
 	}
-	fmt.Printf("end-to-end: %v\n", tr.EndToEnd)
+	fmt.Printf("end-to-end: %v\n", res.EndToEnd)
 
 	if *perfetto != "" {
 		f, err := os.Create(*perfetto)
@@ -190,7 +204,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "tcatrace:", err)
 			os.Exit(1)
 		}
-		werr := obsv.WritePerfetto(f, tr.Set.Recorder().Events(), nil)
+		werr := obsv.WritePerfetto(f, r.Set.Recorder().Events(), nil)
 		if cerr := f.Close(); werr == nil {
 			werr = cerr
 		}
@@ -201,19 +215,20 @@ func main() {
 		fmt.Printf("perfetto trace: %s (open in ui.perfetto.dev)\n", *perfetto)
 	}
 
+	snap := r.Snapshot()
 	switch *metrics {
 	case "none":
 	case "table":
 		fmt.Println("\nmetrics:")
-		tr.Snapshot.WriteTable(os.Stdout)
+		snap.WriteTable(os.Stdout)
 	case "json":
 		fmt.Println()
-		if err := tr.Snapshot.WriteJSON(os.Stdout); err != nil {
+		if err := snap.WriteJSON(os.Stdout); err != nil {
 			fmt.Fprintln(os.Stderr, "tcatrace:", err)
 			os.Exit(1)
 		}
 	case "prom":
 		fmt.Println()
-		tr.Snapshot.WritePrometheus(os.Stdout)
+		snap.WritePrometheus(os.Stdout)
 	}
 }

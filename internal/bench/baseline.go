@@ -14,11 +14,6 @@ import (
 	"tca/internal/units"
 )
 
-// hostNew builds a standalone node with the sweep's host parameters.
-func hostNew(eng *sim.Engine, id int, prm tcanet.Params) *host.Node {
-	return host.NewNode(eng, id, prm.Host)
-}
-
 // BaselineSizes sweep the motivation comparison.
 var BaselineSizes = []units.ByteSize{8, 64, 512, 4096, 32 * units.KiB, 256 * units.KiB, units.MiB}
 
@@ -33,9 +28,9 @@ func Baseline(prm tcanet.Params) *Table {
 		Columns: []string{"TCA DMA two-phase", "TCA DMA pipelined", "IB/MPI 3-copy", "speedup (3-copy / pipelined)"},
 	}
 	for _, size := range BaselineSizes {
-		two := measureTCAGPUPut(prm, core.TwoPhase, size)
-		pipe := measureTCAGPUPut(prm, core.Pipelined, size)
-		conv := measureConventional(prm, size)
+		two := MeasureTCAGPU(prm, core.TwoPhase, size)
+		pipe := MeasureTCAGPU(prm, core.Pipelined, size)
+		conv := MeasureConventionalGPU(prm, size)
 		t.AddRow(size.String(),
 			US(two.Microseconds()),
 			US(pipe.Microseconds()),
@@ -49,32 +44,35 @@ func Baseline(prm tcanet.Params) *Table {
 	return t
 }
 
-// measureTCAGPUPut times one cross-node GPU-to-GPU MemcpyPeer.
-func measureTCAGPUPut(prm tcanet.Params, mode core.DMAMode, size units.ByteSize) units.Duration {
+// MeasureTCAGPU times one cross-node GPU-to-GPU MemcpyPeer in the given
+// DMA mode.
+func MeasureTCAGPU(prm tcanet.Params, mode core.DMAMode, size units.ByteSize) units.Duration {
 	r := newRig(2, prm)
-	r.comm.SetMode(mode)
-	src, err := r.comm.RegisterGPUBuffer(0, 0, size)
+	comm := r.comm()
+	comm.SetMode(mode)
+	src, err := comm.RegisterGPUBuffer(0, 0, size)
 	if err != nil {
 		panic(fmt.Sprintf("bench: %v", err))
 	}
-	dst, err := r.comm.RegisterGPUBuffer(1, 0, size)
+	dst, err := comm.RegisterGPUBuffer(1, 0, size)
 	if err != nil {
 		panic(fmt.Sprintf("bench: %v", err))
 	}
-	if err := r.comm.WriteGPU(src, 0, make([]byte, size)); err != nil {
+	if err := comm.WriteGPU(src, 0, make([]byte, size)); err != nil {
 		panic(err)
 	}
 	start := r.eng.Now()
 	var end sim.Time
-	if err := r.comm.MemcpyPeer(dst, 0, src, 0, size, func(now sim.Time) { end = now }); err != nil {
+	if err := comm.MemcpyPeer(dst, 0, src, 0, size, func(now sim.Time) { end = now }); err != nil {
 		panic(fmt.Sprintf("bench: %v", err))
 	}
 	r.eng.Run()
 	return end.Sub(start)
 }
 
-// measureConventional times the same transfer through DtoH + MPI + HtoD.
-func measureConventional(prm tcanet.Params, size units.ByteSize) units.Duration {
+// MeasureConventionalGPU times the same transfer through the three-copy
+// InfiniBand/MPI path: DtoH + MPI + HtoD.
+func MeasureConventionalGPU(prm tcanet.Params, size units.ByteSize) units.Duration {
 	eng := sim.NewEngine()
 	p := newIBPair(eng, prm)
 	conv, err := ib.NewConventional(p.fabric, units.MiB)
@@ -109,15 +107,16 @@ func AblationDMAC(prm tcanet.Params) *Table {
 		var bw [2]float64
 		for i, mode := range []core.DMAMode{core.TwoPhase, core.Pipelined} {
 			r := newRig(2, prm)
-			r.comm.SetMode(mode)
-			srcBuf, _ := r.comm.AllocHostBuffer(0, size)
-			dstBuf, _ := r.comm.AllocHostBuffer(1, size)
-			if err := r.comm.WriteHost(srcBuf, 0, make([]byte, size)); err != nil {
+			comm := r.comm()
+			comm.SetMode(mode)
+			srcBuf, _ := comm.AllocHostBuffer(0, size)
+			dstBuf, _ := comm.AllocHostBuffer(1, size)
+			if err := comm.WriteHost(srcBuf, 0, make([]byte, size)); err != nil {
 				panic(err)
 			}
 			start := r.eng.Now()
 			var end sim.Time
-			if err := r.comm.PutToHost(dstBuf, 0, 0, srcBuf.Bus, size, func(now sim.Time) { end = now }); err != nil {
+			if err := comm.PutToHost(dstBuf, 0, 0, srcBuf.Bus, size, func(now sim.Time) { end = now }); err != nil {
 				panic(fmt.Sprintf("bench: %v", err))
 			}
 			r.eng.Run()
@@ -139,21 +138,13 @@ func AblationNTB(prm tcanet.Params) *Table {
 		Columns: []string{"latency"},
 	}
 	// PEACH2: adjacent-node PIO store.
-	{
-		r := newRig(2, prm)
-		buf, _ := r.sc.Node(1).AllocDMABuffer(64)
-		dst, _ := r.sc.GlobalHostAddr(1, buf)
-		var seen sim.Time
-		r.sc.Node(1).Poll(pcie.Range{Base: buf, Size: 4}, func(now sim.Time) { seen = now })
-		r.sc.Node(0).Store(dst, []byte{1, 2, 3, 4})
-		r.eng.Run()
-		t.AddRow("PEACH2 (compare-only routing)", US(seen.Elapsed().Microseconds()))
-	}
+	peach := newRig(2, prm).StoreStream(0, 1, 1, []byte{1, 2, 3, 4})
+	t.AddRow("PEACH2 (compare-only routing)", US(peach.EndToEnd.Microseconds()))
 	// NTB pair.
 	{
 		eng := sim.NewEngine()
-		a := hostNew(eng, 0, prm)
-		b := hostNew(eng, 1, prm)
+		a := host.NewNode(eng, 0, prm.Host)
+		b := host.NewNode(eng, 1, prm.Host)
 		br := ntb.New(eng, "ntb", ntb.DefaultParams)
 		// The NTB switch sits in an external enclosure between the two
 		// hosts: one external cable per side.
@@ -193,8 +184,7 @@ func AblationPayload(prm tcanet.Params) *Table {
 		theory := prm.Chip.LinkConfig.EffectiveBandwidth(mp).GBps()
 		p := prm
 		p.MaxPayload = mp
-		r := newRig(2, p)
-		bw := r.measureChain(DirWrite, TargetCPU, false, 4096, 255)
+		bw := MeasureChain(p, DirWrite, TargetCPU, false, 4096, 255)
 		t.AddRow(mp.String(), GB(theory), GB(bw.GBps()))
 	}
 	t.AddNote("§IV-A: effective rate = raw × payload/(payload+24B overhead); the test environment negotiated 256B")
@@ -214,12 +204,7 @@ func AblationImmediate(prm tcanet.Params) *Table {
 	}
 	for _, size := range []units.ByteSize{256, 512, 1024, 4096} {
 		// Through the driver/table path.
-		var tablePath units.Duration
-		{
-			r := newRig(2, prm)
-			bw := r.measureChain(DirWrite, TargetCPU, false, size, 1)
-			tablePath = units.Duration(size.Bytes() / bw.BytesPerSec() * 1e12)
-		}
+		tablePath := newRig(2, prm).ChainDMA(Chain{Size: size, Count: 1}).EndToEnd
 		// Immediate: doorbell decode straight into execution.
 		var immediate units.Duration
 		{
@@ -277,16 +262,7 @@ func AblationRouting(prm tcanet.Params) *Table {
 				r.sc.Chip(i).SetRoutes(rules)
 			}
 		}
-		buf, _ := r.sc.Node(dst).AllocDMABuffer(64)
-		g, _ := r.sc.GlobalHostAddr(dst, buf)
-		var seen sim.Time
-		r.sc.Node(dst).Poll(pcie.Range{Base: buf, Size: 4}, func(now sim.Time) { seen = now })
-		r.sc.Node(0).Store(g, []byte{1, 2, 3, 4})
-		r.eng.Run()
-		if seen == 0 {
-			panic("bench: routed store never arrived")
-		}
-		return seen.Elapsed().Microseconds()
+		return r.StoreStream(0, dst, 1, []byte{1, 2, 3, 4}).EndToEnd.Microseconds()
 	}
 	for dst := 1; dst < 8; dst++ {
 		t.AddRow(fmt.Sprintf("node %d", dst),

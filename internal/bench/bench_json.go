@@ -50,7 +50,12 @@ type BenchBaseline struct {
 func CollectBaseline(prm tcanet.Params) BenchBaseline {
 	round := func(v float64) float64 { return float64(int64(v*1000+0.5)) / 1000 }
 	hop := MeasurePIOLatency(prm, 4, 0, 2).Nanoseconds() - MeasurePIOLatency(prm, 4, 0, 1).Nanoseconds()
-	fleet := FleetPingPong(prm, 4, 0, 2, 4)
+	r := mustRig(4, prm, Attach{Obsv: true})
+	res, err := r.PingPong(0, 2, 4)
+	if err != nil {
+		panic(err)
+	}
+	fleet := critpath.Analyze("ping-pong node0<->node2", r.Set.Recorder(), res.Txns)
 	legs := units.Duration(len(fleet.Budgets))
 	meanNS := func(b critpath.Bucket) float64 {
 		return round((fleet.Totals[b] / legs).Nanoseconds())

@@ -12,8 +12,7 @@ import (
 
 func TestMeasureChainBasics(t *testing.T) {
 	prm := tcanet.DefaultParams
-	r := newRig(2, prm)
-	bw := r.measureChain(DirWrite, TargetCPU, false, 4096, 255)
+	bw := MeasureChain(prm, DirWrite, TargetCPU, false, 4096, 255)
 	t.Logf("CPU write 255×4KiB = %v", bw)
 	if bw.GBps() < 3.1 || bw.GBps() > 3.66 {
 		t.Fatalf("chained CPU write = %v, want the paper's ~3.3 GB/s (93%% of 3.66)", bw)
@@ -22,8 +21,7 @@ func TestMeasureChainBasics(t *testing.T) {
 
 func TestMeasureChainGPUReadCeiling(t *testing.T) {
 	prm := tcanet.DefaultParams
-	r := newRig(2, prm)
-	bw := r.measureChain(DirRead, TargetGPU, false, 4096, 64)
+	bw := MeasureChain(prm, DirRead, TargetGPU, false, 4096, 64)
 	t.Logf("GPU read 64×4KiB = %v", bw)
 	if bw.MBps() < 700 || bw.MBps() > 950 {
 		t.Fatalf("GPU read = %v, want the paper's ~830 MB/s ceiling", bw)
@@ -32,8 +30,7 @@ func TestMeasureChainGPUReadCeiling(t *testing.T) {
 
 func TestMeasureChainSingleDMASlow(t *testing.T) {
 	prm := tcanet.DefaultParams
-	r := newRig(2, prm)
-	single := r.measureChain(DirWrite, TargetCPU, false, 4096, 1)
+	single := MeasureChain(prm, DirWrite, TargetCPU, false, 4096, 1)
 	t.Logf("CPU write 1×4KiB = %v", single)
 	if single.GBps() > 1.8 {
 		t.Fatalf("single 4KiB DMA = %v — activation overhead missing", single)
@@ -42,8 +39,8 @@ func TestMeasureChainSingleDMASlow(t *testing.T) {
 
 func TestFig9SeventyPercentPoint(t *testing.T) {
 	prm := tcanet.DefaultParams
-	peak := newRig(2, prm).measureChain(DirWrite, TargetCPU, false, 4096, 255)
-	four := newRig(2, prm).measureChain(DirWrite, TargetCPU, false, 4096, 4)
+	peak := MeasureChain(prm, DirWrite, TargetCPU, false, 4096, 255)
+	four := MeasureChain(prm, DirWrite, TargetCPU, false, 4096, 4)
 	frac := float64(four) / float64(peak)
 	t.Logf("4-request fraction = %.1f%% (paper: ≈70%%)", 100*frac)
 	if frac < 0.60 || frac > 0.80 {
@@ -53,12 +50,12 @@ func TestFig9SeventyPercentPoint(t *testing.T) {
 
 func TestFig12Shape(t *testing.T) {
 	prm := tcanet.DefaultParams
-	smallLocal := newRig(2, prm).measureChain(DirWrite, TargetCPU, false, 64, 255)
-	smallRemote := newRig(2, prm).measureChain(DirWrite, TargetCPU, true, 64, 255)
-	bigLocal := newRig(2, prm).measureChain(DirWrite, TargetCPU, false, 4096, 255)
-	bigRemote := newRig(2, prm).measureChain(DirWrite, TargetCPU, true, 4096, 255)
-	gpuLocal := newRig(2, prm).measureChain(DirWrite, TargetGPU, false, 256, 255)
-	gpuRemote := newRig(2, prm).measureChain(DirWrite, TargetGPU, true, 256, 255)
+	smallLocal := MeasureChain(prm, DirWrite, TargetCPU, false, 64, 255)
+	smallRemote := MeasureChain(prm, DirWrite, TargetCPU, true, 64, 255)
+	bigLocal := MeasureChain(prm, DirWrite, TargetCPU, false, 4096, 255)
+	bigRemote := MeasureChain(prm, DirWrite, TargetCPU, true, 4096, 255)
+	gpuLocal := MeasureChain(prm, DirWrite, TargetGPU, false, 256, 255)
+	gpuRemote := MeasureChain(prm, DirWrite, TargetGPU, true, 256, 255)
 	t.Logf("CPU 64B local=%v remote=%v; 4KiB local=%v remote=%v; GPU 256B local=%v remote=%v",
 		smallLocal, smallRemote, bigLocal, bigRemote, gpuLocal, gpuRemote)
 	if smallRemote >= smallLocal {
@@ -236,9 +233,9 @@ func TestAblationNTBOrdering(t *testing.T) {
 
 func TestBaselineSpotCheck(t *testing.T) {
 	prm := tcanet.DefaultParams
-	two := measureTCAGPUPut(prm, 0, 8)
-	pipe := measureTCAGPUPut(prm, 1, 8)
-	conv := measureConventional(prm, 8)
+	two := MeasureTCAGPU(prm, 0, 8)
+	pipe := MeasureTCAGPU(prm, 1, 8)
+	conv := MeasureConventionalGPU(prm, 8)
 	t.Logf("8B GPU-GPU: two-phase %v, pipelined %v, conventional %v", two, pipe, conv)
 	if conv < 3*pipe {
 		t.Fatalf("conventional %v not ≥3× TCA %v at 8B — the motivation gap is gone", conv, pipe)

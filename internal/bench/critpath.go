@@ -1,89 +1,9 @@
 package bench
 
 import (
-	"fmt"
-
-	"tca/internal/core"
 	"tca/internal/obsv/critpath"
-	"tca/internal/pcie"
-	"tca/internal/sim"
 	"tca/internal/tcanet"
-	"tca/internal/units"
 )
-
-// FleetPingPong runs rounds ping-pong round trips node src <-> dst on an
-// instrumented n-node ring and returns the latency anatomy of every leg
-// (2×rounds transactions). Each leg is one traced PIO store; the answering
-// store is fired from the destination's poll loop, exactly the §IV-B1
-// measurement procedure.
-func FleetPingPong(prm tcanet.Params, n, src, dst, rounds int) *critpath.Fleet {
-	eng, sc, set := instrumentedRing(n, prm)
-	dstBuf, dstG := flagTarget(sc, dst)
-	srcBuf, srcG := flagTarget(sc, src)
-	txns := make([]uint64, 0, 2*rounds)
-	done := 0
-	sc.Node(dst).Poll(pcie.Range{Base: dstBuf, Size: 8}, func(now sim.Time) {
-		txns = append(txns, sc.Node(dst).StoreTxn(srcG, []byte{2, 0, 0, 0, 0, 0, 0, 0}))
-	})
-	sc.Node(src).Poll(pcie.Range{Base: srcBuf, Size: 8}, func(now sim.Time) {
-		done++
-		if done < rounds {
-			txns = append(txns, sc.Node(src).StoreTxn(dstG, []byte{1, 0, 0, 0, 0, 0, 0, 0}))
-		}
-	})
-	txns = append(txns, sc.Node(src).StoreTxn(dstG, []byte{1, 0, 0, 0, 0, 0, 0, 0}))
-	eng.Run()
-	if done != rounds {
-		panic(fmt.Sprintf("bench: ping-pong completed %d/%d rounds", done, rounds))
-	}
-	scenario := fmt.Sprintf("ping-pong node%d<->node%d (%d-node ring, %d rounds)", src, dst, n, rounds)
-	return critpath.Analyze(scenario, set.Recorder(), txns)
-}
-
-// FleetDMAChains runs chains back-to-back chained-DMA transfers (count
-// descriptors of size bytes each, node 0 internal memory → node 1 host
-// memory) on an instrumented 2-node ring and returns the latency anatomy of
-// every chain. Chains launch sequentially from each other's completion
-// interrupt, so every chain's span covers doorbell → fetch → issue → link →
-// flush ack → IRQ without overlapping its neighbours.
-func FleetDMAChains(prm tcanet.Params, size units.ByteSize, count, chains int) *critpath.Fleet {
-	eng, sc, set := instrumentedRing(2, prm)
-	comm, err := core.NewComm(sc)
-	if err != nil {
-		panic(err)
-	}
-	if err := sc.Chip(0).InternalMemory().Write(0, make([]byte, size)); err != nil {
-		panic(err)
-	}
-	buf, err := sc.Node(1).AllocDMABuffer(units.ByteSize(uint64(size) * uint64(count)))
-	if err != nil {
-		panic(err)
-	}
-	g, err := sc.GlobalHostAddr(1, buf)
-	if err != nil {
-		panic(err)
-	}
-	txns := make([]uint64, 0, chains)
-	var start func(i int)
-	start = func(i int) {
-		descs := buildWriteChain(uint64(g), size, count)
-		if err := comm.StartChain(0, descs, func(now sim.Time) {
-			txns = append(txns, sc.Chip(0).DMAC().LastChainTxn())
-			if i+1 < chains {
-				start(i + 1)
-			}
-		}); err != nil {
-			panic(err)
-		}
-	}
-	start(0)
-	eng.Run()
-	if len(txns) != chains {
-		panic(fmt.Sprintf("bench: DMA fleet completed %d/%d chains", len(txns), chains))
-	}
-	scenario := fmt.Sprintf("chain-DMA %d×(%d×%v) node0->node1", chains, count, size)
-	return critpath.Analyze(scenario, set.Recorder(), txns)
-}
 
 // PingPongModel derives the paper's analytical Fig. 10 model from reference
 // measurements on the same parameters: the loopback minimum, the marginal

@@ -12,7 +12,7 @@ import (
 // ping-pong scenario: every leg's per-bucket budget sums tick-exactly to its
 // end-to-end latency with nothing unattributed, and the ring never evicts.
 func TestFleetPingPongBudgetsConsistent(t *testing.T) {
-	f := FleetPingPong(tcanet.DefaultParams, 4, 0, 2, 4)
+	f := pingPongFleet(t, 4, 0, 2, 4)
 	if got := len(f.Budgets); got != 8 {
 		t.Fatalf("fleet has %d legs, want 8", got)
 	}
@@ -41,7 +41,7 @@ func TestFleetPingPongBudgetsConsistent(t *testing.T) {
 
 // TestFleetPingPongLadder checks the percentile ladder over the fleet.
 func TestFleetPingPongLadder(t *testing.T) {
-	f := FleetPingPong(tcanet.DefaultParams, 4, 0, 2, 4)
+	f := pingPongFleet(t, 4, 0, 2, 4)
 	l := f.Ladder
 	if l.N != 8 {
 		t.Fatalf("ladder over %d samples, want 8", l.N)
@@ -58,7 +58,9 @@ func TestFleetPingPongLadder(t *testing.T) {
 // chain-DMA scenario: doorbell through completion IRQ, per-bucket sums
 // tick-exact for every chain.
 func TestFleetDMAChainsBudgetsConsistent(t *testing.T) {
-	f := FleetDMAChains(tcanet.DefaultParams, 4096, 8, 4)
+	r := observedRig(t, 2, Attach{})
+	res := r.ChainDMA(Chain{Dst: 1, Size: 4096, Count: 8, Chains: 4})
+	f := critpath.Analyze("chain-DMA", r.Set.Recorder(), res.Txns)
 	if got := len(f.Budgets); got != 4 {
 		t.Fatalf("fleet has %d chains, want 4", got)
 	}
@@ -96,7 +98,7 @@ func TestPingPongModelComparator(t *testing.T) {
 	if m.MinPingPongUS <= 0 || m.PerHopNS <= 0 {
 		t.Fatalf("degenerate model %+v", m)
 	}
-	f := FleetPingPong(tcanet.DefaultParams, 4, 0, 2, 4)
+	f := pingPongFleet(t, 4, 0, 2, 4)
 	diffs := m.CompareFleet(f, RingForwardHops(4, 0, 2))
 	if len(diffs) == 0 {
 		t.Fatalf("comparator returned no rows")

@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"testing"
-
-	"tca/internal/tcanet"
 )
 
 // TestTraceDeterminism runs each traced scenario twice on fresh engines and
@@ -15,39 +13,32 @@ import (
 // analyzer enforces statically — if a map iteration or wall-clock read
 // sneaks into the scheduling path, the serialized transcripts diverge here.
 func TestTraceDeterminism(t *testing.T) {
+	pp := func(n, src, dst, rounds int, spec string, seed int64) func(*testing.T) []byte {
+		return func(t *testing.T) []byte {
+			r := observedRig(t, n, Attach{Fault: spec, Seed: seed})
+			return serializeRun(t, r, pingPong(t, r, src, dst, rounds))
+		}
+	}
 	scenarios := []struct {
 		name string
-		run  func() *TraceResult
+		run  func(*testing.T) []byte
 	}{
-		{"ping-pong", func() *TraceResult {
-			return TracePingPong(tcanet.DefaultParams, 4, 0, 2)
-		}},
-		{"forward-chain", func() *TraceResult {
-			return TraceForward(tcanet.DefaultParams, 8, 1, 5)
+		{"ping-pong", pp(4, 0, 2, 1, "", 0)},
+		{"forward-chain", func(t *testing.T) []byte {
+			r := observedRig(t, 8, Attach{})
+			return serializeRun(t, r, r.StoreStream(1, 5, 1, pioFlag))
 		}},
 		// Fault scenarios must be just as reproducible: the injector's rand
 		// stream is seeded and consumed only at schedule-determined points,
 		// so a mid-run link cut, DLL replays, and a live failover replay
 		// byte-identically — the acceptance criterion for `-fault`.
-		{"fault-linkdown-failover", func() *TraceResult {
-			res, err := TracePingPongFault(tcanet.DefaultParams, 4, 0, 2, 10, "linkdown:1e:12us", 7)
-			if err != nil {
-				panic(err)
-			}
-			return res
-		}},
-		{"fault-lossy-cable", func() *TraceResult {
-			res, err := TracePingPongFault(tcanet.DefaultParams, 4, 0, 1, 6, "corrupt:0.2,drop:0.05", 42)
-			if err != nil {
-				panic(err)
-			}
-			return res
-		}},
+		{"fault-linkdown-failover", pp(4, 0, 2, 10, "linkdown:1e:12us", 7)},
+		{"fault-lossy-cable", pp(4, 0, 1, 6, "corrupt:0.2,drop:0.05", 42)},
 	}
 	for _, sc := range scenarios {
 		t.Run(sc.name, func(t *testing.T) {
-			first := serializeTrace(t, sc.run())
-			second := serializeTrace(t, sc.run())
+			first := sc.run(t)
+			second := sc.run(t)
 			if !bytes.Equal(first, second) {
 				t.Errorf("two runs of %s produced different transcripts:\n--- run 1 ---\n%s\n--- run 2 ---\n%s",
 					sc.name, firstDiff(first, second), firstDiff(second, first))
@@ -56,13 +47,13 @@ func TestTraceDeterminism(t *testing.T) {
 	}
 }
 
-// serializeTrace flattens a TraceResult — spans, events, hops, latency and
-// the full metrics snapshot — into a canonical byte transcript.
-func serializeTrace(t *testing.T, res *TraceResult) []byte {
+// serializeRun flattens a traced run — spans, events, hops, latency and the
+// full metrics snapshot — into a canonical byte transcript.
+func serializeRun(t *testing.T, r *Rig, res *Result) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	fmt.Fprintf(&buf, "scenario=%s end-to-end=%v\n", res.Scenario, res.EndToEnd)
-	for _, sp := range res.Spans {
+	fmt.Fprintf(&buf, "end-to-end=%v\n", res.EndToEnd)
+	for _, sp := range r.Spans(res.Txns) {
 		fmt.Fprintf(&buf, "span txn=%d total=%v\n", sp.Txn, sp.Total)
 		for _, ev := range sp.Events {
 			fmt.Fprintf(&buf, "  event %+v\n", ev)
@@ -71,7 +62,7 @@ func serializeTrace(t *testing.T, res *TraceResult) []byte {
 			fmt.Fprintf(&buf, "  hop %+v\n", hop)
 		}
 	}
-	if err := res.Snapshot.WriteJSON(&buf); err != nil {
+	if err := r.Snapshot().WriteJSON(&buf); err != nil {
 		t.Fatalf("serializing snapshot: %v", err)
 	}
 	return buf.Bytes()

@@ -3,150 +3,13 @@ package bench
 import (
 	"fmt"
 
-	"tca/internal/core"
 	"tca/internal/host"
 	"tca/internal/ib"
 	"tca/internal/pcie"
-	"tca/internal/peach2"
 	"tca/internal/sim"
 	"tca/internal/tcanet"
 	"tca/internal/units"
 )
-
-// Target selects the memory the DMA controller exercises.
-type Target int
-
-// Targets.
-const (
-	TargetCPU Target = iota
-	TargetGPU
-)
-
-func (t Target) String() string {
-	if t == TargetGPU {
-		return "GPU"
-	}
-	return "CPU"
-}
-
-// Dir is the transfer direction from PEACH2's point of view, matching the
-// paper's convention: "a DMA write indicates a transfer from PEACH2 to
-// CPU/GPU" (§IV-A).
-type Dir int
-
-// Directions.
-const (
-	DirWrite Dir = iota
-	DirRead
-)
-
-func (d Dir) String() string {
-	if d == DirRead {
-		return "read"
-	}
-	return "write"
-}
-
-// rig is one fresh, deterministic measurement setup.
-type rig struct {
-	eng  *sim.Engine
-	sc   *tcanet.SubCluster
-	comm *core.Comm
-}
-
-func newRig(nodes int, prm tcanet.Params) *rig {
-	eng := sim.NewEngine()
-	sc, err := tcanet.BuildRing(eng, nodes, prm)
-	if err != nil {
-		panic(fmt.Sprintf("bench: %v", err))
-	}
-	comm, err := core.NewComm(sc)
-	if err != nil {
-		panic(fmt.Sprintf("bench: %v", err))
-	}
-	return &rig{eng: eng, sc: sc, comm: comm}
-}
-
-// measureChain reproduces the paper's DMA measurements: count descriptors
-// of size bytes each, against the CPU or GPU, locally or on the adjacent
-// node, timed from before driver activation to the completion interrupt
-// (the TSC methodology of §IV-A).
-func (r *rig) measureChain(dir Dir, target Target, remote bool, size units.ByteSize, count int) units.Bandwidth {
-	total := size * units.ByteSize(count)
-	node := 0
-	endNode := 0
-	if remote {
-		endNode = 1
-	}
-
-	// The far end: a host DMA buffer or a pinned GPU buffer.
-	var busBase pcie.Addr // local bus address on endNode
-	var addrOf func(i int) uint64
-	switch target {
-	case TargetCPU:
-		buf, err := r.sc.Node(endNode).AllocDMABuffer(total)
-		if err != nil {
-			panic(fmt.Sprintf("bench: %v", err))
-		}
-		busBase = buf
-	case TargetGPU:
-		gbuf, err := r.comm.RegisterGPUBuffer(endNode, 0, total)
-		if err != nil {
-			panic(fmt.Sprintf("bench: %v", err))
-		}
-		busBase = gbuf.Bus
-	}
-	if remote {
-		var g pcie.Addr
-		var err error
-		if target == TargetCPU {
-			g, err = r.sc.GlobalHostAddr(endNode, busBase)
-		} else {
-			g, err = r.sc.GlobalGPUAddr(endNode, 0, busBase)
-		}
-		if err != nil {
-			panic(fmt.Sprintf("bench: %v", err))
-		}
-		addrOf = func(i int) uint64 { return uint64(g) + uint64(i)*uint64(size) }
-	} else {
-		addrOf = func(i int) uint64 { return uint64(busBase) + uint64(i)*uint64(size) }
-	}
-
-	descs := make([]peach2.Descriptor, 0, count)
-	switch dir {
-	case DirWrite:
-		// Internal memory is the mandatory DMA-write source (§IV-B2);
-		// the driver staged `size` bytes there once.
-		payload := make([]byte, size)
-		for i := range payload {
-			payload[i] = byte(i * 7)
-		}
-		if err := r.sc.Chip(node).InternalMemory().Write(0, payload); err != nil {
-			panic(fmt.Sprintf("bench: %v", err))
-		}
-		for i := 0; i < count; i++ {
-			descs = append(descs, peach2.Descriptor{Kind: peach2.DescWrite, Len: size, Src: 0, Dst: addrOf(i)})
-		}
-	case DirRead:
-		if remote {
-			panic("bench: remote DMA read is prohibited (RDMA put only, §III-F)")
-		}
-		for i := 0; i < count; i++ {
-			descs = append(descs, peach2.Descriptor{Kind: peach2.DescRead, Len: size, Src: addrOf(i), Dst: 0})
-		}
-	}
-
-	start := r.eng.Now()
-	var end sim.Time
-	if err := r.comm.StartChain(node, descs, func(now sim.Time) { end = now }); err != nil {
-		panic(fmt.Sprintf("bench: %v", err))
-	}
-	r.eng.Run()
-	if end == 0 {
-		panic("bench: chain never completed")
-	}
-	return units.Rate(total, end.Sub(start))
-}
 
 // Fig7Sizes are the per-descriptor sizes of the 255-burst sweep.
 var Fig7Sizes = []units.ByteSize{16, 32, 64, 128, 256, 512, 1024, 2048, 4096}
@@ -171,8 +34,7 @@ func Fig7(prm tcanet.Params) *Table {
 		vals := make([]string, 0, 4)
 		for _, tg := range []Target{TargetCPU, TargetGPU} {
 			for _, dir := range []Dir{DirWrite, DirRead} {
-				r := newRig(2, prm)
-				bw := r.measureChain(dir, tg, false, size, 255)
+				bw := MeasureChain(prm, dir, tg, false, size, 255)
 				vals = append(vals, GB(bw.GBps()))
 			}
 		}
@@ -197,8 +59,7 @@ func Fig8(prm tcanet.Params) *Table {
 		vals := make([]string, 0, 4)
 		for _, tg := range []Target{TargetCPU, TargetGPU} {
 			for _, dir := range []Dir{DirWrite, DirRead} {
-				r := newRig(2, prm)
-				bw := r.measureChain(dir, tg, false, size, 1)
+				bw := MeasureChain(prm, dir, tg, false, size, 1)
 				vals = append(vals, GB(bw.GBps()))
 			}
 		}
@@ -224,8 +85,7 @@ func Fig9(prm tcanet.Params) *Table {
 		var cpuW float64
 		for _, tg := range []Target{TargetCPU, TargetGPU} {
 			for _, dir := range []Dir{DirWrite, DirRead} {
-				r := newRig(2, prm)
-				bw := r.measureChain(dir, tg, false, 4096, count)
+				bw := MeasureChain(prm, dir, tg, false, 4096, count)
 				if tg == TargetCPU && dir == DirWrite {
 					cpuW = bw.GBps()
 				}
@@ -259,8 +119,7 @@ func Fig12(prm tcanet.Params) *Table {
 		var vals []string
 		for _, tg := range []Target{TargetCPU, TargetGPU} {
 			for _, remote := range []bool{false, true} {
-				r := newRig(2, prm)
-				bw := r.measureChain(DirWrite, tg, remote, size, 255)
+				bw := MeasureChain(prm, DirWrite, tg, remote, size, 255)
 				vals = append(vals, GB(bw.GBps()))
 			}
 		}
@@ -281,41 +140,12 @@ func LatencyPIO(prm tcanet.Params) *Table {
 		Columns: []string{"latency"},
 	}
 
-	// PEACH2 loopback through two chips (Fig. 10).
-	{
-		eng := sim.NewEngine()
-		lb, err := tcanet.BuildLoopback(eng, prm)
-		if err != nil {
-			panic(fmt.Sprintf("bench: %v", err))
-		}
-		flag, _ := lb.Node.AllocDMABuffer(64)
-		dst := lb.Plan.HostBlock(0).Base + pcie.Addr(flag)
-		var seen sim.Time
-		lb.Node.Poll(pcie.Range{Base: flag, Size: 4}, func(now sim.Time) { seen = now })
-		lb.Node.Store(dst, []byte{1, 2, 3, 4})
-		eng.Run()
-		t.AddRow("PEACH2 PIO (2-chip loopback)", US(seen.Elapsed().Microseconds()))
-	}
-
-	// PEACH2 PIO to the adjacent node on a real ring.
-	{
-		r := newRig(2, prm)
-		buf, _ := r.sc.Node(1).AllocDMABuffer(64)
-		dst, _ := r.sc.GlobalHostAddr(1, buf)
-		var seen sim.Time
-		r.sc.Node(1).Poll(pcie.Range{Base: buf, Size: 4}, func(now sim.Time) { seen = now })
-		r.sc.Node(0).Store(dst, []byte{1, 2, 3, 4})
-		r.eng.Run()
-		t.AddRow("PEACH2 PIO (adjacent node on a ring)", US(seen.Elapsed().Microseconds()))
-	}
-
-	// PEACH2 chained-DMA small message, remote (activation dominates).
-	{
-		r := newRig(2, prm)
-		bw := r.measureChain(DirWrite, TargetCPU, true, 8, 1)
-		lat := 8 / bw.BytesPerSec() * 1e6
-		t.AddRow("PEACH2 DMA 8B (remote, incl. activation+IRQ)", US(lat))
-	}
+	t.AddRow("PEACH2 PIO (2-chip loopback)", US(MeasureLoopbackPIO(prm).Microseconds()))
+	adjacent := newRig(2, prm).StoreStream(0, 1, 1, []byte{1, 2, 3, 4})
+	t.AddRow("PEACH2 PIO (adjacent node on a ring)", US(adjacent.EndToEnd.Microseconds()))
+	// Chained-DMA small message, remote: activation dominates.
+	bw := MeasureChain(prm, DirWrite, TargetCPU, true, 8, 1)
+	t.AddRow("PEACH2 DMA 8B (remote, incl. activation+IRQ)", US(8/bw.BytesPerSec()*1e6))
 
 	// InfiniBand verbs and MPI.
 	{

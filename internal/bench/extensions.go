@@ -28,15 +28,8 @@ func ExtCollectives(prm tcanet.Params) *Table {
 		Columns: []string{"barrier", "allreduce 1KiB/node"},
 	}
 	for _, n := range []int{2, 4, 8, 16} {
-		eng := sim.NewEngine()
-		sc, err := tcanet.BuildRing(eng, n, prm)
-		if err != nil {
-			panic(err)
-		}
-		comm, err := core.NewComm(sc)
-		if err != nil {
-			panic(err)
-		}
+		r := newRig(n, prm)
+		eng, comm := r.eng, r.comm()
 		comm.SetMode(core.Pipelined)
 		cc, err := coll.New(comm)
 		if err != nil {
@@ -89,15 +82,8 @@ func ExtCGSolve(prm tcanet.Params) *Table {
 		Columns: []string{"iterations", "total (µs)", "per iteration (µs)"},
 	}
 	for _, n := range []int{2, 4, 8} {
-		eng := sim.NewEngine()
-		sc, err := tcanet.BuildRing(eng, n, prm)
-		if err != nil {
-			panic(err)
-		}
-		comm, err := core.NewComm(sc)
-		if err != nil {
-			panic(err)
-		}
+		r := newRig(n, prm)
+		eng, comm := r.eng, r.comm()
 		comm.SetMode(core.Pipelined)
 		cc, err := coll.New(comm)
 		if err != nil {
@@ -156,15 +142,8 @@ func ExtRingScaling(prm tcanet.Params) *Table {
 	const count = 255
 	total := units.ByteSize(size * count)
 	for _, n := range []int{2, 4, 8, 16} {
-		eng := sim.NewEngine()
-		sc, err := tcanet.BuildRing(eng, n, prm)
-		if err != nil {
-			panic(err)
-		}
-		comm, err := core.NewComm(sc)
-		if err != nil {
-			panic(err)
-		}
+		r := newRig(n, prm)
+		eng, sc, comm := r.eng, r.sc, r.comm()
 		done := 0
 		var last sim.Time
 		for i := 0; i < n; i++ {
@@ -268,15 +247,8 @@ func ExtCollVsMPI(prm tcanet.Params) *Table {
 		// TCA side.
 		var tcaLat units.Duration
 		{
-			eng := sim.NewEngine()
-			sc, err := tcanet.BuildRing(eng, cfg.n, prm)
-			if err != nil {
-				panic(err)
-			}
-			comm, err := core.NewComm(sc)
-			if err != nil {
-				panic(err)
-			}
+			r := newRig(cfg.n, prm)
+			eng, comm := r.eng, r.comm()
 			comm.SetMode(core.Pipelined)
 			cc, err := coll.New(comm)
 			if err != nil {

@@ -3,121 +3,9 @@ package bench
 import (
 	"fmt"
 
-	"tca/internal/fault"
-	"tca/internal/pcie"
-	"tca/internal/sim"
 	"tca/internal/tcanet"
 	"tca/internal/units"
 )
-
-// Fault scenarios: the robustness counterparts of the clean-fabric traces.
-// They run the same instrumented topologies with a seeded fault.Injector
-// wired in, so the output — spans, metrics, fault counters — is still
-// byte-reproducible for a given (spec, seed) pair; the determinism suite
-// runs them twice to prove it.
-
-// TracePingPongFault runs `rounds` of traced ping-pong between src and dst
-// on an n-node ring while the scenario spec's faults (fault.ParseScenario)
-// play out, with the DLL on every cable and NIOS auto-failover armed. Each
-// round writes an 8-byte round-stamped payload into its own slot, so the
-// final buffers prove every payload — including those parked at a dead
-// link or salvaged from its replay buffer — arrived byte-identical.
-func TracePingPongFault(prm tcanet.Params, n, src, dst, rounds int, spec string, seed int64) (*TraceResult, error) {
-	prof, err := fault.ParseScenario(spec, seed)
-	if err != nil {
-		return nil, err
-	}
-	eng, sc, set := instrumentedRing(n, prm)
-	inj := fault.New(prof)
-	inj.Instrument(set)
-	sc.InjectFaults(inj, pcie.DefaultDLLParams())
-	sc.EnableAutoFailover(0)
-
-	dstBuf, err := sc.Node(dst).AllocDMABuffer(units.ByteSize(8 * rounds))
-	if err != nil {
-		return nil, err
-	}
-	srcBuf, err := sc.Node(src).AllocDMABuffer(units.ByteSize(8 * rounds))
-	if err != nil {
-		return nil, err
-	}
-	dstG, err := sc.GlobalHostAddr(dst, dstBuf)
-	if err != nil {
-		return nil, err
-	}
-	srcG, err := sc.GlobalHostAddr(src, srcBuf)
-	if err != nil {
-		return nil, err
-	}
-
-	var txns []uint64
-	var roundD, roundS int
-	var done sim.Time
-	sc.Node(dst).Poll(pcie.Range{Base: dstBuf, Size: uint64(8 * rounds)}, func(now sim.Time) {
-		r := roundD
-		roundD++
-		txns = append(txns, sc.Node(dst).StoreTxn(srcG+pcie.Addr(8*r), pongPayload(r)))
-	})
-	sc.Node(src).Poll(pcie.Range{Base: srcBuf, Size: uint64(8 * rounds)}, func(now sim.Time) {
-		roundS++
-		if roundS < rounds {
-			txns = append(txns, sc.Node(src).StoreTxn(dstG+pcie.Addr(8*roundS), pingPayload(roundS)))
-			return
-		}
-		done = now
-	})
-	txns = append(txns, sc.Node(src).StoreTxn(dstG, pingPayload(0)))
-	eng.Run()
-	if done == 0 {
-		return nil, fmt.Errorf("bench: fault ping-pong stalled after %d/%d rounds — recovery failed (%s, seed %d)",
-			roundS, rounds, spec, seed)
-	}
-	// Byte-identical delivery: every slot holds exactly its round's stamp.
-	for r := 0; r < rounds; r++ {
-		if err := checkSlot(sc, dst, dstBuf, r, pingPayload(r)); err != nil {
-			return nil, err
-		}
-		if err := checkSlot(sc, src, srcBuf, r, pongPayload(r)); err != nil {
-			return nil, err
-		}
-	}
-	rec := set.Recorder()
-	spans := make([]Span, 0, len(txns))
-	for _, txn := range txns {
-		spans = append(spans, newSpan(rec, txn))
-	}
-	return &TraceResult{
-		Scenario: fmt.Sprintf("fault ping-pong node%d<->node%d ×%d (%d-node ring, %s, seed %d)",
-			src, dst, rounds, n, spec, seed),
-		Spans:    spans,
-		EndToEnd: done.Elapsed(),
-		Snapshot: set.Registry().Snapshot(eng.Now()),
-		Set:      set,
-	}, nil
-}
-
-func pingPayload(r int) []byte { return stamp(0xA0, r) }
-func pongPayload(r int) []byte { return stamp(0xB0, r) }
-
-// stamp builds the 8-byte round marker: a leg tag, the round number, and a
-// fixed sentinel tail so corruption anywhere in the payload is caught.
-func stamp(tag byte, r int) []byte {
-	return []byte{tag, byte(r), byte(r >> 8), 0x5A, 0xC3, 0x3C, 0xA5, tag ^ 0xFF}
-}
-
-func checkSlot(sc *tcanet.SubCluster, node int, buf pcie.Addr, r int, want []byte) error {
-	got, err := sc.Node(node).ReadLocal(buf+pcie.Addr(8*r), 8)
-	if err != nil {
-		return err
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			return fmt.Errorf("bench: node %d round %d payload byte %d = %#x, want %#x (corrupted across failover)",
-				node, r, i, got[i], want[i])
-		}
-	}
-	return nil
-}
 
 // ExtDegradedRing compares one-way PIO latency on a healthy ring against
 // the same ring degraded to a line by one cut E/W cable — the price of the
@@ -146,30 +34,11 @@ func ExtDegradedRing(prm tcanet.Params) *Table {
 // measureDegradedPIO is MeasurePIOLatency on a ring whose routes were
 // reprogrammed to avoid the cut eastward cable.
 func measureDegradedPIO(prm tcanet.Params, n, src, dst, cut int) units.Duration {
-	eng := sim.NewEngine()
-	sc, err := tcanet.BuildRing(eng, n, prm)
-	if err != nil {
+	r := newRig(n, prm)
+	if err := r.sc.RerouteAvoidingCut(cut); err != nil {
 		panic(err)
 	}
-	if err := sc.RerouteAvoidingCut(cut); err != nil {
-		panic(err)
-	}
-	buf, err := sc.Node(dst).AllocDMABuffer(8)
-	if err != nil {
-		panic(err)
-	}
-	g, err := sc.GlobalHostAddr(dst, buf)
-	if err != nil {
-		panic(err)
-	}
-	var seen sim.Time
-	sc.Node(dst).Poll(pcie.Range{Base: buf, Size: 8}, func(now sim.Time) { seen = now })
-	sc.Node(src).Store(g, []byte{1, 0, 0, 0, 0, 0, 0, 0})
-	eng.Run()
-	if seen == 0 {
-		panic("bench: degraded-ring PIO write never observed")
-	}
-	return seen.Elapsed()
+	return r.StoreStream(src, dst, 1, pioFlag).EndToEnd
 }
 
 // CheckDegradedRing verifies the degraded mode works and costs what the

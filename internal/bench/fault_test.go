@@ -17,10 +17,9 @@ import (
 // payloads via the rerouted path, and the injector's counters prove the
 // cut, the replays, and the failover actually happened.
 func TestFaultPingPongLiveFailover(t *testing.T) {
-	res, err := TracePingPongFault(tcanet.DefaultParams, 4, 0, 2, 10, "linkdown:1e:12us", 7)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := observedRig(t, 4, Attach{Fault: "linkdown:1e:12us", Seed: 7})
+	res := pingPong(t, r, 0, 2, 10)
+	snap, spans := r.Snapshot(), r.Spans(res.Txns)
 	for _, c := range []struct {
 		name string
 		min  uint64
@@ -29,7 +28,7 @@ func TestFaultPingPongLiveFailover(t *testing.T) {
 		{"fault.replays", 1},
 		{"fault.failovers", 1},
 	} {
-		v, ok := res.Snapshot.Counter(c.name, "injector")
+		v, ok := snap.Counter(c.name, "injector")
 		if !ok {
 			t.Fatalf("counter %s not in snapshot", c.name)
 		}
@@ -37,13 +36,13 @@ func TestFaultPingPongLiveFailover(t *testing.T) {
 			t.Errorf("%s = %d, want >= %d", c.name, v, c.min)
 		}
 	}
-	if len(res.Spans) != 20 {
-		t.Errorf("spans = %d, want 20 (10 pings + 10 pongs)", len(res.Spans))
+	if len(spans) != 20 {
+		t.Errorf("spans = %d, want 20 (10 pings + 10 pongs)", len(spans))
 	}
 	// At least one traced TLP was parked at the dead link and re-injected
 	// by the failover — visible as link-down + failover stages on a span.
 	parked, failedOver := false, false
-	for _, sp := range res.Spans {
+	for _, sp := range spans {
 		for _, ev := range sp.Events {
 			if ev.Stage == obsv.StageLinkDown {
 				parked = true

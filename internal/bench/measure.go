@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"tca/internal/core"
 	"tca/internal/pcie"
 	"tca/internal/sim"
 	"tca/internal/tcanet"
@@ -13,8 +12,12 @@ import (
 // the adjacent node, returning the bandwidth the paper's methodology
 // reports (driver activation through completion interrupt).
 func MeasureChain(prm tcanet.Params, dir Dir, target Target, remote bool, size units.ByteSize, count int) units.Bandwidth {
-	r := newRig(2, prm)
-	return r.measureChain(dir, target, remote, size, count)
+	c := Chain{Dir: dir, Target: target, Size: size, Count: count}
+	if remote {
+		c.Dst = 1
+	}
+	res := newRig(2, prm).ChainDMA(c)
+	return units.Rate(res.Moved, res.EndToEnd)
 }
 
 // MeasureLoopbackPIO runs the §IV-B1 two-board loopback once and returns
@@ -35,18 +38,6 @@ func MeasureLoopbackPIO(prm tcanet.Params) units.Duration {
 		panic("bench: loopback write never observed")
 	}
 	return seen.Elapsed()
-}
-
-// MeasureTCAGPU times one cross-node GPU-to-GPU MemcpyPeer in the given DMA
-// mode.
-func MeasureTCAGPU(prm tcanet.Params, mode core.DMAMode, size units.ByteSize) units.Duration {
-	return measureTCAGPUPut(prm, mode, size)
-}
-
-// MeasureConventionalGPU times the same transfer through the three-copy
-// InfiniBand/MPI path.
-func MeasureConventionalGPU(prm tcanet.Params, size units.ByteSize) units.Duration {
-	return measureConventional(prm, size)
 }
 
 // MeasureIBStream measures the IB fabric's streamed large-message

@@ -21,11 +21,13 @@ func TestTraceForwardSelfConsistency(t *testing.T) {
 		{"2hop", 4, 0, 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			tr := TraceForward(prm, tc.n, tc.src, tc.dst)
-			if len(tr.Spans) != 1 {
-				t.Fatalf("spans = %d, want 1", len(tr.Spans))
+			r := observedRig(t, tc.n, Attach{})
+			res := r.StoreStream(tc.src, tc.dst, 1, pioFlag)
+			spans := r.Spans(res.Txns)
+			if len(spans) != 1 {
+				t.Fatalf("spans = %d, want 1", len(spans))
 			}
-			sp := tr.Spans[0]
+			sp := spans[0]
 			if len(sp.Events) < 4 {
 				t.Fatalf("only %d events recorded: %v", len(sp.Events), sp.Events)
 			}
@@ -35,12 +37,12 @@ func TestTraceForwardSelfConsistency(t *testing.T) {
 			if got := sp.Events[len(sp.Events)-1].Stage; got != obsv.StagePollSeen {
 				t.Errorf("last stage = %v, want poll-seen", got)
 			}
-			if sp.Total != tr.EndToEnd {
-				t.Errorf("hop sum %v != traced end-to-end %v", sp.Total, tr.EndToEnd)
+			if sp.Total != res.EndToEnd {
+				t.Errorf("hop sum %v != traced end-to-end %v", sp.Total, res.EndToEnd)
 			}
 			ref := MeasurePIOLatency(prm, tc.n, tc.src, tc.dst)
-			if tr.EndToEnd != ref {
-				t.Errorf("instrumented latency %v != uninstrumented reference %v — observability perturbed timing", tr.EndToEnd, ref)
+			if res.EndToEnd != ref {
+				t.Errorf("instrumented latency %v != uninstrumented reference %v — observability perturbed timing", res.EndToEnd, ref)
 			}
 		})
 	}
@@ -48,13 +50,15 @@ func TestTraceForwardSelfConsistency(t *testing.T) {
 
 // The two ping-pong legs' hop sums must add up to the round trip.
 func TestTracePingPongLegsSumToRoundTrip(t *testing.T) {
-	tr := TracePingPong(tcanet.DefaultParams, 4, 0, 2)
-	if len(tr.Spans) != 2 {
-		t.Fatalf("spans = %d, want 2 (ping+pong)", len(tr.Spans))
+	r := observedRig(t, 4, Attach{})
+	res := pingPong(t, r, 0, 2, 1)
+	spans := r.Spans(res.Txns)
+	if len(spans) != 2 {
+		t.Fatalf("spans = %d, want 2 (ping+pong)", len(spans))
 	}
-	ping, pong := tr.Spans[0], tr.Spans[1]
-	if sum := ping.Total + pong.Total; sum != tr.EndToEnd {
-		t.Errorf("ping %v + pong %v = %v != round trip %v", ping.Total, pong.Total, sum, tr.EndToEnd)
+	ping, pong := spans[0], spans[1]
+	if sum := ping.Total + pong.Total; sum != res.EndToEnd {
+		t.Errorf("ping %v + pong %v = %v != round trip %v", ping.Total, pong.Total, sum, res.EndToEnd)
 	}
 	if ping.Total != MeasurePIOLatency(tcanet.DefaultParams, 4, 0, 2) {
 		t.Errorf("ping leg %v != one-way reference", ping.Total)
@@ -64,11 +68,13 @@ func TestTracePingPongLegsSumToRoundTrip(t *testing.T) {
 // A traced DMA chain's span runs doorbell → chain-done and stays within the
 // driver-observed completion time.
 func TestTraceDMASpan(t *testing.T) {
-	tr := TraceDMA(tcanet.DefaultParams, 4096, 8)
-	if len(tr.Spans) != 1 {
-		t.Fatalf("spans = %d, want 1", len(tr.Spans))
+	r := observedRig(t, 2, Attach{})
+	res := r.ChainDMA(Chain{Dst: 1, Size: 4096, Count: 8, Stride: 8192})
+	spans := r.Spans(res.Txns)
+	if len(spans) != 1 {
+		t.Fatalf("spans = %d, want 1", len(spans))
 	}
-	sp := tr.Spans[0]
+	sp := spans[0]
 	if sp.Txn == 0 {
 		t.Fatal("chain transaction ID is zero — DMAC did not begin a traced chain")
 	}
@@ -95,11 +101,11 @@ func TestTraceDMASpan(t *testing.T) {
 		t.Errorf("missing stages (fetch=%v issue=%v ack=%v irq=%v): %v",
 			sawFetch, sawIssue, sawAck, sawIRQ, sp.Events)
 	}
-	if sp.Total <= 0 || sp.Total > tr.EndToEnd {
-		t.Errorf("span total %v outside (0, %v]", sp.Total, tr.EndToEnd)
+	if sp.Total <= 0 || sp.Total > res.EndToEnd {
+		t.Errorf("span total %v outside (0, %v]", sp.Total, res.EndToEnd)
 	}
 	// The chain histogram recorded exactly one observation.
-	h, ok := tr.Snapshot.Histogram("dma_chain_latency", "peach2-0/dmac")
+	h, ok := r.Snapshot().Histogram("dma_chain_latency", "peach2-0/dmac")
 	if !ok || h.Count != 1 {
 		t.Errorf("dma_chain_latency count = %+v ok=%v, want exactly 1", h, ok)
 	}
@@ -109,8 +115,9 @@ func TestTraceDMASpan(t *testing.T) {
 // east-route ports: chip0 N-in/E-out, chip1 W-in/E-out, chip2 W-in/N-out,
 // and nothing on chip3 — the port-counter acceptance criterion.
 func TestForwardPortCounters(t *testing.T) {
-	tr := TraceForward(tcanet.DefaultParams, 4, 0, 2)
-	snap := tr.Snapshot
+	r := observedRig(t, 4, Attach{})
+	r.StoreStream(0, 2, 1, pioFlag)
+	snap := r.Snapshot()
 	port := func(v string) obsv.Label { return obsv.Label{Key: "port", Value: v} }
 	expect := map[string]map[string]uint64{
 		"peach2-0": {"in:N": 1, "out:E": 1},
@@ -152,8 +159,9 @@ func TestSnapshotDuringParallelRuns(t *testing.T) {
 			case <-stop:
 				return
 			default:
-				tr := TraceForward(prm, 4, 0, 2)
-				if snap := tr.Set.Registry().Snapshot(0); len(snap.Counters) == 0 {
+				r := mustRig(4, prm, Attach{Obsv: true})
+				r.StoreStream(0, 2, 1, pioFlag)
+				if snap := r.Set.Registry().Snapshot(0); len(snap.Counters) == 0 {
 					t.Error("empty snapshot from instrumented rig")
 					return
 				}
@@ -221,9 +229,13 @@ func TestDisabledObservabilityAllocs(t *testing.T) {
 	}
 }
 
-// MetricsReport must produce a populated snapshot.
+// The tcabench -metrics workload — a 2-hop PIO store, then a 16×4 KiB
+// chain — must produce a populated snapshot on one observed rig.
 func TestMetricsReport(t *testing.T) {
-	snap := MetricsReport(tcanet.DefaultParams)
+	r := observedRig(t, 4, Attach{})
+	r.StoreStream(0, 2, 1, pioFlag)
+	r.ChainDMA(Chain{Dst: 1, Size: 4096, Count: 16})
+	snap := r.Snapshot()
 	if v, ok := snap.Counter("dma_chains", "peach2-0/dmac"); !ok || v != 1 {
 		t.Errorf("dma_chains = %d ok=%v, want 1", v, ok)
 	}

@@ -5,17 +5,15 @@ import (
 	"fmt"
 	"io"
 
-	"tca/internal/pcie"
 	"tca/internal/prof"
-	"tca/internal/sim"
 	"tca/internal/tcanet"
 )
 
-// Profiled engine-performance scenarios. Each builds a fresh deterministic
-// rig, optionally registers every component with a profiler, and measures
-// the run with prof.Measure. With a nil profiler the engine runs completely
-// uninstrumented — that configuration collects the committed baseline, so
-// BENCH_PERF.json numbers carry no attribution overhead.
+// Profiled engine-performance scenarios: one kernel run each on a fresh
+// rig, optionally with every component registered with a profiler. With a
+// nil profiler the engine runs completely uninstrumented — that
+// configuration collects the committed baseline, so BENCH_PERF.json numbers
+// carry no attribution overhead.
 
 // PerfScenarioNames lists the profiled scenarios in run order.
 var PerfScenarioNames = []string{"pingpong", "forward", "chain_dma"}
@@ -30,93 +28,33 @@ const (
 	perfChainDescs     = 64
 )
 
-// RunPerfScenario runs one named scenario and returns its run statistics.
+// RunPerfScenario runs one named scenario and returns its run statistics:
+//
+//   - pingpong: perfPingPongRounds round trips over a 2-node ring, which
+//     exercise the store, link, switch, chip-forward and poll paths on
+//     every leg;
+//   - forward: perfForwardStores poll-paced stores from node 0 to node 4
+//     of an 8-node ring, each paying the full multi-hop forwarding path;
+//   - chain_dma: one remote chained-DMA write of perfChainDescs × 4 KiB,
+//     dominated by TLP issue and link drain events.
+//
 // Panics on an unknown name (the set is fixed by PerfScenarioNames).
 func RunPerfScenario(name string, prm tcanet.Params, p *prof.Profiler) prof.RunStats {
+	a := Attach{Prof: p, Label: name}
 	switch name {
 	case "pingpong":
-		return PerfPingPong(prm, perfPingPongRounds, p)
+		res, err := mustRig(2, prm, a).PingPong(0, 1, perfPingPongRounds)
+		if err != nil {
+			panic(err)
+		}
+		return res.Stats
 	case "forward":
-		return PerfForward(prm, perfForwardStores, p)
+		return mustRig(8, prm, a).StoreStream(0, 4, perfForwardStores, pioFlag).Stats
 	case "chain_dma":
-		return PerfChainDMA(prm, perfChainDescs, p)
+		return mustRig(2, prm, a).ChainDMA(Chain{Dst: 1, Size: 4096, Count: perfChainDescs}).Stats
 	default:
 		panic(fmt.Sprintf("bench: unknown perf scenario %q", name))
 	}
-}
-
-// PerfPingPong drives rounds full round trips over a 2-node ring: node 0
-// stores a flag into node 1's host memory, node 1's poll answers with a
-// store back, and node 0's poll launches the next round. The poll loops
-// themselves pace the run, so the event stream exercises the store, link,
-// switch, chip-forward, and poll paths on every leg.
-func PerfPingPong(prm tcanet.Params, rounds int, p *prof.Profiler) prof.RunStats {
-	eng := sim.NewEngine()
-	sc, err := tcanet.BuildRing(eng, 2, prm)
-	if err != nil {
-		panic(fmt.Sprintf("bench: %v", err))
-	}
-	sc.Profile(p)
-	dstBuf, dstG := flagTarget(sc, 1)
-	srcBuf, srcG := flagTarget(sc, 0)
-	ping := []byte{1, 0, 0, 0, 0, 0, 0, 0}
-	pong := []byte{2, 0, 0, 0, 0, 0, 0, 0}
-	left := rounds
-	sc.Node(1).Poll(pcie.Range{Base: dstBuf, Size: 8}, func(sim.Time) {
-		sc.Node(1).Store(srcG, pong)
-	})
-	sc.Node(0).Poll(pcie.Range{Base: srcBuf, Size: 8}, func(sim.Time) {
-		if left--; left > 0 {
-			sc.Node(0).Store(dstG, ping)
-		}
-	})
-	st := p.Measure("pingpong", eng, func() {
-		sc.Node(0).Store(dstG, ping)
-		eng.Run()
-	})
-	if left != 0 {
-		panic(fmt.Sprintf("bench: pingpong stalled with %d rounds left", left))
-	}
-	return st
-}
-
-// PerfForward streams count sequential PIO stores from node 0 to node 4 of
-// an 8-node ring; each store launches when the destination's poll observes
-// the previous one, so every store pays the full multi-hop forwarding path.
-func PerfForward(prm tcanet.Params, count int, p *prof.Profiler) prof.RunStats {
-	eng := sim.NewEngine()
-	sc, err := tcanet.BuildRing(eng, 8, prm)
-	if err != nil {
-		panic(fmt.Sprintf("bench: %v", err))
-	}
-	sc.Profile(p)
-	buf, g := flagTarget(sc, 4)
-	flag := []byte{1, 0, 0, 0, 0, 0, 0, 0}
-	left := count
-	sc.Node(4).Poll(pcie.Range{Base: buf, Size: 8}, func(sim.Time) {
-		if left--; left > 0 {
-			sc.Node(0).Store(g, flag)
-		}
-	})
-	st := p.Measure("forward", eng, func() {
-		sc.Node(0).Store(g, flag)
-		eng.Run()
-	})
-	if left != 0 {
-		panic(fmt.Sprintf("bench: forward stalled with %d stores left", left))
-	}
-	return st
-}
-
-// PerfChainDMA runs one remote chained-DMA write (count descriptors of
-// 4 KiB against the adjacent node's CPU memory) — the DMAC- and
-// credit-heavy scenario, dominated by TLP issue and link drain events.
-func PerfChainDMA(prm tcanet.Params, count int, p *prof.Profiler) prof.RunStats {
-	r := newRig(2, prm)
-	r.sc.Profile(p)
-	return p.Measure("chain_dma", r.eng, func() {
-		r.measureChain(DirWrite, TargetCPU, true, 4096, count)
-	})
 }
 
 // PerfBaselineSchema versions the BENCH_PERF.json layout.

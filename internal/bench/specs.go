@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"tca/internal/pcie"
-	"tca/internal/units"
 )
 
 // TableI reproduces "Specifications of the HA-PACS base cluster".
@@ -87,7 +86,3 @@ func TheoreticalPeak() *Table {
 	t.AddNote("paper: 4 Gbytes/sec × 256/280 = 3.66 Gbytes/sec; measured chained write ≈ 93%% of it")
 	return t
 }
-
-// FormatBandwidth is a tiny helper for tools printing a Bandwidth with the
-// paper's unit style.
-func FormatBandwidth(bw units.Bandwidth) string { return bw.String() }

@@ -6,9 +6,7 @@ import (
 	"strings"
 	"testing"
 
-	"tca/internal/core"
 	"tca/internal/obsv"
-	"tca/internal/sim"
 	"tca/internal/tcanet"
 	"tca/internal/units"
 )
@@ -17,8 +15,10 @@ import (
 // — a 255×4 KiB chain node0→node2 across a 4-node ring — and checks that
 // attribution names the source chip's egress ring link as saturated.
 func TestTelemetryForwardAttribution(t *testing.T) {
-	res := TelemetryForward(tcanet.DefaultParams, 4, 0, 2, 4096, 255, units.Microsecond)
-	rep := res.Report
+	r := observedRig(t, 4, Attach{Interval: units.Microsecond})
+	r.ChainDMA(Chain{Dst: 2, Size: 4096, Count: 255})
+	tl := r.Set.Sampler().Timeline()
+	rep := obsv.Attribute(r.Snapshot(), tl)
 	if rep == nil || rep.Primary.Verdict != obsv.VerdictLinkBound {
 		t.Fatalf("verdict = %+v, want link-bound", rep)
 	}
@@ -37,12 +37,12 @@ func TestTelemetryForwardAttribution(t *testing.T) {
 	if util < 90 {
 		t.Errorf("saturated link active-mean utilization = %.1f%%, want >= 90%%", util)
 	}
-	if res.Timeline.Find("link_util", "link:peach2-0.E", "ab") == nil {
+	if tl.Find("link_util", "link:peach2-0.E", "ab") == nil {
 		t.Error("timeline is missing the link_util series for the saturated link")
 	}
 	// The destination chip's DMAC never runs — the downstream-idle half of
 	// the link-bound evidence.
-	if s := res.Timeline.Find("dma_busy", "peach2-2/dmac", ""); s == nil || s.ActiveMean() != 0 {
+	if s := tl.Find("dma_busy", "peach2-2/dmac", ""); s == nil || s.ActiveMean() != 0 {
 		t.Errorf("destination DMAC should idle, series = %v", s)
 	}
 }
@@ -50,11 +50,12 @@ func TestTelemetryForwardAttribution(t *testing.T) {
 // TestTelemetryPingPongUnderutilized checks the contrast case: one 8-byte
 // flag in flight at a time saturates nothing.
 func TestTelemetryPingPongUnderutilized(t *testing.T) {
-	res := TelemetryPingPong(tcanet.DefaultParams, 4, 0, 2, 20, units.Microsecond)
-	if v := res.Report.Primary.Verdict; v != obsv.VerdictUnderutilized {
+	r := observedRig(t, 4, Attach{Interval: units.Microsecond})
+	res := pingPong(t, r, 0, 2, 20)
+	if v := obsv.Attribute(r.Snapshot(), r.Set.Sampler().Timeline()).Primary.Verdict; v != obsv.VerdictUnderutilized {
 		t.Fatalf("verdict = %v, want underutilized", v)
 	}
-	if res.Elapsed <= 0 {
+	if res.EndToEnd <= 0 {
 		t.Fatal("ping-pong recorded no elapsed time")
 	}
 }
@@ -64,9 +65,10 @@ func TestTelemetryPingPongUnderutilized(t *testing.T) {
 // traceEvents array with duration slices for the DMA span, counter samples
 // for the telemetry series, and nothing malformed.
 func TestForwardPerfettoTraceValid(t *testing.T) {
-	res := TelemetryForward(tcanet.DefaultParams, 4, 0, 2, 4096, 16, units.Microsecond)
+	r := observedRig(t, 4, Attach{Interval: units.Microsecond})
+	r.ChainDMA(Chain{Dst: 2, Size: 4096, Count: 16})
 	var buf bytes.Buffer
-	if err := obsv.WritePerfetto(&buf, res.Set.Recorder().Events(), res.Timeline); err != nil {
+	if err := obsv.WritePerfetto(&buf, r.Set.Recorder().Events(), r.Set.Sampler().Timeline()); err != nil {
 		t.Fatal(err)
 	}
 	var file struct {
@@ -110,36 +112,11 @@ func TestForwardPerfettoTraceValid(t *testing.T) {
 // instrumentation and no sampler and requires the identical completion
 // time — probes observe, they never reserve.
 func TestTelemetryDoesNotPerturbTiming(t *testing.T) {
-	const size, count = 4096, 64
-	res := TelemetryForward(tcanet.DefaultParams, 4, 0, 2, size, count, units.Microsecond)
-
-	eng := sim.NewEngine()
-	sc, err := tcanet.BuildRing(eng, 4, tcanet.DefaultParams)
-	if err != nil {
-		t.Fatal(err)
-	}
-	comm, err := core.NewComm(sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sc.Chip(0).InternalMemory().Write(0, make([]byte, size)); err != nil {
-		t.Fatal(err)
-	}
-	buf, err := sc.Node(2).AllocDMABuffer(size * count)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, err := sc.GlobalHostAddr(2, buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var doneAt sim.Time
-	if err := comm.StartChain(0, buildWriteChain(uint64(g), size, count), func(now sim.Time) { doneAt = now }); err != nil {
-		t.Fatal(err)
-	}
-	eng.Run()
-	if units.Duration(doneAt) != res.Elapsed {
+	c := Chain{Dst: 2, Size: 4096, Count: 64}
+	res := observedRig(t, 4, Attach{Interval: units.Microsecond}).ChainDMA(c)
+	bare := newRig(4, tcanet.DefaultParams).ChainDMA(c)
+	if bare.EndToEnd != res.EndToEnd {
 		t.Errorf("instrumented run finished at %v, bare run at %v — telemetry perturbed the simulation",
-			res.Elapsed, units.Duration(doneAt))
+			res.EndToEnd, bare.EndToEnd)
 	}
 }

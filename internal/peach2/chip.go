@@ -34,8 +34,7 @@ type Chip struct {
 	regCount uint64
 	regRoute [MaxRouteRules]RouteRule
 
-	onIRQ  func(now sim.Time)
-	tracer func(now sim.Time, what string)
+	onIRQ func(now sim.Time)
 
 	// Fault machinery (faults nil on a perfect fabric — every consult is
 	// then a nil-receiver no-op and no recovery timer is ever scheduled).
@@ -308,18 +307,6 @@ func (c *Chip) flushParked() {
 	})
 }
 
-// SetTracer installs a packet-event tracer (nil disables).
-//
-// Deprecated: the free-form string hook predates the obsv span layer;
-// Instrument records the same path as typed, transaction-scoped events.
-func (c *Chip) SetTracer(fn func(now sim.Time, what string)) { c.tracer = fn }
-
-func (c *Chip) trace(now sim.Time, format string, args ...any) {
-	if c.tracer != nil {
-		c.tracer(now, fmt.Sprintf(format, args...))
-	}
-}
-
 // PartialReconfigTime is how long the FPGA's partial reconfiguration of
 // the PCIe hard-IP takes when Port S switches between RC and EP. The paper
 // ships two full configuration images and notes that "dynamic switching for
@@ -472,9 +459,6 @@ func (c *Chip) forwardRing(now sim.Time, t *pcie.TLP, out PortID) {
 	c.forwarded[out]++
 	c.cm.tlpsOut[out].Inc()
 	c.cm.bytesOut[out].Add(uint64(t.WireBytes()))
-	if c.tracer != nil {
-		c.trace(now, "route %v -> port %v", t, out)
-	}
 	if c.rec != nil && t.Txn != 0 {
 		c.rec.Record(obsv.Event{At: now, Txn: t.Txn, Stage: obsv.StageRoute,
 			Where: c.name, Port: out.String(), Addr: uint64(t.Addr)})
@@ -530,13 +514,6 @@ func (c *Chip) forwardN(now sim.Time, t *pcie.TLP) {
 	c.cm.bytesOut[PortN].Add(uint64(t.WireBytes()))
 	if conv {
 		c.cm.converted.Inc()
-	}
-	if c.tracer != nil {
-		if conv {
-			c.trace(now, "convert %v -> local %v (%v) -> port N", t.Addr, local, class)
-		} else {
-			c.trace(now, "deliver %v -> port N", t)
-		}
 	}
 	if c.rec != nil && t.Txn != 0 {
 		if conv {

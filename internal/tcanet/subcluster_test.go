@@ -3,7 +3,6 @@ package tcanet
 import (
 	"bytes"
 	"encoding/binary"
-	"strings"
 	"testing"
 
 	"tca/internal/pcie"
@@ -422,37 +421,5 @@ func TestNIOSOnLiveRing(t *testing.T) {
 	}
 	if st.Forwarded[peach2.PortE] == 0 {
 		t.Fatal("NIOS status missed forwarded traffic")
-	}
-}
-
-// TestChipTracerRecordsPath verifies the logic-analyzer hook the tcaring
-// tool builds on: a multi-hop packet leaves one trace event per chip.
-func TestChipTracerRecordsPath(t *testing.T) {
-	eng, sc := buildRing(t, 4)
-	var events []string
-	for i := 0; i < 4; i++ {
-		name := sc.Chip(i).DevName()
-		sc.Chip(i).SetTracer(func(now sim.Time, what string) {
-			events = append(events, name+": "+what)
-		})
-	}
-	dst, _ := sc.GlobalHostAddr(2, 0x100)
-	sc.Node(0).Store(dst, []byte{1})
-	eng.Run()
-	if len(events) != 3 {
-		t.Fatalf("trace has %d events, want 3 (two forwards + one convert): %v", len(events), events)
-	}
-	if !strings.Contains(events[0], "peach2-0") || !strings.Contains(events[2], "peach2-2") ||
-		!strings.Contains(events[2], "convert") {
-		t.Fatalf("trace path wrong: %v", events)
-	}
-	// Disabling the tracer stops recording.
-	for i := 0; i < 4; i++ {
-		sc.Chip(i).SetTracer(nil)
-	}
-	sc.Node(0).Store(dst, []byte{2})
-	eng.Run()
-	if len(events) != 3 {
-		t.Fatal("tracer kept recording after being cleared")
 	}
 }
