@@ -10,6 +10,7 @@ package core
 import (
 	"fmt"
 
+	"tca/internal/fifo"
 	"tca/internal/host"
 	"tca/internal/obsv"
 	"tca/internal/pcie"
@@ -62,7 +63,7 @@ type driver struct {
 	chip     *peach2.Chip
 	tableBuf pcie.Addr
 	busy     bool
-	queue    []chainReq
+	queue    fifo.Queue[chainReq]
 	current  func(now sim.Time)
 
 	// lastErr is the chain error the chip reported at the most recent
@@ -104,7 +105,7 @@ func NewComm(sc *tcanet.SubCluster) (*Comm, error) {
 		d.mPuts = obs.Registry().Counter("driver_pio_puts", comp)
 		obs.Sampler().Register("driver_chain_queue", comp, "", "chains",
 			func(sim.Time, units.Duration) float64 {
-				q := len(d.queue)
+				q := d.queue.Len()
 				if d.busy {
 					q++
 				}
@@ -148,7 +149,7 @@ func (c *Comm) StartChain(node int, descs []peach2.Descriptor, done func(now sim
 
 func (d *driver) submit(req chainReq) {
 	if d.busy {
-		d.queue = append(d.queue, req)
+		d.queue.Push(req)
 		return
 	}
 	d.start(req)
@@ -181,14 +182,10 @@ func (d *driver) onIRQ(now sim.Time) {
 	done := d.current
 	d.current = nil
 	d.busy = false
-	if len(d.queue) > 0 {
-		next := d.queue[0]
-		copy(d.queue, d.queue[1:])
-		d.queue[len(d.queue)-1] = chainReq{}
-		d.queue = d.queue[:len(d.queue)-1]
+	if d.queue.Len() > 0 {
 		// Resubmission pays the full activation cost again, just like a
 		// fresh chain.
-		d.start(next)
+		d.start(d.queue.Pop())
 	}
 	if done != nil {
 		done(now)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"tca/internal/fault"
+	"tca/internal/fifo"
 	"tca/internal/obsv"
 	"tca/internal/sim"
 	"tca/internal/units"
@@ -98,12 +99,12 @@ type dllEntry struct {
 // dllDir is the per-direction DLL state. Sequence numbers start at 1 so
 // that 0 can mean "no NAK outstanding" in nakSeq.
 type dllDir struct {
-	nextSeq  uint64     // sequence number of the next new TLP
-	buf      []dllEntry // unacknowledged TLPs, ascending seq
-	expected uint64     // receiver side: next sequence to deliver
-	replays  int        // replay rounds since last ACK progress
-	timerGen uint64     // invalidates stale replay timers
-	nakSeq   uint64     // gap already replayed for (NAK-storm guard)
+	nextSeq  uint64               // sequence number of the next new TLP
+	buf      fifo.Queue[dllEntry] // unacknowledged TLPs, ascending seq
+	expected uint64               // receiver side: next sequence to deliver
+	replays  int                  // replay rounds since last ACK progress
+	timerGen uint64               // invalidates stale replay timers
+	nakSeq   uint64               // gap already replayed for (NAK-storm guard)
 	dead     bool
 	onDead   DeadHandler
 }
@@ -164,7 +165,7 @@ func (l *Link) DeadFrom(from *Port) bool {
 // dllBufFull reports whether the direction's replay buffer backpressures
 // new transmissions.
 func (l *Link) dllBufFull(di int) bool {
-	return l.dll != nil && len(l.dll.dirs[di].buf) >= l.dll.params.ReplayBufferTLPs
+	return l.dll != nil && l.dll.dirs[di].buf.Len() >= l.dll.params.ReplayBufferTLPs
 }
 
 // divertDead handles a send into a dead direction: hand the TLP straight
@@ -194,9 +195,9 @@ func (l *Link) dllTransmit(now sim.Time, d *linkDir, di int, t *TLP) {
 	d.inFlight++
 	e := dllEntry{seq: dd.nextSeq, tlp: t}
 	dd.nextSeq++
-	dd.buf = append(dd.buf, e)
+	dd.buf.Push(e)
 	l.sendFrame(now, d, di, e, false)
-	if len(dd.buf) == 1 {
+	if dd.buf.Len() == 1 {
 		l.armReplayTimer(di)
 	}
 }
@@ -294,26 +295,22 @@ func (l *Link) dllpArrive(now sim.Time, di int, ackSeq uint64, nak bool) {
 	if l.dll.inj.LinkDown(l.dll.name, now) {
 		return // the DLLP is blackholed too
 	}
-	released := 0
-	for released < len(dd.buf) && dd.buf[released].seq < ackSeq {
-		released++
+	released := false
+	for dd.buf.Len() > 0 && dd.buf.At(0).seq < ackSeq {
+		dd.buf.Pop()
+		released = true
 	}
-	if released > 0 {
-		n := copy(dd.buf, dd.buf[released:])
-		for i := n; i < len(dd.buf); i++ {
-			dd.buf[i] = dllEntry{}
-		}
-		dd.buf = dd.buf[:n]
+	if released {
 		dd.replays = 0
 		dd.nakSeq = 0
 		dd.timerGen++ // cancel the outstanding timer
-		if len(dd.buf) > 0 {
+		if dd.buf.Len() > 0 {
 			l.armReplayTimer(di)
 		}
 		d, _ := l.dirByIndex(di)
 		l.pump(now, d, di)
 	}
-	if nak && dd.nakSeq != ackSeq && len(dd.buf) > 0 {
+	if nak && dd.nakSeq != ackSeq && dd.buf.Len() > 0 {
 		dd.nakSeq = ackSeq
 		l.replay(now, di)
 	}
@@ -325,7 +322,7 @@ func (l *Link) armReplayTimer(di int) {
 	dd.timerGen++
 	gen := dd.timerGen
 	l.eng.AfterComp(l.comp, l.dll.params.ReplayTimeout, func() {
-		if dd.dead || gen != dd.timerGen || len(dd.buf) == 0 {
+		if dd.dead || gen != dd.timerGen || dd.buf.Len() == 0 {
 			return
 		}
 		dd.nakSeq = 0 // a timeout replay clears the NAK guard
@@ -344,9 +341,8 @@ func (l *Link) replay(now sim.Time, di int) {
 	}
 	l.dll.inj.NoteReplay()
 	d, _ := l.dirByIndex(di)
-	for _, e := range dd.buf {
-		e := e
-		l.sendFrame(now, d, di, e, true)
+	for i := 0; i < dd.buf.Len(); i++ {
+		l.sendFrame(now, d, di, *dd.buf.At(i), true)
 	}
 	l.armReplayTimer(di)
 }
@@ -367,14 +363,12 @@ func (l *Link) dieDLL(now sim.Time) {
 		dd.timerGen++
 		d, _ := l.dirByIndex(di)
 		var salvaged []*TLP
-		for _, e := range dd.buf {
-			salvaged = append(salvaged, e.tlp)
+		for dd.buf.Len() > 0 {
+			salvaged = append(salvaged, dd.buf.Pop().tlp)
 		}
-		for _, q := range d.waiting {
-			salvaged = append(salvaged, q.t)
+		for d.waiting.Len() > 0 {
+			salvaged = append(salvaged, d.waiting.Pop().t)
 		}
-		dd.buf = nil
-		d.waiting = nil
 		d.inFlight = 0
 		if len(salvaged) == 0 {
 			continue

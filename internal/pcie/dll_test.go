@@ -93,43 +93,66 @@ func TestDLLNakTriggersReplay(t *testing.T) {
 // TestDLLPermanentCutSalvagesTraffic: a permanent outage must kill the
 // link after the replay budget and hand every undelivered TLP to the dead
 // handler in original order; later sends divert straight to the handler.
+// A cut that starts after some TLPs were ACKed finds the replay buffer's
+// head advanced into its ring; the salvage must still ascend, replay
+// buffer first, then the credit queue.
 func TestDLLPermanentCutSalvagesTraffic(t *testing.T) {
-	inj := fault.New(fault.Profile{Down: []fault.DownWindow{{Link: "t", At: 0}}})
-	eng, _, b, pa, _, l := testLink(t, LinkParams{Config: Gen2x8, CreditTLPs: 2})
-	l.EnableDLL("t", inj, DLLParams{ReplayTimeout: units.Microsecond, MaxReplays: 2})
-	var salvaged []*TLP
-	var deadAt sim.Time
-	l.SetDeadHandler(pa, func(now sim.Time, tlps []*TLP) {
-		deadAt = now
-		salvaged = append(salvaged, tlps...)
-	})
-	// 5 TLPs: 2 occupy credits (replay buffer), 3 queue behind them.
-	for i := 0; i < 5; i++ {
-		pa.Send(eng.Now(), &TLP{Kind: MWr, Addr: Addr(i * 256), Data: make([]byte, 64)})
-	}
-	eng.Run()
-	if len(b.got) != 0 {
-		t.Fatal("cut link delivered a packet")
-	}
-	if len(salvaged) != 5 {
-		t.Fatalf("salvaged %d TLPs, want all 5", len(salvaged))
-	}
-	for i, p := range salvaged {
-		if p.Addr != Addr(i*256) {
-			t.Fatalf("salvaged[%d] = %v — order lost", i, p.Addr)
-		}
-	}
-	if deadAt == 0 {
-		t.Fatal("dead handler saw zero time")
-	}
-	// A send after death must divert to the handler, not panic or vanish.
-	late := &TLP{Kind: MWr, Addr: 0xbeef00, Data: make([]byte, 64)}
-	pa.Send(eng.Now(), late)
-	if len(salvaged) != 6 || salvaged[5] != late {
-		t.Fatal("post-death send not diverted to dead handler")
-	}
-	if got := inj.Counts().LinkDown; got != 1 {
-		t.Fatalf("LinkDown = %d, want 1", got)
+	for _, c := range []struct {
+		name  string
+		cutAt units.Duration
+		sends int
+		// firstSalvaged is the index of the oldest salvaged TLP. A TLP
+		// delivered just before the cut whose ACK the cut swallowed stays
+		// in the replay buffer, so it is both delivered and salvaged.
+		firstSalvaged int
+	}{
+		// 2 TLPs occupy credits (replay buffer), 3 queue behind them.
+		{"cut from the start", 0, 5, 0},
+		{"cut after ACKs", 300 * units.Nanosecond, 20, 12},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			inj := fault.New(fault.Profile{Down: []fault.DownWindow{{Link: "t", At: c.cutAt}}})
+			eng, _, b, pa, _, l := testLink(t, LinkParams{Config: Gen2x8, CreditTLPs: 2})
+			l.EnableDLL("t", inj, DLLParams{ReplayTimeout: units.Microsecond, MaxReplays: 2})
+			var salvaged []*TLP
+			var deadAt sim.Time
+			l.SetDeadHandler(pa, func(now sim.Time, tlps []*TLP) {
+				deadAt = now
+				salvaged = append(salvaged, tlps...)
+			})
+			for i := 0; i < c.sends; i++ {
+				pa.Send(eng.Now(), &TLP{Kind: MWr, Addr: Addr(i * 256), Data: make([]byte, 64)})
+			}
+			eng.Run()
+			for i, p := range b.got {
+				if p.Addr != Addr(i*256) {
+					t.Fatalf("delivered[%d] = %v — order lost", i, p.Addr)
+				}
+			}
+			if len(b.got) < c.firstSalvaged {
+				t.Fatalf("delivered %d TLPs before the cut, want at least %d", len(b.got), c.firstSalvaged)
+			}
+			if want := c.sends - c.firstSalvaged; len(salvaged) != want {
+				t.Fatalf("salvaged %d TLPs, want %d", len(salvaged), want)
+			}
+			for i, p := range salvaged {
+				if want := Addr((c.firstSalvaged + i) * 256); p.Addr != want {
+					t.Fatalf("salvaged[%d] = %v, want %v — order lost", i, p.Addr, want)
+				}
+			}
+			if deadAt == 0 {
+				t.Fatal("dead handler saw zero time")
+			}
+			// A send after death must divert to the handler, not panic or vanish.
+			late := &TLP{Kind: MWr, Addr: 0xbeef00, Data: make([]byte, 64)}
+			pa.Send(eng.Now(), late)
+			if n := len(salvaged); salvaged[n-1] != late {
+				t.Fatal("post-death send not diverted to dead handler")
+			}
+			if got := inj.Counts().LinkDown; got != 1 {
+				t.Fatalf("LinkDown = %d, want 1", got)
+			}
+		})
 	}
 }
 

@@ -3,6 +3,7 @@ package pcie
 import (
 	"fmt"
 
+	"tca/internal/fifo"
 	"tca/internal/obsv"
 	"tca/internal/prof"
 	"tca/internal/sim"
@@ -160,7 +161,7 @@ type queuedTLP struct {
 type linkDir struct {
 	wire     sim.Serializer
 	inFlight int
-	waiting  []queuedTLP
+	waiting  fifo.Queue[queuedTLP]
 	dst      *Port
 	// reserved accumulates every wire reservation, so telemetry can
 	// compute the direction's exact busy time up to any instant as
@@ -260,7 +261,7 @@ func (l *Link) registerProbes(sam *obsv.Sampler, name string) {
 			return 100 * float64(delta) / float64(elapsed)
 		})
 		sam.Register("link_queued", name, labels[i], "tlps", func(sim.Time, units.Duration) float64 {
-			return float64(len(d.waiting))
+			return float64(d.waiting.Len())
 		})
 		sam.Register("link_inflight", name, labels[i], "tlps", func(sim.Time, units.Duration) float64 {
 			return float64(d.inFlight)
@@ -318,7 +319,7 @@ func (l *Link) send(now sim.Time, from *Port, t *TLP) {
 			l.rec.Record(obsv.Event{At: now, Txn: t.Txn, Stage: obsv.StageQueueEnter,
 				Where: l.obsName, Port: d.dst.Label, Addr: uint64(t.Addr), Cause: cause})
 		}
-		d.waiting = append(d.waiting, queuedTLP{t: t, cause: cause})
+		d.waiting.Push(queuedTLP{t: t, cause: cause})
 		return
 	}
 	l.transmit(now, d, di, t)
@@ -404,11 +405,8 @@ func (a *deliverAction) RunAction(now sim.Time) {
 // schedule); with one, a cumulative ACK can release several replay-buffer
 // slots at once, so pump loops until a limit binds again.
 func (l *Link) pump(now sim.Time, d *linkDir, di int) {
-	for len(d.waiting) > 0 && d.inFlight < l.params.CreditTLPs && !l.dllBufFull(di) {
-		next := d.waiting[0]
-		copy(d.waiting, d.waiting[1:])
-		d.waiting[len(d.waiting)-1] = queuedTLP{}
-		d.waiting = d.waiting[:len(d.waiting)-1]
+	for d.waiting.Len() > 0 && d.inFlight < l.params.CreditTLPs && !l.dllBufFull(di) {
+		next := d.waiting.Pop()
 		if l.rec != nil && next.t.Txn != 0 {
 			l.rec.Record(obsv.Event{At: now, Txn: next.t.Txn, Stage: obsv.StageQueueExit,
 				Where: l.obsName, Port: d.dst.Label, Addr: uint64(next.t.Addr), Cause: next.cause})
@@ -430,5 +428,5 @@ func (l *Link) InFlight(from *Port) int {
 // of from.
 func (l *Link) QueuedTLPs(from *Port) int {
 	d, _ := l.dir(from)
-	return len(d.waiting)
+	return d.waiting.Len()
 }

@@ -111,10 +111,6 @@ func (s *Switch) MustAddDownstream(label string, w Range) *Port {
 // Downstream returns the downstream ports in creation order.
 func (s *Switch) Downstream() []*Port { return s.down }
 
-// RegisterIDRoute pins completions for requester id to leave through port p
-// (an alternative to learning from traffic).
-func (s *Switch) RegisterIDRoute(id DeviceID, p *Port) { s.idRoutes[id] = p }
-
 // Accept implements Device: route the packet and forward it after the
 // crossbar latency.
 func (s *Switch) Accept(now sim.Time, t *TLP, in *Port) units.Duration {

@@ -95,16 +95,6 @@ func TestSwitchCompletionRoutingByLearnedID(t *testing.T) {
 	}
 }
 
-func TestSwitchCompletionRegisteredRoute(t *testing.T) {
-	f := newSwitchFixture(t)
-	f.sw.RegisterIDRoute(9, f.sw.Downstream()[1])
-	f.rootPort.Send(0, &TLP{Kind: CplD, Requester: 9, Tag: 0, Data: []byte{1}, Last: true})
-	f.eng.Run()
-	if len(f.devB.got) != 1 {
-		t.Fatalf("devB got %d, want registered-route completion", len(f.devB.got))
-	}
-}
-
 func TestSwitchForwardLatency(t *testing.T) {
 	f := newSwitchFixture(t)
 	f.rootPort.Send(0, &TLP{Kind: MWr, Addr: 0x1000_0000, Data: []byte{1}})

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 
+	"tca/internal/fifo"
 	"tca/internal/obsv"
 	"tca/internal/pcie"
 	"tca/internal/prof"
@@ -132,7 +133,7 @@ type DMAC struct {
 	totalWriteTLPs  int
 	writeTLPsIssued int
 	issuesPending   int
-	readQueue       []readReq
+	readQueue       fifo.Queue[readReq]
 	readsPending    int
 	allGenerated    bool
 	waitAck         bool
@@ -213,7 +214,7 @@ func (d *DMAC) registerProbes(sam *obsv.Sampler, name string) {
 		return 100 * float64(delta) / float64(elapsed)
 	})
 	sam.Register("dma_read_queue", name, "", "reqs", func(sim.Time, units.Duration) float64 {
-		return float64(len(d.readQueue))
+		return float64(d.readQueue.Len())
 	})
 	sam.Register("dma_reads_inflight", name, "", "reads", func(sim.Time, units.Duration) float64 {
 		return float64(d.readsPending)
@@ -334,7 +335,7 @@ func (d *DMAC) resetChain() {
 	d.totalWriteTLPs = 0
 	d.writeTLPsIssued = 0
 	d.issuesPending = 0
-	d.readQueue = d.readQueue[:0]
+	d.readQueue.Clear()
 	d.readsPending = 0
 	d.allGenerated = false
 	d.waitAck = false
@@ -676,15 +677,15 @@ func (d *DMAC) generatePipelined(desc Descriptor, maxPayload units.ByteSize) {
 
 // enqueueRead queues a read request; pumpReads issues as tags free up.
 func (d *DMAC) enqueueRead(tlp *pcie.TLP, onData func([]byte)) {
-	d.readQueue = append(d.readQueue, readReq{tlp: tlp, onData: onData})
-	d.mQueue.Set(int64(len(d.readQueue)))
+	d.readQueue.Push(readReq{tlp: tlp, onData: onData})
+	d.mQueue.Set(int64(d.readQueue.Len()))
 }
 
 // pumpReads issues queued reads while tags are available. Reads verify that
 // the target is local: the DMAC may only read through Port N (§III-F).
 func (d *DMAC) pumpReads() {
-	for len(d.readQueue) > 0 {
-		req := d.readQueue[0]
+	for d.readQueue.Len() > 0 {
+		req := *d.readQueue.At(0)
 		out, err := d.chip.route(req.tlp.Addr)
 		if err != nil {
 			panic(fmt.Sprintf("peach2 %s: DMA read: %v", d.chip.name, err))
@@ -704,17 +705,16 @@ func (d *DMAC) pumpReads() {
 		if !ok {
 			// Tag-starved; retry on next completion. Mark the wait once so
 			// the traced chain attributes the stall to tag exhaustion.
-			if d.txn != 0 && !d.readQueue[0].tagWait {
-				d.readQueue[0].tagWait = true
+			if d.txn != 0 && !req.tagWait {
+				d.readQueue.At(0).tagWait = true
 				d.chip.rec.Record(obsv.Event{At: d.chip.eng.Now(), Txn: d.txn,
 					Stage: obsv.StageQueueEnter, Where: d.chip.name,
 					Addr: uint64(req.tlp.Addr), Cause: obsv.CauseTagWait})
 			}
 			return
 		}
-		copy(d.readQueue, d.readQueue[1:])
-		d.readQueue = d.readQueue[:len(d.readQueue)-1]
-		d.mQueue.Set(int64(len(d.readQueue)))
+		d.readQueue.Pop()
+		d.mQueue.Set(int64(d.readQueue.Len()))
 		d.readsPending++
 		d.readsSent++
 		d.mReads.Inc()
@@ -804,7 +804,7 @@ func (d *DMAC) failChain(err error) {
 			Stage: obsv.StageChainError, Where: d.chip.name, Note: err.Error()})
 	}
 	d.tags.CancelAll()
-	d.readQueue = d.readQueue[:0]
+	d.readQueue.Clear()
 	d.mQueue.Set(0)
 	d.readsPending = 0
 	d.issuesPending = 0
@@ -868,7 +868,7 @@ func (d *DMAC) maybeComplete() {
 	if d.stuck {
 		return // a wedged descriptor never finishes; the watchdog reaps it
 	}
-	if d.issuesPending > 0 || d.readsPending > 0 || len(d.readQueue) > 0 {
+	if d.issuesPending > 0 || d.readsPending > 0 || d.readQueue.Len() > 0 {
 		return
 	}
 	if d.waitAck && !d.ackSeen {

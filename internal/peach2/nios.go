@@ -4,9 +4,13 @@ import (
 	"fmt"
 	"strings"
 
+	"tca/internal/fifo"
 	"tca/internal/sim"
 	"tca/internal/units"
 )
+
+// maxEvents bounds the NIOS management log; older entries are evicted.
+const maxEvents = 256
 
 // NIOS models the embedded management controller: "the controller works
 // only to monitor and manage PEARL, except for the packet transfer. Thus, a
@@ -17,12 +21,11 @@ import (
 type NIOS struct {
 	chip *Chip
 
-	running   bool
-	interval  units.Duration
-	scans     uint64
-	lastUp    [4]bool
-	events    []Event
-	maxEvents int
+	running  bool
+	interval units.Duration
+	scans    uint64
+	lastUp   [4]bool
+	events   fifo.Queue[Event] // the newest maxEvents entries, oldest first
 
 	// onDeadLink fires when a port's data-link layer declares its cable
 	// dead (replay exhaustion) — the hook the failover controller uses to
@@ -48,7 +51,7 @@ type Status struct {
 }
 
 func newNIOS(c *Chip) *NIOS {
-	return &NIOS{chip: c, maxEvents: 256}
+	return &NIOS{chip: c}
 }
 
 // Start begins periodic link monitoring.
@@ -122,11 +125,10 @@ func linkWord(up bool) string {
 }
 
 func (n *NIOS) logEvent(what string) {
-	if len(n.events) >= n.maxEvents {
-		copy(n.events, n.events[1:])
-		n.events = n.events[:len(n.events)-1]
+	if n.events.Len() == maxEvents {
+		n.events.Pop()
 	}
-	n.events = append(n.events, Event{At: n.chip.eng.Now(), What: what})
+	n.events.Push(Event{At: n.chip.eng.Now(), What: what})
 }
 
 // Status samples the chip — the management "GetStatus" command.
@@ -138,13 +140,19 @@ func (n *NIOS) Status() Status {
 	}
 	s.Forwarded = n.chip.forwarded
 	s.DMAChains = n.chip.dmac.chains
-	s.Events = len(n.events)
+	s.Events = n.events.Len()
 	s.Failovers = n.failovers
 	return s
 }
 
-// Events returns a copy of the management log.
-func (n *NIOS) Events() []Event { return append([]Event(nil), n.events...) }
+// Events returns a copy of the management log, oldest first.
+func (n *NIOS) Events() []Event {
+	out := make([]Event, n.events.Len())
+	for i := range out {
+		out[i] = *n.events.At(i)
+	}
+	return out
+}
 
 // statusWord packs link state into the RegStatus register image.
 func (n *NIOS) statusWord() uint64 {
@@ -185,7 +193,7 @@ func (n *NIOS) Execute(cmd string) (string, error) {
 			st.Converted, st.AcksSent, st.AcksRecv, st.DMAChains, st.DMATLPs), nil
 	case "log":
 		var sb strings.Builder
-		for _, e := range n.events {
+		for _, e := range n.Events() {
 			fmt.Fprintf(&sb, "[%v] %s\n", e.At, e.What)
 		}
 		return sb.String(), nil

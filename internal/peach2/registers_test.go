@@ -2,6 +2,7 @@ package peach2
 
 import (
 	"encoding/binary"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -166,5 +167,40 @@ func TestNIOSConsole(t *testing.T) {
 	out, err = f.chip.NIOS().Execute("log")
 	if err != nil || !strings.Contains(out, "link up") {
 		t.Fatalf("log = %q, %v", out, err)
+	}
+}
+
+// TestNIOSLogEvictsOldest: past maxEvents entries the management log keeps
+// only the newest ones, oldest first, in both Events and the console.
+func TestNIOSLogEvictsOldest(t *testing.T) {
+	f := newChipFixture(t)
+	n := f.chip.NIOS()
+	for i := 0; i < 300; i++ {
+		n.NoteFailover(i)
+	}
+	want := func(i int) string {
+		return fmt.Sprintf("failover: routes reprogrammed around cut ring link %d", 300-maxEvents+i)
+	}
+	evs := n.Events()
+	if len(evs) != maxEvents {
+		t.Fatalf("Events() holds %d entries, want %d", len(evs), maxEvents)
+	}
+	for i, e := range evs {
+		if e.What != want(i) {
+			t.Fatalf("Events()[%d] = %q, want %q", i, e.What, want(i))
+		}
+	}
+	out, err := n.Execute("log")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSuffix(out, "\n"), "\n")
+	if len(lines) != maxEvents {
+		t.Fatalf("log has %d lines, want %d", len(lines), maxEvents)
+	}
+	for i, line := range lines {
+		if !strings.HasSuffix(line, "] "+want(i)) {
+			t.Fatalf("log line %d = %q, want it to end in %q", i, line, want(i))
+		}
 	}
 }

@@ -1,6 +1,10 @@
 package tcad
 
-import "sync"
+import (
+	"sync"
+
+	"tca/internal/fifo"
+)
 
 // queue is the bounded two-lane admission queue. Interactive jobs always
 // dispatch before sweep jobs; within a lane, FIFO. push sheds when the
@@ -14,7 +18,7 @@ import "sync"
 type queue struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
-	lanes  [laneCount][]*Job
+	lanes  [laneCount]fifo.Queue[*Job]
 	cap    int
 	closed bool
 	met    *metrics
@@ -33,7 +37,7 @@ func (q *queue) push(j *Job) error {
 	if q.closed {
 		return ErrDraining
 	}
-	if len(q.lanes[j.Priority]) >= q.cap {
+	if q.lanes[j.Priority].Len() >= q.cap {
 		return ErrQueueFull
 	}
 	q.enqueueLocked(j)
@@ -53,7 +57,7 @@ func (q *queue) pushUnbounded(j *Job) {
 }
 
 func (q *queue) enqueueLocked(j *Job) {
-	q.lanes[j.Priority] = append(q.lanes[j.Priority], j)
+	q.lanes[j.Priority].Push(j)
 	q.met.queueDepth[j.Priority].Add(1)
 	q.cond.Signal()
 }
@@ -67,12 +71,9 @@ func (q *queue) pop() (*Job, bool) {
 	defer q.mu.Unlock()
 	for {
 		for pri := Priority(0); pri < laneCount; pri++ {
-			if lane := q.lanes[pri]; len(lane) > 0 {
-				j := lane[0]
-				lane[0] = nil
-				q.lanes[pri] = lane[1:]
+			if q.lanes[pri].Len() > 0 {
 				q.met.queueDepth[pri].Add(-1)
-				return j, true
+				return q.lanes[pri].Pop(), true
 			}
 		}
 		if q.closed {
@@ -92,8 +93,8 @@ func (q *queue) close() {
 	}
 	q.closed = true
 	for pri := range q.lanes {
-		q.met.queueDepth[pri].Add(-int64(len(q.lanes[pri])))
-		q.lanes[pri] = nil
+		q.met.queueDepth[pri].Add(-int64(q.lanes[pri].Len()))
+		q.lanes[pri].Clear()
 	}
 	q.cond.Broadcast()
 }
@@ -104,7 +105,7 @@ func (q *queue) depth() [laneCount]int {
 	defer q.mu.Unlock()
 	var d [laneCount]int
 	for pri := range q.lanes {
-		d[pri] = len(q.lanes[pri])
+		d[pri] = q.lanes[pri].Len()
 	}
 	return d
 }
