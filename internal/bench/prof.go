@@ -97,10 +97,11 @@ func figureOf(st prof.RunStats) PerfFigure {
 // CollectPerfBaseline measures every scenario with a nil profiler (no
 // attribution overhead) and returns the baseline to commit. Each scenario
 // runs once unmeasured to warm lazy runtime state, then three measured
-// times keeping the best host-side figures: runtime/metrics counters are
-// process-wide, so a single run can absorb background-GC allocations that
-// have nothing to do with the engine. Taking the minimum makes the figure
-// comparable between a fresh tcabench process and a warm test binary.
+// times keeping the best host-side figures: the runtime's allocation
+// counters are process-wide, so a single run can absorb background
+// allocations that have nothing to do with the engine. Taking the minimum
+// makes the figure comparable between a fresh tcabench process and a warm
+// test binary.
 func CollectPerfBaseline(prm tcanet.Params) PerfBaseline {
 	b := PerfBaseline{Schema: PerfBaselineSchema, Scenarios: make(map[string]PerfFigure, len(PerfScenarioNames))}
 	for _, name := range PerfScenarioNames {

@@ -93,7 +93,7 @@ type Summary struct {
 type Ledger struct {
 	nextLID    uint64
 	entries    map[uint64]*entry
-	linkBytes  map[string]uint64 // "link|dir" -> wire bytes
+	linkBytes  map[linkKey]uint64 // wire bytes per link direction
 	violations []Violation
 	sum        Summary
 }
@@ -102,7 +102,7 @@ type Ledger struct {
 func NewLedger() *Ledger {
 	return &Ledger{
 		entries:   make(map[uint64]*entry),
-		linkBytes: make(map[string]uint64),
+		linkBytes: make(map[linkKey]uint64),
 	}
 }
 
@@ -252,22 +252,36 @@ func (l *Ledger) Unparked(now sim.Time, lid uint64, where string) {
 	e.state = stInFlight
 }
 
+// linkKey names one direction of one link.
+type linkKey struct{ link, dir string }
+
 // LinkBytes implements obsv.Ledger: accumulate wire bytes per link and
 // direction, cross-checked at quiesce against the link's own counters.
 func (l *Ledger) LinkBytes(link, dir string, wireBytes uint64) {
-	l.linkBytes[link+"|"+dir] += wireBytes
+	l.linkBytes[linkKey{link, dir}] += wireBytes
 }
 
 // LinkTotal reports the accumulated wire bytes for one link direction.
-func (l *Ledger) LinkTotal(link, dir string) uint64 { return l.linkBytes[link+"|"+dir] }
+func (l *Ledger) LinkTotal(link, dir string) uint64 { return l.linkBytes[linkKey{link, dir}] }
 
-// LinkKeys returns every "link|dir" the ledger saw, sorted.
-func (l *Ledger) LinkKeys() []string {
-	keys := make([]string, 0, len(l.linkBytes))
-	for k := range l.linkBytes {
-		keys = append(keys, k)
+// linkKeys returns every link direction the ledger saw, ordered by the
+// rendered "link|dir" string. That is not the (link, dir) tuple order
+// when one link name is a prefix of another, and the transcript's link
+// lines follow it.
+func (l *Ledger) linkKeys() []linkKey {
+	type rendered struct {
+		s string
+		k linkKey
 	}
-	sort.Strings(keys)
+	rs := make([]rendered, 0, len(l.linkBytes))
+	for k := range l.linkBytes {
+		rs = append(rs, rendered{k.link + "|" + k.dir, k})
+	}
+	sort.Slice(rs, func(i, j int) bool { return rs[i].s < rs[j].s })
+	keys := make([]linkKey, len(rs))
+	for i, r := range rs {
+		keys[i] = r.k
+	}
 	return keys
 }
 

@@ -326,7 +326,7 @@ func Run(spec scenariogen.Spec, opt Options) (*Result, error) {
 // the per-link byte conservation cross-check between the link's own
 // counters, the metrics registry, and the ledger.
 func (r *Result) auditFabric(sc *tcanet.SubCluster, set *obsv.Set, led *Ledger) {
-	snap := set.Registry().Snapshot(r.End)
+	reg := set.Registry()
 	parked := 0
 	seen := make(map[*pcie.Link]bool)
 	for i := 0; i < sc.Nodes(); i++ {
@@ -346,7 +346,7 @@ func (r *Result) auditFabric(sc *tcanet.SubCluster, set *obsv.Set, led *Ledger) 
 			name := fmt.Sprintf("link:%s.%s", chip.DevName(), p.Label)
 			_, bytes := p.Link().Stats()
 			for di, dir := range [2]string{"ab", "ba"} {
-				counted, _ := snap.Counter("link_bytes_tx", name, obsv.Label{Key: "dir", Value: dir})
+				counted, _ := reg.CounterValue("link_bytes_tx", name, obsv.Label{Key: "dir", Value: dir})
 				ledger := led.LinkTotal(name, dir)
 				if uint64(bytes[di]) != counted || counted != ledger {
 					r.Violations = append(r.Violations, Violation{
@@ -366,16 +366,15 @@ func (r *Result) auditFabric(sc *tcanet.SubCluster, set *obsv.Set, led *Ledger) 
 	// Host-internal links aren't reachable as objects from here, but the
 	// registry still carries their counters: cross-check every link the
 	// ledger ever saw.
-	for _, key := range led.LinkKeys() {
-		parts := strings.SplitN(key, "|", 2)
-		r.linkLines = append(r.linkLines,
-			fmt.Sprintf("link %s %s bytes=%d", parts[0], parts[1], led.LinkTotal(parts[0], parts[1])))
-		counted, ok := snap.Counter("link_bytes_tx", parts[0], obsv.Label{Key: "dir", Value: parts[1]})
-		if !ok || counted != led.LinkTotal(parts[0], parts[1]) {
+	for _, k := range led.linkKeys() {
+		total := led.linkBytes[k]
+		r.linkLines = append(r.linkLines, fmt.Sprintf("link %s %s bytes=%d", k.link, k.dir, total))
+		counted, ok := reg.CounterValue("link_bytes_tx", k.link, obsv.Label{Key: "dir", Value: k.dir})
+		if !ok || counted != total {
 			r.Violations = append(r.Violations, Violation{
-				At: r.End, Rule: "byte-conservation", Where: parts[0],
+				At: r.End, Rule: "byte-conservation", Where: k.link,
 				Detail: fmt.Sprintf("dir %s: registry says %d B (present=%v), ledger says %d B",
-					parts[1], counted, ok, led.LinkTotal(parts[0], parts[1]))})
+					k.dir, counted, ok, total)})
 		}
 	}
 }

@@ -159,7 +159,6 @@ func (d desc) key() string {
 // atomics so a Snapshot may be taken while an engine runs elsewhere.
 type Registry struct {
 	mu    sync.Mutex
-	order []string
 	byKey map[string]any
 }
 
@@ -174,18 +173,18 @@ func (r *Registry) Counter(name, component string, labels ...Label) *Counter {
 		return nil
 	}
 	d := desc{name: name, component: component, labels: labels}
+	key := d.key()
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if m, ok := r.byKey[d.key()]; ok {
+	if m, ok := r.byKey[key]; ok {
 		c, ok := m.(*Counter)
 		if !ok {
-			panic(fmt.Sprintf("obsv: metric %q re-registered with a different type", d.key()))
+			panic(fmt.Sprintf("obsv: metric %q re-registered with a different type", key))
 		}
 		return c
 	}
 	c := &Counter{desc: d}
-	r.byKey[d.key()] = c
-	r.order = append(r.order, d.key())
+	r.byKey[key] = c
 	return c
 }
 
@@ -195,18 +194,18 @@ func (r *Registry) Gauge(name, component string, labels ...Label) *Gauge {
 		return nil
 	}
 	d := desc{name: name, component: component, labels: labels}
+	key := d.key()
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if m, ok := r.byKey[d.key()]; ok {
+	if m, ok := r.byKey[key]; ok {
 		g, ok := m.(*Gauge)
 		if !ok {
-			panic(fmt.Sprintf("obsv: metric %q re-registered with a different type", d.key()))
+			panic(fmt.Sprintf("obsv: metric %q re-registered with a different type", key))
 		}
 		return g
 	}
 	g := &Gauge{desc: d}
-	r.byKey[d.key()] = g
-	r.order = append(r.order, d.key())
+	r.byKey[key] = g
 	return g
 }
 
@@ -220,19 +219,38 @@ func (r *Registry) Histogram(name, component string, bounds []units.Duration, la
 		bounds = DefaultLatencyBounds
 	}
 	d := desc{name: name, component: component, labels: labels}
+	key := d.key()
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if m, ok := r.byKey[d.key()]; ok {
+	if m, ok := r.byKey[key]; ok {
 		h, ok := m.(*Histogram)
 		if !ok {
-			panic(fmt.Sprintf("obsv: metric %q re-registered with a different type", d.key()))
+			panic(fmt.Sprintf("obsv: metric %q re-registered with a different type", key))
 		}
 		return h
 	}
 	h := &Histogram{desc: d, bounds: bounds, buckets: make([]atomic.Uint64, len(bounds)+1)}
-	r.byKey[d.key()] = h
-	r.order = append(r.order, d.key())
+	r.byKey[key] = h
 	return h
+}
+
+// CounterValue reads a registered counter's current value without
+// registering it: false when no counter has that identity. It is one map
+// lookup, for callers that need a few values without a full Snapshot.
+func (r *Registry) CounterValue(name, component string, labels ...Label) (uint64, bool) {
+	if r == nil {
+		return 0, false
+	}
+	key := desc{name: name, component: component, labels: labels}.key()
+	r.mu.Lock()
+	c, ok := r.byKey[key].(*Counter)
+	r.mu.Unlock()
+	// Distinct identities can render the same key ("c|k=v" with no labels
+	// vs "c" with k=v); only the exact identity counts.
+	if !ok || !sameID(c.desc.name, c.desc.component, c.desc.labels, name, component, labels) {
+		return 0, false
+	}
+	return c.Value(), true
 }
 
 // CounterVal is one counter's frozen value.
@@ -271,15 +289,20 @@ type Snapshot struct {
 	Histograms []HistogramVal `json:"histograms"`
 }
 
-// Snapshot freezes every metric's value at time now. A nil registry
-// snapshots to an empty Snapshot.
+// Snapshot freezes every metric's value at time now, each kind ordered by
+// its rendered identity key. A nil registry snapshots to an empty
+// Snapshot.
 func (r *Registry) Snapshot(now sim.Time) *Snapshot {
 	s := &Snapshot{AtPS: int64(now)}
 	if r == nil {
 		return s
 	}
 	r.mu.Lock()
-	keys := append([]string(nil), r.order...)
+	keys := make([]string, 0, len(r.byKey))
+	for k := range r.byKey {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
 	metrics := make([]any, len(keys))
 	for i, k := range keys {
 		metrics[i] = r.byKey[k]
@@ -312,36 +335,27 @@ func (r *Registry) Snapshot(now sim.Time) *Snapshot {
 			s.Histograms = append(s.Histograms, hv)
 		}
 	}
-	sortSnapshot(s)
 	return s
 }
 
-func sortSnapshot(s *Snapshot) {
-	sort.Slice(s.Counters, func(i, j int) bool { return counterKey(s.Counters[i]) < counterKey(s.Counters[j]) })
-	sort.Slice(s.Gauges, func(i, j int) bool { return gaugeKey(s.Gauges[i]) < gaugeKey(s.Gauges[j]) })
-	sort.Slice(s.Histograms, func(i, j int) bool { return histKey(s.Histograms[i]) < histKey(s.Histograms[j]) })
-}
-
-func labelsKey(labels []Label) string {
-	var sb strings.Builder
-	for _, l := range labels {
-		sb.WriteByte('|')
-		sb.WriteString(l.Key)
-		sb.WriteByte('=')
-		sb.WriteString(l.Value)
+// sameID reports whether a frozen metric has the wanted identity,
+// comparing field by field so a lookup builds no strings.
+func sameID(name, component string, labels []Label, wantName, wantComponent string, want []Label) bool {
+	if name != wantName || component != wantComponent || len(labels) != len(want) {
+		return false
 	}
-	return sb.String()
+	for i := range labels {
+		if labels[i] != want[i] {
+			return false
+		}
+	}
+	return true
 }
-
-func counterKey(v CounterVal) string { return v.Name + "|" + v.Component + labelsKey(v.Labels) }
-func gaugeKey(v GaugeVal) string     { return v.Name + "|" + v.Component + labelsKey(v.Labels) }
-func histKey(v HistogramVal) string  { return v.Name + "|" + v.Component + labelsKey(v.Labels) }
 
 // Counter looks a frozen counter value up by identity.
 func (s *Snapshot) Counter(name, component string, labels ...Label) (uint64, bool) {
-	want := CounterVal{Name: name, Component: component, Labels: labels}
 	for _, c := range s.Counters {
-		if counterKey(c) == counterKey(want) {
+		if sameID(c.Name, c.Component, c.Labels, name, component, labels) {
 			return c.Value, true
 		}
 	}
@@ -350,9 +364,8 @@ func (s *Snapshot) Counter(name, component string, labels ...Label) (uint64, boo
 
 // Gauge looks a frozen gauge value up by identity.
 func (s *Snapshot) Gauge(name, component string, labels ...Label) (int64, bool) {
-	want := GaugeVal{Name: name, Component: component, Labels: labels}
 	for _, g := range s.Gauges {
-		if gaugeKey(g) == gaugeKey(want) {
+		if sameID(g.Name, g.Component, g.Labels, name, component, labels) {
 			return g.Value, true
 		}
 	}
@@ -361,9 +374,8 @@ func (s *Snapshot) Gauge(name, component string, labels ...Label) (int64, bool) 
 
 // Histogram looks a frozen histogram up by identity.
 func (s *Snapshot) Histogram(name, component string, labels ...Label) (HistogramVal, bool) {
-	want := HistogramVal{Name: name, Component: component, Labels: labels}
 	for _, h := range s.Histograms {
-		if histKey(h) == histKey(want) {
+		if sameID(h.Name, h.Component, h.Labels, name, component, labels) {
 			return h, true
 		}
 	}

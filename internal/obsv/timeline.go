@@ -19,8 +19,10 @@ type Sample struct {
 
 // Series is a bounded ring of time-ordered samples for one signal — a
 // link direction's utilization, a DMAC's busy fraction, a port's bytes per
-// interval. Old samples are evicted once the ring fills. The nil series is
-// a valid disabled series: appends and queries on it are no-ops.
+// interval. Storage grows on first sample up to the retention bound, so a
+// registered series that is never sampled holds no sample memory; once the
+// bound is reached the oldest sample is evicted on each append. The nil
+// series is a valid disabled series: appends and queries on it are no-ops.
 type Series struct {
 	// Name is the signal kind ("link_util", "dma_busy", ...).
 	Name string
@@ -32,18 +34,20 @@ type Series struct {
 	// Unit names the value's unit ("%", "B", "tlps", "reads").
 	Unit string
 
-	mu      sync.Mutex
-	samples []Sample
-	next    int
-	full    bool
+	mu sync.Mutex
+	// capacity is the retention bound: samples grows by append until it
+	// holds capacity entries, then wraps as a ring whose oldest entry is
+	// samples[next] (next stays 0 until the ring wraps).
+	capacity int
+	samples  []Sample
+	next     int
 }
 
 func newSeries(name, component, label, unit string, capacity int) *Series {
 	if capacity <= 0 {
 		capacity = DefaultSeriesCap
 	}
-	return &Series{Name: name, Component: component, Label: label, Unit: unit,
-		samples: make([]Sample, 0, capacity)}
+	return &Series{Name: name, Component: component, Label: label, Unit: unit, capacity: capacity}
 }
 
 // NewSeries creates a standalone bounded series, for signals that are fed
@@ -80,11 +84,10 @@ func (s *Series) append(at sim.Time, v float64) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if !s.full && len(s.samples) < cap(s.samples) {
+	if len(s.samples) < s.capacity {
 		s.samples = append(s.samples, Sample{At: at, V: v})
 		return
 	}
-	s.full = true
 	s.samples[s.next] = Sample{At: at, V: v}
 	s.next = (s.next + 1) % len(s.samples)
 }
@@ -97,14 +100,8 @@ func (s *Series) Samples() []Sample {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	out := make([]Sample, 0, len(s.samples))
-	if s.full {
-		out = append(out, s.samples[s.next:]...)
-	}
-	out = append(out, s.samples[:s.next]...)
-	if !s.full {
-		out = append(out, s.samples...)
-	}
-	return out
+	out = append(out, s.samples[s.next:]...)
+	return append(out, s.samples[:s.next]...)
 }
 
 // Len reports the retained sample count.
@@ -127,11 +124,7 @@ func (s *Series) Last() (Sample, bool) {
 	if len(s.samples) == 0 {
 		return Sample{}, false
 	}
-	i := len(s.samples) - 1
-	if s.full {
-		i = (s.next - 1 + len(s.samples)) % len(s.samples)
-	}
-	return s.samples[i], true
+	return s.samples[(s.next-1+len(s.samples))%len(s.samples)], true
 }
 
 // Max reports the largest sampled value (0 when empty).

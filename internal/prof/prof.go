@@ -2,7 +2,7 @@
 // observes the *simulated* hardware in simulated time, prof observes the
 // *simulator itself* in host time. It attributes host wall-clock and event
 // counts to registered components through the engine's Executor hook,
-// captures per-run allocation and GC cost via runtime/metrics, and feeds
+// captures per-run allocation and GC cost via runtime.ReadMemStats, and feeds
 // pprof so flamegraphs map back to sim structure.
 //
 // The design rules mirror obsv's:
@@ -23,7 +23,7 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"runtime/metrics"
+	"runtime"
 	"runtime/pprof"
 	"sort"
 	"text/tabwriter"
@@ -303,7 +303,7 @@ type RunStats struct {
 	WallNS       int64   `json:"wall_ns"`
 	Events       uint64  `json:"events"`
 	EventsPerSec float64 `json:"events_per_sec"`
-	// Allocation and GC cost over the run, from runtime/metrics.
+	// Allocation and GC cost over the run, from runtime.ReadMemStats.
 	AllocObjects       uint64  `json:"alloc_objects"`
 	AllocBytes         uint64  `json:"alloc_bytes"`
 	GCCycles           uint64  `json:"gc_cycles"`
@@ -315,7 +315,7 @@ type RunStats struct {
 
 // Measure runs fn under pprof scenario labels and captures its host cost:
 // wall time (blessed host clock), engine events executed, allocation and GC
-// deltas from runtime/metrics, and the queue high-water mark. With a
+// deltas from runtime.ReadMemStats, and the queue high-water mark. With a
 // non-nil profiler it also attaches it for per-component attribution; with
 // a nil one it measures the bare engine — the configuration the committed
 // perf baseline uses, so the headline numbers carry no instrumentation
@@ -357,25 +357,13 @@ func (s RunStats) Headline() string {
 		s.Scenario, s.EventsPerSec, s.Events, fmtNS(s.WallNS), s.AllocsPerEvent, s.GCCycles, s.QueueHighWater)
 }
 
-// allocMetricNames are the runtime/metrics samples Measure diffs. All three
-// exist since Go 1.16 and are cumulative counters.
-var allocMetricNames = []string{
-	"/gc/heap/allocs:objects",
-	"/gc/heap/allocs:bytes",
-	"/gc/cycles/total:gc-cycles",
-}
-
+// readAllocMetrics reads the cumulative heap allocation and GC counters.
+// ReadMemStats stops the world and flushes every P's allocation cache, so
+// the counts are exact: runtime/metrics counts a small object only once its
+// span leaves an mcache, which made a scenario's few small allocations
+// appear or vanish depending on cache state.
 func readAllocMetrics() (objects, bytes, gcCycles uint64) {
-	samples := make([]metrics.Sample, len(allocMetricNames))
-	for i, n := range allocMetricNames {
-		samples[i].Name = n
-	}
-	metrics.Read(samples)
-	v := func(i int) uint64 {
-		if samples[i].Value.Kind() == metrics.KindUint64 {
-			return samples[i].Value.Uint64()
-		}
-		return 0
-	}
-	return v(0), v(1), v(2)
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return m.Mallocs, m.TotalAlloc, uint64(m.NumGC)
 }
