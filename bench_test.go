@@ -216,15 +216,6 @@ func BenchmarkEngineThroughput(b *testing.B) {
 	}
 }
 
-// BenchmarkIBFabric measures the baseline fabric's large-message stream.
-func BenchmarkIBFabric(b *testing.B) {
-	var bw units.Bandwidth
-	for i := 0; i < b.N; i++ {
-		bw = bench.MeasureIBStream(benchParams)
-	}
-	b.ReportMetric(bw.GBps(), "sim-GB/s")
-}
-
 func itoa(n int) string {
 	if n == 0 {
 		return "0"

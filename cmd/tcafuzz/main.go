@@ -50,6 +50,11 @@ func main() {
 		}
 	}
 
+	if !*soak && *replay == "" && *corpus < 1 {
+		fmt.Fprintln(os.Stderr, "tcafuzz: -corpus must be positive")
+		os.Exit(2)
+	}
+
 	opt := check.Options{BreakSalvage: *breakSalvage, MaxEvents: *budgetEvents, MaxHost: *budgetHost}
 
 	if *replay != "" {

@@ -49,6 +49,14 @@ func main() {
 		fmt.Fprintln(os.Stderr, "tcatop: -interval must be positive")
 		os.Exit(2)
 	}
+	if *size < 1 || *count < 1 {
+		fmt.Fprintln(os.Stderr, "tcatop: -size and -count must be positive")
+		os.Exit(2)
+	}
+	if *rounds < 1 {
+		fmt.Fprintln(os.Stderr, "tcatop: -rounds must be positive")
+		os.Exit(2)
+	}
 	iv := units.Duration(*interval * float64(units.Microsecond))
 
 	var p *prof.Profiler

@@ -110,6 +110,14 @@ func main() {
 		fmt.Fprintln(os.Stderr, "tcatrace: need distinct -src/-dst inside the ring")
 		os.Exit(2)
 	}
+	if *size < 1 || *count < 1 {
+		fmt.Fprintln(os.Stderr, "tcatrace: -size and -count must be positive")
+		os.Exit(2)
+	}
+	if *rounds < 1 {
+		fmt.Fprintln(os.Stderr, "tcatrace: -rounds must be positive")
+		os.Exit(2)
+	}
 	switch *metrics {
 	case "table", "json", "prom", "none":
 	default:

@@ -18,11 +18,15 @@
 //	                from one component domain only (or under a lock)
 //	lockorder       nested mutexes follow one global acquisition order;
 //	                fields written under a lock are not read without it
+//	deadexport      every exported name has a non-test reference
+//	                somewhere in the module
 //
-// The last three use cross-package facts: a marker or edge discovered in
-// a type's defining package travels with it into every importer, so the
-// whole module is loaded in dependency order and fact-producing analyzers
-// run over all of it even when only a subset of packages is requested.
+// poolsafety, sharedstate and lockorder use cross-package facts: a marker
+// or edge discovered in a type's defining package travels with it into
+// every importer, so the whole module is loaded in dependency order and
+// fact-producing analyzers run over all of it even when only a subset of
+// packages is requested. deadexport runs once, after the per-package
+// passes, over the whole module.
 //
 // Usage:
 //
@@ -39,10 +43,12 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"go/token"
 	"os"
 	"path/filepath"
 	"strings"
 
+	"tca/internal/analysis/deadexport"
 	"tca/internal/analysis/framework"
 	"tca/internal/analysis/heapsafety"
 	"tca/internal/analysis/lockorder"
@@ -63,6 +69,7 @@ var suite = []*framework.Analyzer{
 	poolsafety.Analyzer,
 	sharedstate.Analyzer,
 	lockorder.Analyzer,
+	deadexport.Analyzer,
 }
 
 func main() {
@@ -119,17 +126,9 @@ func main() {
 	// command-line patterns.
 	suite := framework.NewSuite(active)
 	report := []jsonDiagnostic{} // non-nil so -json always emits an array
-	for _, pkg := range pkgs {
-		diags, err := suite.Run(pkg)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "tcavet: %v\n", err)
-			os.Exit(2)
-		}
-		if !pkg.Matched {
-			continue
-		}
+	add := func(fset *token.FileSet, diags []framework.Diagnostic) {
 		for _, d := range diags {
-			pos := pkg.Fset.Position(d.Pos)
+			pos := fset.Position(d.Pos)
 			rel, relErr := filepath.Rel(root, pos.Filename)
 			if relErr != nil {
 				rel = pos.Filename
@@ -142,6 +141,26 @@ func main() {
 				Message:  d.Message,
 			})
 		}
+	}
+	for _, pkg := range pkgs {
+		diags, err := suite.Run(pkg)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "tcavet: %v\n", err)
+			os.Exit(2)
+		}
+		if pkg.Matched {
+			add(pkg.Fset, diags)
+		}
+	}
+	// Module analyzers run once more over everything; RunModule keeps
+	// only the diagnostics in matched packages.
+	diags, err := suite.RunModule(pkgs)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "tcavet: %v\n", err)
+		os.Exit(2)
+	}
+	if len(pkgs) > 0 {
+		add(pkgs[0].Fset, diags)
 	}
 
 	if *jsonOut {

@@ -35,8 +35,11 @@ import (
 // All fixtures reachable from the named packages run under one shared
 // framework.Suite, dependencies first, so facts an analyzer exports while
 // visiting an imported fixture are visible when the importer is analyzed —
-// the same load order the tcavet driver uses on the real module. Want
-// expectations are checked in every loaded fixture, dependencies included.
+// the same load order the tcavet driver uses on the real module. A module
+// analyzer then runs once over all of them. Want expectations are checked
+// in every loaded fixture, dependencies included. A fixture's _test.go
+// files are type-checked with the package; analyzers tell them apart by
+// file name.
 func Run(t *testing.T, testdata string, a *framework.Analyzer, pkgs ...string) {
 	t.Helper()
 	src := filepath.Join(testdata, "src")
@@ -53,9 +56,25 @@ func Run(t *testing.T, testdata string, a *framework.Analyzer, pkgs ...string) {
 		}
 	}
 	suite := framework.NewSuite([]*framework.Analyzer{a})
+	var diags []framework.Diagnostic
+	var all []*framework.Package
+	wants := make(map[token.Position][]*want)
 	for _, fx := range loader.order {
-		check(t, suite, fx)
+		d, err := suite.Run(fx.pkg)
+		if err != nil {
+			t.Fatalf("%s: %v", fx.pkg.Path, err)
+		}
+		diags = append(diags, d...)
+		all = append(all, fx.pkg)
+		for k, w := range fx.wants {
+			wants[k] = append(wants[k], w...)
+		}
 	}
+	d, err := suite.RunModule(all)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check(t, fset, append(diags, d...), wants)
 }
 
 type loadedFixture struct {
@@ -68,19 +87,14 @@ type want struct {
 	matched bool
 }
 
-// check runs the suite on one fixture and diffs diagnostics against
-// expectations.
-func check(t *testing.T, suite *framework.Suite, fx *loadedFixture) {
+// check diffs diagnostics against expectations.
+func check(t *testing.T, fset *token.FileSet, diags []framework.Diagnostic, wants map[token.Position][]*want) {
 	t.Helper()
-	diags, err := suite.Run(fx.pkg)
-	if err != nil {
-		t.Fatalf("%s: %v", fx.pkg.Path, err)
-	}
 	for _, d := range diags {
-		pos := fx.pkg.Fset.Position(d.Pos)
+		pos := fset.Position(d.Pos)
 		key := token.Position{Filename: pos.Filename, Line: pos.Line}
 		matched := false
-		for _, w := range fx.wants[key] {
+		for _, w := range wants[key] {
 			if !w.matched && w.re.MatchString(d.Message) {
 				w.matched = true
 				matched = true
@@ -92,7 +106,7 @@ func check(t *testing.T, suite *framework.Suite, fx *loadedFixture) {
 		}
 	}
 	var keys []token.Position
-	for k := range fx.wants {
+	for k := range wants {
 		keys = append(keys, k)
 	}
 	sort.Slice(keys, func(i, j int) bool {
@@ -102,7 +116,7 @@ func check(t *testing.T, suite *framework.Suite, fx *loadedFixture) {
 		return keys[i].Line < keys[j].Line
 	})
 	for _, k := range keys {
-		for _, w := range fx.wants[k] {
+		for _, w := range wants[k] {
 			if !w.matched {
 				t.Errorf("%s:%d: no diagnostic matching %q", k.Filename, k.Line, w.re)
 			}
@@ -134,6 +148,7 @@ func (l *fixtureLoader) load(path string) (*loadedFixture, error) {
 	}
 	fx := &loadedFixture{wants: make(map[token.Position][]*want)}
 	var files []*ast.File
+	var testImports []string
 	for _, e := range entries {
 		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
 			continue
@@ -143,6 +158,12 @@ func (l *fixtureLoader) load(path string) (*loadedFixture, error) {
 			return nil, err
 		}
 		files = append(files, f)
+		if strings.HasSuffix(e.Name(), "_test.go") {
+			for _, spec := range f.Imports {
+				path, _ := strconv.Unquote(spec.Path.Value)
+				testImports = append(testImports, path)
+			}
+		}
 		if err := collectWants(l.fset, f, fx.wants); err != nil {
 			return nil, err
 		}
@@ -172,7 +193,7 @@ func (l *fixtureLoader) load(path string) (*loadedFixture, error) {
 	if err != nil {
 		return nil, fmt.Errorf("type-checking fixture %s: %w", path, err)
 	}
-	fx.pkg = &framework.Package{Path: path, Dir: dir, Fset: l.fset, Files: files, Types: tpkg, Info: info, Matched: true}
+	fx.pkg = &framework.Package{Path: path, Dir: dir, Fset: l.fset, Files: files, Types: tpkg, Info: info, Matched: true, TestImports: testImports}
 	l.loaded[path] = fx
 	l.order = append(l.order, fx)
 	return fx, nil

@@ -9,8 +9,7 @@ import (
 // This file is the framework's intra-procedural dataflow walker: def-use
 // chains over types.Info, with no SSA construction. It gives analyzers a
 // source-ordered view of every definition, write and read of each local
-// variable in a function body, plus simple alias propagation (x := y,
-// x = y). That is deliberately weaker than SSA — there is no phi, no
+// variable in a function body. That is deliberately weaker than SSA — there is no phi, no
 // path-sensitivity — but it is exactly enough for the lifecycle checks the
 // suite does (pool Get/Release pairing, lock-held regions, write origins),
 // and it stays a few hundred lines of standard library.
@@ -51,20 +50,13 @@ type Ref struct {
 // Chains holds the def-use chains of one function body.
 type Chains struct {
 	refs map[*types.Var][]Ref
-	// aliases maps a variable to the variables it was directly assigned
-	// from via `x := y` / `x = y` (single-source value copies only).
-	aliases map[*types.Var][]*types.Var
-	vars    []*types.Var
 }
 
 // DefUseChains walks body once and indexes every identifier the type
 // checker resolved to a *types.Var, classifying each occurrence as a
 // definition, write or read by its syntactic role.
 func DefUseChains(info *types.Info, body *ast.BlockStmt) *Chains {
-	c := &Chains{
-		refs:    make(map[*types.Var][]Ref),
-		aliases: make(map[*types.Var][]*types.Var),
-	}
+	c := &Chains{refs: make(map[*types.Var][]Ref)}
 	if body == nil {
 		return c
 	}
@@ -80,15 +72,11 @@ func DefUseChains(info *types.Info, body *ast.BlockStmt) *Chains {
 	ast.Inspect(body, func(n ast.Node) bool {
 		switch s := n.(type) {
 		case *ast.AssignStmt:
-			for i, lhs := range s.Lhs {
+			for _, lhs := range s.Lhs {
 				if s.Tok.String() == ":=" {
 					classify(lhs, RefDef)
 				} else {
 					classify(lhs, RefWrite)
-				}
-				// Record single-source value-copy aliases: x := y, x = y.
-				if len(s.Lhs) == len(s.Rhs) {
-					c.recordAlias(info, lhs, s.Rhs[i])
 				}
 			}
 		case *ast.IncDecStmt:
@@ -129,9 +117,6 @@ func DefUseChains(info *types.Info, body *ast.BlockStmt) *Chains {
 		if !classified {
 			kind = RefRead
 		}
-		if _, seen := c.refs[v]; !seen {
-			c.vars = append(c.vars, v)
-		}
 		c.refs[v] = append(c.refs[v], Ref{Ident: id, Obj: v, Kind: kind, Seq: seq})
 		seq++
 		return true
@@ -142,62 +127,11 @@ func DefUseChains(info *types.Info, body *ast.BlockStmt) *Chains {
 			refs[i].Seq = i
 		}
 	}
-	sort.Slice(c.vars, func(i, j int) bool { return c.vars[i].Pos() < c.vars[j].Pos() })
 	return c
 }
 
-func (c *Chains) recordAlias(info *types.Info, lhs, rhs ast.Expr) {
-	dst, okDst := unparen(lhs).(*ast.Ident)
-	src, okSrc := unparen(rhs).(*ast.Ident)
-	if !okDst || !okSrc {
-		return
-	}
-	dv, okDV := info.ObjectOf(dst).(*types.Var)
-	sv, okSV := info.ObjectOf(src).(*types.Var)
-	if !okDV || !okSV || dv == sv {
-		return
-	}
-	c.aliases[dv] = append(c.aliases[dv], sv)
-}
-
-// Vars returns the variables referenced in the body, in first-occurrence
-// source order (deterministic across runs).
-func (c *Chains) Vars() []*types.Var { return c.vars }
-
 // Refs returns the ordered references to v (empty for unseen variables).
 func (c *Chains) Refs(v *types.Var) []Ref { return c.refs[v] }
-
-// AliasSet returns v plus every variable transitively copied FROM v via
-// plain `x := y` / `x = y` assignments — the variables through which a
-// value first bound to v may also be reached. The result is sorted by
-// declaration position.
-func (c *Chains) AliasSet(v *types.Var) []*types.Var {
-	// Invert the alias edges: we want everything v flows INTO.
-	into := make(map[*types.Var][]*types.Var)
-	for dst, srcs := range c.aliases {
-		for _, src := range srcs {
-			into[src] = append(into[src], dst)
-		}
-	}
-	seen := map[*types.Var]bool{v: true}
-	work := []*types.Var{v}
-	for len(work) > 0 {
-		cur := work[len(work)-1]
-		work = work[:len(work)-1]
-		for _, next := range into[cur] {
-			if !seen[next] {
-				seen[next] = true
-				work = append(work, next)
-			}
-		}
-	}
-	out := make([]*types.Var, 0, len(seen))
-	for sv := range seen {
-		out = append(out, sv)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Pos() < out[j].Pos() })
-	return out
-}
 
 // RootVar resolves an expression to the local or package-level variable it
 // names, unwrapping parentheses. It returns nil for anything more complex

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"go/types"
 	"reflect"
-	"sort"
 )
 
 // A Fact is a typed datum an analyzer attaches to a types.Object or a
@@ -22,18 +21,6 @@ import (
 // only; its body is empty.
 type Fact interface {
 	AFact()
-}
-
-// An ObjectFact is one (object, fact) pair, as returned by AllObjectFacts.
-type ObjectFact struct {
-	Object types.Object
-	Fact   Fact
-}
-
-// A PackageFact is one (package, fact) pair, as returned by AllPackageFacts.
-type PackageFact struct {
-	Package *types.Package
-	Fact    Fact
 }
 
 // factKey identifies one fact slot: facts are keyed per analyzer, per
@@ -140,51 +127,4 @@ func (p *Pass) ImportPackageFact(pkg *types.Package, fact Fact) bool {
 	}
 	reflect.ValueOf(fact).Elem().Set(reflect.ValueOf(got).Elem())
 	return true
-}
-
-// AllObjectFacts returns every object fact this analyzer has exported so
-// far, in a deterministic order (by object name, then fact type).
-func (p *Pass) AllObjectFacts() []ObjectFact {
-	var out []ObjectFact
-	for k, f := range p.facts.m {
-		if k.analyzer == p.Analyzer && k.object != nil {
-			out = append(out, ObjectFact{Object: k.object, Fact: f})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		oi, oj := out[i].Object, out[j].Object
-		pi, pj := "", ""
-		if oi.Pkg() != nil {
-			pi = oi.Pkg().Path()
-		}
-		if oj.Pkg() != nil {
-			pj = oj.Pkg().Path()
-		}
-		if pi != pj {
-			return pi < pj
-		}
-		if oi.Name() != oj.Name() {
-			return oi.Name() < oj.Name()
-		}
-		return fmt.Sprintf("%T", out[i].Fact) < fmt.Sprintf("%T", out[j].Fact)
-	})
-	return out
-}
-
-// AllPackageFacts returns every package fact this analyzer has exported so
-// far, in a deterministic order (by package path, then fact type).
-func (p *Pass) AllPackageFacts() []PackageFact {
-	var out []PackageFact
-	for k, f := range p.facts.m {
-		if k.analyzer == p.Analyzer && k.object == nil && k.pkg != nil {
-			out = append(out, PackageFact{Package: k.pkg, Fact: f})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Package.Path() != out[j].Package.Path() {
-			return out[i].Package.Path() < out[j].Package.Path()
-		}
-		return fmt.Sprintf("%T", out[i].Fact) < fmt.Sprintf("%T", out[j].Fact)
-	})
-	return out
 }

@@ -26,8 +26,12 @@ type Analyzer struct {
 	// Doc is the one-paragraph description printed by `tcavet -list`. The
 	// first line is the summary.
 	Doc string
-	// Run performs the check.
+	// Run performs the check on one package.
 	Run func(*Pass) error
+	// RunModule, set instead of Run, makes a module analyzer: it runs
+	// once, after every package is loaded, with Pass.Module holding all of
+	// them in dependency order.
+	RunModule func(*Pass) error
 	// FactTypes lists the fact types the analyzer exports or imports.
 	// An analyzer with a non-empty FactTypes runs over every package of
 	// the module (not only the ones named on the command line) so its
@@ -50,6 +54,9 @@ type Pass struct {
 	Files     []*ast.File
 	Pkg       *types.Package
 	TypesInfo *types.Info
+	// Module is set for module analyzers only; the per-package fields
+	// are then empty.
+	Module []*Package
 
 	facts       *factStore
 	diagnostics []Diagnostic
@@ -85,6 +92,9 @@ func NewSuite(analyzers []*Analyzer) *Suite {
 func (s *Suite) Run(pkg *Package) ([]Diagnostic, error) {
 	var out []Diagnostic
 	for _, a := range s.analyzers {
+		if a.Run == nil {
+			continue
+		}
 		pass := &Pass{
 			Analyzer:  a,
 			Fset:      pkg.Fset,
@@ -98,20 +108,50 @@ func (s *Suite) Run(pkg *Package) ([]Diagnostic, error) {
 		}
 		out = append(out, pass.diagnostics...)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Pos != out[j].Pos {
-			return out[i].Pos < out[j].Pos
-		}
-		return out[i].Analyzer.Name < out[j].Analyzer.Name
-	})
+	sortDiagnostics(out)
 	return out, nil
 }
 
-// Run applies each analyzer to one package in a fresh single-package suite
-// — the entry point for fact-free analyzers and one-shot checks. Analyzers
-// that use facts should run under a shared Suite instead.
-func Run(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
-	return NewSuite(analyzers).Run(pkg)
+// RunModule applies the suite's module analyzers once to all packages,
+// which must share one FileSet, and returns the diagnostics that fall in
+// matched packages, sorted by position.
+func (s *Suite) RunModule(pkgs []*Package) ([]Diagnostic, error) {
+	if len(pkgs) == 0 {
+		return nil, nil
+	}
+	fset := pkgs[0].Fset
+	matched := make(map[*token.File]bool)
+	for _, pkg := range pkgs {
+		for _, f := range pkg.Files {
+			matched[fset.File(f.Pos())] = pkg.Matched
+		}
+	}
+	var out []Diagnostic
+	for _, a := range s.analyzers {
+		if a.RunModule == nil {
+			continue
+		}
+		pass := &Pass{Analyzer: a, Fset: fset, Module: pkgs, facts: s.facts}
+		if err := a.RunModule(pass); err != nil {
+			return nil, fmt.Errorf("%s: %w", a.Name, err)
+		}
+		for _, d := range pass.diagnostics {
+			if matched[fset.File(d.Pos)] {
+				out = append(out, d)
+			}
+		}
+	}
+	sortDiagnostics(out)
+	return out, nil
+}
+
+func sortDiagnostics(ds []Diagnostic) {
+	sort.Slice(ds, func(i, j int) bool {
+		if ds[i].Pos != ds[j].Pos {
+			return ds[i].Pos < ds[j].Pos
+		}
+		return ds[i].Analyzer.Name < ds[j].Analyzer.Name
+	})
 }
 
 // Named unwraps pointers and returns the defining package name and type

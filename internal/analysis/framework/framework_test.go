@@ -132,32 +132,14 @@ func TestExportFactValidation(t *testing.T) {
 	})
 }
 
-func TestAllFactsDeterministicOrder(t *testing.T) {
-	_, _, pkg, _ := typecheckSrc(t, `package a; type B struct{}; type A struct{}`)
-	ana := &Analyzer{Name: "test", FactTypes: []Fact{new(markFact)}}
-	store := newFactStore()
-	pass := newTestPass(ana, pkg, store)
-	// Export in reverse-alphabetical order; AllObjectFacts must sort.
-	pass.ExportObjectFact(pkg.Scope().Lookup("B"), &markFact{Label: "b"})
-	pass.ExportObjectFact(pkg.Scope().Lookup("A"), &markFact{Label: "a"})
-
-	all := pass.AllObjectFacts()
-	if len(all) != 2 {
-		t.Fatalf("got %d facts, want 2", len(all))
-	}
-	if all[0].Object.Name() != "A" || all[1].Object.Name() != "B" {
-		t.Fatalf("order = %s, %s; want A, B", all[0].Object.Name(), all[1].Object.Name())
-	}
-}
-
 const dataflowSrc = `package a
 
 func f(in int) int {
 	x := in      // def x, read in
-	y := x       // def y, alias y<-x
+	y := x       // def y, read x
 	x = 2        // write x
 	x++          // write x
-	z := y       // def z, alias z<-y
+	z := y       // def z, read y
 	p := &z      // def p, write z (address taken)
 	_ = p
 	return x + z // reads
@@ -170,12 +152,12 @@ func TestDefUseChains(t *testing.T) {
 	chains := DefUseChains(info, fn.Body)
 
 	byName := map[string]*types.Var{}
-	for _, v := range chains.Vars() {
+	for v := range chains.refs {
 		byName[v.Name()] = v
 	}
 	for _, name := range []string{"x", "y", "z", "p", "in"} {
 		if byName[name] == nil {
-			t.Fatalf("variable %s not indexed (have %v)", name, chains.Vars())
+			t.Fatalf("variable %s not indexed (have %v)", name, byName)
 		}
 	}
 
@@ -191,20 +173,6 @@ func TestDefUseChains(t *testing.T) {
 	}
 	if got := kinds(byName["z"]); got != "def,write,read" {
 		t.Fatalf("z chain = %s (address-taken must count as write)", got)
-	}
-
-	// x flows into y (y := x) and transitively into z (z := y).
-	aliasNames := map[string]bool{}
-	for _, v := range chains.AliasSet(byName["x"]) {
-		aliasNames[v.Name()] = true
-	}
-	for _, want := range []string{"x", "y", "z"} {
-		if !aliasNames[want] {
-			t.Fatalf("AliasSet(x) = %v, missing %s", aliasNames, want)
-		}
-	}
-	if aliasNames["p"] {
-		t.Fatal("AliasSet(x) includes p: &z is not a value copy")
 	}
 
 	// Refs are sequenced in source order.

@@ -27,10 +27,9 @@ type Package struct {
 	// Fact-producing analyzers run over every package so cross-package
 	// facts exist; drivers report diagnostics only for matched ones.
 	Matched bool
+	// TestImports lists the import paths of the package's _test.go files.
+	TestImports []string
 }
-
-// Name returns the package name.
-func (p *Package) Name() string { return p.Types.Name() }
 
 // LoadModule parses and type-checks every non-test package of the module
 // rooted at root (whose module path is modPath) and returns ALL of them in
@@ -66,7 +65,7 @@ func LoadModule(root, modPath string, patterns []string) ([]*Package, error) {
 		if rel != "." {
 			path = modPath + "/" + filepath.ToSlash(rel)
 		}
-		pkg := &Package{Path: path, Dir: dir, Fset: fset}
+		pkg := &Package{Path: path, Dir: dir, Fset: fset, TestImports: append(bp.TestImports, bp.XTestImports...)}
 		for _, name := range bp.GoFiles {
 			f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.ParseComments)
 			if err != nil {

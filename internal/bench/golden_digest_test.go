@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -86,21 +87,8 @@ var cliCases = []struct {
 // TestCLITranscriptsIdentical builds the scenario CLIs and byte-pins what
 // they print (stdout and output files) for every invocation in cliCases.
 func TestCLITranscriptsIdentical(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds and runs the CLIs")
-	}
-	// go test puts its own toolchain first on the PATH.
-	goBin, err := exec.LookPath("go")
-	if err != nil {
-		t.Skip("go toolchain not found")
-	}
+	bin := buildCLIs(t, "tcatrace", "tcapath", "tcatop", "tcabench")
 	want := readDigests(t, filepath.Join("testdata", "cli.sha256"))
-	bin := t.TempDir()
-	build := exec.Command(goBin, "build", "-o", bin+string(filepath.Separator),
-		"tca/cmd/tcatrace", "tca/cmd/tcapath", "tca/cmd/tcatop", "tca/cmd/tcabench")
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
-	}
 	for _, tc := range cliCases {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
@@ -119,6 +107,70 @@ func TestCLITranscriptsIdentical(t *testing.T) {
 					t.Fatal(err)
 				}
 				checkDigest(t, want, tc.name+":"+f, data)
+			}
+		})
+	}
+}
+
+// buildCLIs builds the named commands into a temporary directory and
+// returns it. It skips the test in -short mode or without a go toolchain.
+func buildCLIs(t *testing.T, names ...string) string {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("builds and runs the CLIs")
+	}
+	// go test puts its own toolchain first on the PATH.
+	goBin, err := exec.LookPath("go")
+	if err != nil {
+		t.Skip("go toolchain not found")
+	}
+	bin := t.TempDir()
+	args := []string{"build", "-o", bin + string(filepath.Separator)}
+	for _, n := range names {
+		args = append(args, "tca/cmd/"+n)
+	}
+	if out, err := exec.Command(goBin, args...).CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	return bin
+}
+
+// TestCLIRejectsNonPositiveCounts checks that sizes, counts and rounds
+// below one are usage errors: exit status 2 and one line on stderr, never
+// a panic from the rig or an empty run.
+func TestCLIRejectsNonPositiveCounts(t *testing.T) {
+	bin := buildCLIs(t, "tcatrace", "tcatop", "tcafuzz")
+	cases := []struct {
+		args []string
+		want string
+	}{
+		{[]string{"tcatrace", "-scenario", "dma", "-size", "0"}, "tcatrace: -size and -count must be positive"},
+		{[]string{"tcatrace", "-scenario", "dma", "-size", "-4096"}, "tcatrace: -size and -count must be positive"},
+		{[]string{"tcatrace", "-scenario", "dma", "-count", "0"}, "tcatrace: -size and -count must be positive"},
+		{[]string{"tcatrace", "-fault", "linkdown:1e:12us", "-rounds", "0"}, "tcatrace: -rounds must be positive"},
+		{[]string{"tcatop", "-scenario", "forward", "-count", "0"}, "tcatop: -size and -count must be positive"},
+		{[]string{"tcatop", "-scenario", "forward", "-size", "-1"}, "tcatop: -size and -count must be positive"},
+		{[]string{"tcatop", "-scenario", "pingpong", "-rounds", "0"}, "tcatop: -rounds must be positive"},
+		{[]string{"tcafuzz", "-corpus", "0"}, "tcafuzz: -corpus must be positive"},
+		{[]string{"tcafuzz", "-corpus", "-5"}, "tcafuzz: -corpus must be positive"},
+	}
+	for _, tc := range cases {
+		t.Run(strings.Join(tc.args, " "), func(t *testing.T) {
+			cmd := exec.Command(filepath.Join(bin, tc.args[0]), tc.args[1:]...)
+			cmd.Dir = t.TempDir()
+			var stderr strings.Builder
+			cmd.Stderr = &stderr
+			err := cmd.Run()
+			var exit *exec.ExitError
+			if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+				t.Fatalf("exit = %v, want status 2\n%s", err, stderr.String())
+			}
+			got := stderr.String()
+			if strings.Contains(got, "panic") || strings.Contains(got, "goroutine") {
+				t.Fatalf("stderr carries a panic:\n%s", got)
+			}
+			if got != tc.want+"\n" {
+				t.Fatalf("stderr = %q, want the single line %q", got, tc.want)
 			}
 		})
 	}

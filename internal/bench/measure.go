@@ -39,21 +39,3 @@ func MeasureLoopbackPIO(prm tcanet.Params) units.Duration {
 	}
 	return seen.Elapsed()
 }
-
-// MeasureIBStream measures the IB fabric's streamed large-message
-// bandwidth (eight back-to-back 1 MiB MPI sends).
-func MeasureIBStream(prm tcanet.Params) units.Bandwidth {
-	eng := sim.NewEngine()
-	p := newIBPair(eng, prm)
-	const chunk = units.MiB
-	const n = 8
-	start := eng.Now()
-	var end sim.Time
-	for i := 0; i < n; i++ {
-		if err := p.fabric.MPISend(0, 1, p.src, p.dst, chunk, func(now sim.Time) { end = now }); err != nil {
-			panic(err)
-		}
-	}
-	eng.Run()
-	return units.Rate(n*chunk, end.Sub(start))
-}

@@ -105,7 +105,13 @@ func TestTraceDMASpan(t *testing.T) {
 		t.Errorf("span total %v outside (0, %v]", sp.Total, res.EndToEnd)
 	}
 	// The chain histogram recorded exactly one observation.
-	h, ok := r.Snapshot().Histogram("dma_chain_latency", "peach2-0/dmac")
+	var h obsv.HistogramVal
+	ok := false
+	for _, hv := range r.Snapshot().Histograms {
+		if hv.Name == "dma_chain_latency" && hv.Component == "peach2-0/dmac" {
+			h, ok = hv, true
+		}
+	}
 	if !ok || h.Count != 1 {
 		t.Errorf("dma_chain_latency count = %+v ok=%v, want exactly 1", h, ok)
 	}

@@ -134,53 +134,3 @@ func (b PerfBaseline) WriteJSON(w io.Writer) error {
 	enc.SetIndent("", "  ")
 	return enc.Encode(b)
 }
-
-// Compare checks got against the committed baseline and returns one error
-// line per regression. The fields split into three gates:
-//
-//   - Events and QueueHighWater are products of the deterministic event
-//     stream: any difference at all is a model change and must re-baseline.
-//   - AllocsPerEvent and AllocBytesPerEvent are host-side but stable across
-//     machines for the same binary; they drift only when code changes, so
-//     they get a tolerance (allocTol, a fraction, e.g. 0.25 for ±25%).
-//   - EventsPerSec varies with the machine, so it only fails when the run
-//     is slower than baseline by more than slowdownMax (e.g. 4 means "fail
-//     below a quarter of baseline throughput") — a tripwire for
-//     catastrophic regressions, not a benchmark.
-func (b PerfBaseline) Compare(got PerfBaseline, allocTol, slowdownMax float64) []string {
-	var drifts []string
-	for _, name := range PerfScenarioNames {
-		want, okW := b.Scenarios[name]
-		have, okH := got.Scenarios[name]
-		if !okW || !okH {
-			drifts = append(drifts, fmt.Sprintf("%s: missing from %s", name, map[bool]string{true: "measurement", false: "baseline"}[okW]))
-			continue
-		}
-		if want.Events != have.Events {
-			drifts = append(drifts, fmt.Sprintf("%s: events baseline %d, got %d (deterministic — re-baseline if intended)", name, want.Events, have.Events))
-		}
-		if want.QueueHighWater != have.QueueHighWater {
-			drifts = append(drifts, fmt.Sprintf("%s: queue_high_water baseline %d, got %d (deterministic — re-baseline if intended)", name, want.QueueHighWater, have.QueueHighWater))
-		}
-		checkAlloc := func(field string, w, h float64) {
-			// Near-zero baselines gate absolutely: a baseline of 0.01
-			// allocs/event must not admit 10× via relative slack.
-			const absFloor = 0.05
-			if w < absFloor {
-				if h > w+absFloor {
-					drifts = append(drifts, fmt.Sprintf("%s: %s baseline %g, got %g", name, field, w, h))
-				}
-				return
-			}
-			if rel := (h - w) / w; rel > allocTol {
-				drifts = append(drifts, fmt.Sprintf("%s: %s baseline %g, got %g (%+.1f%%)", name, field, w, h, 100*rel))
-			}
-		}
-		checkAlloc("allocs_per_event", want.AllocsPerEvent, have.AllocsPerEvent)
-		checkAlloc("alloc_bytes_per_event", want.AllocBytesPerEvent, have.AllocBytesPerEvent)
-		if want.EventsPerSec > 0 && have.EventsPerSec < want.EventsPerSec/slowdownMax {
-			drifts = append(drifts, fmt.Sprintf("%s: events/sec %.0f is over %gx slower than baseline %.0f", name, have.EventsPerSec, slowdownMax, want.EventsPerSec))
-		}
-	}
-	return drifts
-}

@@ -313,6 +313,3 @@ func (l *Ledger) Audit(end sim.Time) Summary {
 
 // Violations returns every violation recorded so far.
 func (l *Ledger) Violations() []Violation { return l.violations }
-
-// Summary returns the running account (complete only after Audit).
-func (l *Ledger) Summary() Summary { return l.sum }

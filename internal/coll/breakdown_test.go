@@ -54,7 +54,10 @@ func TestBarrierBreakdowns(t *testing.T) {
 			continue
 		}
 		spans++
-		first, last := obsv.SpanWindow(events)
+		first, last := events[0].At, events[0].At
+		for _, e := range events {
+			first, last = min(first, e.At), max(last, e.At)
+		}
 		if got, want := obsv.TotalLatency(hops), last.Sub(first); got != want {
 			t.Errorf("txn %d: hop sum %v != span window %v", txn, got, want)
 		}

@@ -68,9 +68,6 @@ func New(comm *core.Comm) (*Communicator, error) {
 	return c, nil
 }
 
-// Size reports the number of participating nodes.
-func (c *Communicator) Size() int { return c.n }
-
 // flagAddr is the bus address of node i's flag word.
 func (c *Communicator) flagAddr(i int) pcie.Addr {
 	return c.boxes[i].buf.Bus + pcie.Addr(mailboxSize)
@@ -208,16 +205,16 @@ func (c *Communicator) Barrier(done func(now sim.Time)) {
 	}
 }
 
-// Bcast copies n bytes from root's buffer (rootBus) into every node's
+// bcast copies n bytes from root's buffer (rootBus) into every node's
 // destination buffer (dsts[i], which may be the same registered buffer per
 // node) along the ring — a pipeline broadcast. done fires when the last
 // node has the data.
-func (c *Communicator) Bcast(root int, rootBus pcie.Addr, dsts []core.HostBuffer, n units.ByteSize, done func(now sim.Time)) error {
+func (c *Communicator) bcast(root int, rootBus pcie.Addr, dsts []core.HostBuffer, n units.ByteSize, done func(now sim.Time)) error {
 	if len(dsts) != c.n {
-		return fmt.Errorf("coll: Bcast needs %d destination buffers, got %d", c.n, len(dsts))
+		return fmt.Errorf("coll: bcast needs %d destination buffers, got %d", c.n, len(dsts))
 	}
 	if n <= 0 || n > mailboxSize {
-		return fmt.Errorf("coll: Bcast of %v exceeds the %v mailbox", n, units.ByteSize(mailboxSize))
+		return fmt.Errorf("coll: bcast of %v exceeds the %v mailbox", n, units.ByteSize(mailboxSize))
 	}
 	c.mBcasts.Inc()
 	c.seq++
@@ -263,7 +260,7 @@ func chunkToSend(rank, step, n int) int {
 
 // Allreduce sums vectors of count float64 across all nodes, in place in
 // each node's registered buffer bufs[i] (which must hold count*8 bytes and
-// count must divide evenly by Size()). The ring algorithm of Patarasuk &
+// count must divide evenly by the node count). The ring algorithm of Patarasuk &
 // Yuan: n-1 reduce-scatter steps then n-1 allgather steps, 2(n-1) puts per
 // node, bandwidth-optimal. done fires when every node holds the sum.
 func (c *Communicator) Allreduce(bufs []core.HostBuffer, count int, done func(now sim.Time)) error {

@@ -95,7 +95,7 @@ func TestBcastDeliversEverywhere(t *testing.T) {
 			t.Fatal(err)
 		}
 		var doneAt sim.Time
-		if err := c.Bcast(root, dsts[root].Bus, dsts, size, func(now sim.Time) { doneAt = now }); err != nil {
+		if err := c.bcast(root, dsts[root].Bus, dsts, size, func(now sim.Time) { doneAt = now }); err != nil {
 			t.Fatal(err)
 		}
 		eng.Run()
@@ -117,14 +117,14 @@ func TestBcastDeliversEverywhere(t *testing.T) {
 func TestBcastValidation(t *testing.T) {
 	_, comm, c := newComm(t, 2)
 	b, _ := comm.AllocHostBuffer(0, 64)
-	if err := c.Bcast(0, b.Bus, []core.HostBuffer{b}, 64, func(sim.Time) {}); err == nil {
+	if err := c.bcast(0, b.Bus, []core.HostBuffer{b}, 64, func(sim.Time) {}); err == nil {
 		t.Fatal("wrong destination count accepted")
 	}
 	two := []core.HostBuffer{b, b}
-	if err := c.Bcast(0, b.Bus, two, 0, func(sim.Time) {}); err == nil {
+	if err := c.bcast(0, b.Bus, two, 0, func(sim.Time) {}); err == nil {
 		t.Fatal("zero-byte broadcast accepted")
 	}
-	if err := c.Bcast(0, b.Bus, two, mailboxSize+1, func(sim.Time) {}); err == nil {
+	if err := c.bcast(0, b.Bus, two, mailboxSize+1, func(sim.Time) {}); err == nil {
 		t.Fatal("oversized broadcast accepted")
 	}
 }
@@ -317,7 +317,7 @@ func TestBcastLatencyScalesWithHops(t *testing.T) {
 			t.Fatal(err)
 		}
 		var at sim.Time
-		if err := c.Bcast(0, dsts[0].Bus, dsts, units.KiB, func(now sim.Time) { at = now }); err != nil {
+		if err := c.bcast(0, dsts[0].Bus, dsts, units.KiB, func(now sim.Time) { at = now }); err != nil {
 			t.Fatal(err)
 		}
 		eng.Run()

@@ -60,7 +60,7 @@ func TestMemcpyPeerCrossNodeTwoPhase(t *testing.T) {
 		t.Fatal("cross-node GPU copy corrupted data")
 	}
 	// Two-phase = two activations = two chains on the source chip.
-	if chains := c.SubCluster().Chip(0).DMAC().ChainsCompleted(); chains != 2 {
+	if chains := c.SubCluster().Chip(0).Stats().DMAChains; chains != 2 {
 		t.Fatalf("two-phase used %d chains, want 2", chains)
 	}
 }
@@ -86,7 +86,7 @@ func TestMemcpyPeerCrossNodePipelined(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatal("pipelined GPU copy corrupted data")
 	}
-	if chains := c.SubCluster().Chip(0).DMAC().ChainsCompleted(); chains != 1 {
+	if chains := c.SubCluster().Chip(0).Stats().DMAChains; chains != 1 {
 		t.Fatalf("pipelined used %d chains, want 1", chains)
 	}
 }
@@ -146,7 +146,7 @@ func TestMemcpyPeerSameNodeUsesCUDAPath(t *testing.T) {
 		t.Fatal("same-node copy corrupted data")
 	}
 	// No DMA chain ran; the CUDA peer engine carries it.
-	if c.SubCluster().Chip(0).DMAC().ChainsCompleted() != 0 {
+	if c.SubCluster().Chip(0).Stats().DMAChains != 0 {
 		t.Fatal("same-node copy used the PEACH2 DMAC")
 	}
 	if doneAt < sim.Time(7*units.Microsecond) {
@@ -253,7 +253,7 @@ func TestChainQueueingSerializesOnDMAC(t *testing.T) {
 	if len(order) != 3 || order[0] != 0 || order[1] != 1 || order[2] != 2 {
 		t.Fatalf("chains completed in order %v", order)
 	}
-	if c.SubCluster().Chip(0).DMAC().ChainsCompleted() != 3 {
+	if c.SubCluster().Chip(0).Stats().DMAChains != 3 {
 		t.Fatal("chain count wrong")
 	}
 }

@@ -111,14 +111,6 @@ func (j *Injector) Enabled() bool {
 	return true
 }
 
-// Profile returns the scenario the injector was built from.
-func (j *Injector) Profile() Profile {
-	if j == nil {
-		return Profile{}
-	}
-	return j.prof
-}
-
 // Counts returns the current fault/recovery counters.
 func (j *Injector) Counts() Counts {
 	if j == nil {

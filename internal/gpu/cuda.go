@@ -52,9 +52,6 @@ func NewCopyEngine(eng *sim.Engine, params CopyParams) *CopyEngine {
 	return &CopyEngine{eng: eng, params: params}
 }
 
-// Params returns the engine's cost model.
-func (c *CopyEngine) Params() CopyParams { return c.params }
-
 func (c *CopyEngine) schedule(n units.ByteSize, bw units.Bandwidth, fn func(now sim.Time)) {
 	dur := c.params.SetupLatency + units.TimeToSend(n, bw)
 	start := c.ser.Reserve(c.eng.Now(), dur)

@@ -73,7 +73,7 @@ type GPU struct {
 	mem    *memory.RAM
 	port   *pcie.Port
 
-	// allocNext is a bump allocator over GDDR; MemFree tracks live
+	// allocNext is a bump allocator over GDDR; memFree tracks live
 	// allocations to catch double frees but does not recycle space (the
 	// experiments never need it).
 	allocNext DevicePtr
@@ -132,9 +132,6 @@ func (g *GPU) Instrument(set *obsv.Set) {
 	g.led = set.Ledger()
 }
 
-// Params returns the construction parameters.
-func (g *GPU) Params() Params { return g.params }
-
 // Port returns the GPU's upstream PCIe port.
 func (g *GPU) Port() *pcie.Port { return g.port }
 
@@ -172,10 +169,10 @@ func (g *GPU) MemAlloc(n units.ByteSize) (DevicePtr, error) {
 	return ptr, nil
 }
 
-// MemFree releases an allocation — the cuMemFree analogue.
-func (g *GPU) MemFree(ptr DevicePtr) error {
+// memFree releases an allocation — the cuMemFree analogue.
+func (g *GPU) memFree(ptr DevicePtr) error {
 	if _, ok := g.live[ptr]; !ok {
-		return fmt.Errorf("gpu %s: MemFree of unknown pointer %#x", g.name, uint64(ptr))
+		return fmt.Errorf("gpu %s: memFree of unknown pointer %#x", g.name, uint64(ptr))
 	}
 	delete(g.live, ptr)
 	return nil
@@ -232,18 +229,13 @@ func (g *GPU) translate(a pcie.Addr) (uint64, error) {
 	return devPage*uint64(PinPageSize) + off%uint64(PinPageSize), nil
 }
 
-// Watch calls fn whenever an inbound write touches the device-pointer range
+// watch calls fn whenever an inbound write touches the device-pointer range
 // [ptr, ptr+n) — how applications poll arrival flags in GPU memory.
-func (g *GPU) Watch(ptr DevicePtr, n units.ByteSize, fn func(now sim.Time, ptr DevicePtr, n units.ByteSize)) {
+func (g *GPU) watch(ptr DevicePtr, n units.ByteSize, fn func(now sim.Time, ptr DevicePtr, n units.ByteSize)) {
 	g.watches = append(g.watches, gpuWatch{
 		ptr: pcie.Range{Base: pcie.Addr(ptr), Size: uint64(n)},
 		fn:  fn,
 	})
-}
-
-// Stats reports inbound write/read TLP counts and payload bytes.
-func (g *GPU) Stats() (writeTLPs, readTLPs uint64, bytesIn, bytesOut units.ByteSize) {
-	return g.writeTLPs, g.readTLPs, g.bytesIn, g.bytesOut
 }
 
 // Accept implements pcie.Device.

@@ -56,10 +56,10 @@ func TestMemFree(t *testing.T) {
 	eng := sim.NewEngine()
 	g := testGPU(eng)
 	p, _ := g.MemAlloc(64)
-	if err := g.MemFree(p); err != nil {
+	if err := g.memFree(p); err != nil {
 		t.Fatal(err)
 	}
-	if err := g.MemFree(p); err == nil {
+	if err := g.memFree(p); err == nil {
 		t.Fatal("double free succeeded")
 	}
 }
@@ -230,7 +230,7 @@ func TestGPUWatch(t *testing.T) {
 	tok, _ := g.PointerGetAttribute(ptr)
 	bus, _ := g.Pin(tok)
 	var fired int
-	g.Watch(ptr+100, 4, func(now sim.Time, p DevicePtr, n units.ByteSize) { fired++ })
+	g.watch(ptr+100, 4, func(now sim.Time, p DevicePtr, n units.ByteSize) { fired++ })
 	port := pcie.NewPort(&fakeHost{}, "dn", pcie.RoleRC)
 	pcie.MustConnect(eng, port, g.Port(), pcie.LinkParams{Config: pcie.Gen2x8})
 	port.Send(0, &pcie.TLP{Kind: pcie.MWr, Addr: bus, Data: make([]byte, 64)})         // miss
@@ -361,7 +361,7 @@ func TestGPUStatsCounters(t *testing.T) {
 	port.Send(0, &pcie.TLP{Kind: pcie.MWr, Addr: bus, Data: make([]byte, 128)})
 	port.Send(0, &pcie.TLP{Kind: pcie.MRd, Addr: bus, ReadLen: 64, Tag: 1, Requester: 1})
 	eng.Run()
-	w, r, in, out := g.Stats()
+	w, r, in, out := g.writeTLPs, g.readTLPs, g.bytesIn, g.bytesOut
 	if w != 1 || r != 1 || in != 128 || out != 64 {
 		t.Fatalf("stats = %d/%d/%d/%d", w, r, in, out)
 	}

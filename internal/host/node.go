@@ -11,7 +11,6 @@ import (
 
 	"tca/internal/fault"
 	"tca/internal/gpu"
-	"tca/internal/memory"
 	"tca/internal/obsv"
 	"tca/internal/pcie"
 	"tca/internal/prof"
@@ -225,30 +224,18 @@ func (n *Node) AllocDeviceID() pcie.DeviceID {
 	return id
 }
 
-// Engine returns the simulation engine (the TSC reads n.Engine().Now()).
-func (n *Node) Engine() *sim.Engine { return n.eng }
-
 // AttachFaults connects the node's root complex to a fault injector so it
 // can lose read completions. A nil injector (the default) changes nothing.
 func (n *Node) AttachFaults(inj *fault.Injector) { n.rc.faults = inj }
 
-// ID reports the node's index.
-func (n *Node) ID() int { return n.id }
-
 // Name reports "node<id>".
 func (n *Node) Name() string { return n.name }
-
-// Params returns the node's configuration.
-func (n *Node) Params() Params { return n.params }
 
 // GPU returns GPU i (0–3).
 func (n *Node) GPU(i int) *gpu.GPU { return n.gpus[i] }
 
 // CopyEngine returns the node's cudaMemcpy-style engine.
 func (n *Node) CopyEngine() *gpu.CopyEngine { return n.copyE }
-
-// DRAM exposes host memory for test assertions.
-func (n *Node) DRAM() *memory.RAM { return n.rc.dram }
 
 // Socket returns the per-socket switch (0 or 1) for topology assertions.
 func (n *Node) Socket(i int) *pcie.Switch { return n.socks[i] }

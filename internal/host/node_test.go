@@ -12,8 +12,8 @@ import (
 func TestNodeConstruction(t *testing.T) {
 	eng := sim.NewEngine()
 	n := NewNode(eng, 3, DefaultParams)
-	if n.Name() != "node3" || n.ID() != 3 {
-		t.Fatalf("identity wrong: %s/%d", n.Name(), n.ID())
+	if n.Name() != "node3" || n.id != 3 {
+		t.Fatalf("identity wrong: %s/%d", n.Name(), n.id)
 	}
 	for i := 0; i < GPUsPerNode; i++ {
 		if n.GPU(i) == nil {
@@ -23,8 +23,8 @@ func TestNodeConstruction(t *testing.T) {
 			t.Fatalf("GPU %d not attached", i)
 		}
 	}
-	if n.DRAM().Size() != 128*units.GiB {
-		t.Fatalf("DRAM size %v", n.DRAM().Size())
+	if n.rc.dram.Size() != 128*units.GiB {
+		t.Fatalf("DRAM size %v", n.rc.dram.Size())
 	}
 }
 
@@ -226,7 +226,9 @@ func TestCrossQPIWriteThrottled(t *testing.T) {
 }
 
 // rcStats exposes root-complex counters to tests.
-func (n *Node) rcStats() (uint64, uint64, uint64) { return n.rc.Stats() }
+func (n *Node) rcStats() (uint64, uint64, uint64) {
+	return n.rc.dramWrites, n.rc.dramReads, n.rc.qpiForward
+}
 
 func TestCrossQPIReadPanics(t *testing.T) {
 	eng := sim.NewEngine()

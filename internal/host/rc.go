@@ -220,11 +220,6 @@ func (rc *RootComplex) Accept(now sim.Time, t *pcie.TLP, in *pcie.Port) units.Du
 	}
 }
 
-// Stats reports DRAM write/read TLP counts and QPI forwards.
-func (rc *RootComplex) Stats() (dramWrites, dramReads, qpiForwards uint64) {
-	return rc.dramWrites, rc.dramReads, rc.qpiForward
-}
-
-// Ports implements pcie.Enumerable: the BIOS scan starts at the root
+// Ports lists the ports a bus scan sees: the BIOS scan starts at the root
 // complex and descends both socket trees.
 func (rc *RootComplex) Ports() []*pcie.Port { return []*pcie.Port{rc.dn[0], rc.dn[1]} }

@@ -83,14 +83,6 @@ func NewFabric(eng *sim.Engine, nodes []*host.Node, params Params) (*Fabric, err
 	}, nil
 }
 
-// Params returns the cost model.
-func (f *Fabric) Params() Params { return f.params }
-
-// Stats reports message and payload byte counts.
-func (f *Fabric) Stats() (messages uint64, bytes units.ByteSize) {
-	return f.messages, f.bytes
-}
-
 func (f *Fabric) checkRank(r int) error {
 	if r < 0 || r >= len(f.nodes) {
 		return fmt.Errorf("ib: rank %d outside fabric of %d", r, len(f.nodes))

@@ -200,7 +200,7 @@ func TestFabricStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng.Run()
-	msgs, b := f.Stats()
+	msgs, b := f.messages, f.bytes
 	if msgs != 1 || b != 64 {
 		t.Fatalf("stats = %d msgs / %d bytes", msgs, b)
 	}

@@ -1,7 +1,5 @@
-// Package memory provides sparse simulated RAM and PCIe memory-target
-// devices. Host DRAM, GPU GDDR and PEACH2's internal SRAM/DDR3 all build on
-// RAM; Target wraps a RAM behind a PCIe port so Memory Writes land in it and
-// Memory Reads produce Completions — with per-technology timing.
+// Package memory provides sparse simulated RAM. Host DRAM, GPU GDDR and
+// PEACH2's internal SRAM/DDR3 all build on it.
 package memory
 
 import (
@@ -33,12 +31,6 @@ func NewRAM(size units.ByteSize) *RAM {
 
 // Size reports the capacity.
 func (r *RAM) Size() units.ByteSize { return r.size }
-
-// ResidentBytes reports how much backing store has materialized — useful for
-// asserting that big windows stay sparse.
-func (r *RAM) ResidentBytes() units.ByteSize {
-	return units.ByteSize(len(r.pages) * pageSize)
-}
 
 func (r *RAM) check(off uint64, n int) error {
 	if n < 0 {

@@ -8,8 +8,8 @@ import (
 	"tca/internal/units"
 )
 
-// TargetParams sets the timing personality of a memory behind a PCIe port.
-type TargetParams struct {
+// targetParams sets the timing personality of a memory behind a PCIe port.
+type targetParams struct {
 	// ReadLatency is the pipeline latency from Memory Read arrival to the
 	// first Completion leaving (memory controller + access time).
 	ReadLatency units.Duration
@@ -29,15 +29,17 @@ type TargetParams struct {
 	DeepWriteQueue bool
 }
 
-// Target exposes a RAM as a PCIe completer device: MWr TLPs write into it,
+// target exposes a RAM as a PCIe completer device: MWr TLPs write into it,
 // MRd TLPs produce CplD replies on the arrival port. Base is the bus
 // address its window starts at; bus address X lands at RAM offset X-Base.
-type Target struct {
+// No node uses it: gpu.GPU and host.RootComplex each model their own
+// completer.
+type target struct {
 	eng     *sim.Engine
 	name    string
 	ram     *RAM
 	base    pcie.Addr
-	params  TargetParams
+	params  targetParams
 	readSer sim.Serializer
 	watches []watch
 
@@ -53,45 +55,34 @@ type watch struct {
 	fn func(now sim.Time, addr pcie.Addr, n units.ByteSize)
 }
 
-// NewTarget wraps ram as a PCIe completer at bus address base.
-func NewTarget(eng *sim.Engine, name string, ram *RAM, base pcie.Addr, params TargetParams) *Target {
+// newTarget wraps ram as a PCIe completer at bus address base.
+func newTarget(eng *sim.Engine, name string, ram *RAM, base pcie.Addr, params targetParams) *target {
 	if ram == nil {
-		panic("memory: NewTarget with nil RAM")
+		panic("memory: newTarget with nil RAM")
 	}
-	return &Target{eng: eng, name: name, ram: ram, base: base, params: params}
+	return &target{eng: eng, name: name, ram: ram, base: base, params: params}
 }
 
 // DevName implements pcie.Device.
-func (t *Target) DevName() string { return t.name }
+func (t *target) DevName() string { return t.name }
 
-// RAM returns the backing memory.
-func (t *Target) RAM() *RAM { return t.ram }
-
-// Base reports the bus address of the window start.
-func (t *Target) Base() pcie.Addr { return t.base }
-
-// SetBase relocates the window (used when the TCA global map assigns the
+// setBase relocates the window (used when the TCA global map assigns the
 // final addresses at sub-cluster construction).
-func (t *Target) SetBase(b pcie.Addr) { t.base = b }
+func (t *target) setBase(b pcie.Addr) { t.base = b }
 
-// Window reports the bus window the target serves.
-func (t *Target) Window() pcie.Range {
+// window reports the bus window the target serves.
+func (t *target) window() pcie.Range {
 	return pcie.Range{Base: t.base, Size: uint64(t.ram.Size())}
 }
 
-// Watch calls fn whenever a posted write touches window r (bus addresses).
+// watch calls fn whenever a posted write touches window r (bus addresses).
 // The host driver's polling loop and DMA completion flags build on this.
-func (t *Target) Watch(r pcie.Range, fn func(now sim.Time, addr pcie.Addr, n units.ByteSize)) {
+func (t *target) watch(r pcie.Range, fn func(now sim.Time, addr pcie.Addr, n units.ByteSize)) {
 	t.watches = append(t.watches, watch{r: r, fn: fn})
 }
 
-// Stats reports cumulative write/read TLP counts and payload bytes.
-func (t *Target) Stats() (writeTLPs, readTLPs uint64, bytesIn, bytesOut units.ByteSize) {
-	return t.writeTLPs, t.readTLPs, t.bytesIn, t.bytesOut
-}
-
 // Accept implements pcie.Device.
-func (t *Target) Accept(now sim.Time, p *pcie.TLP, port *pcie.Port) units.Duration {
+func (t *target) Accept(now sim.Time, p *pcie.TLP, port *pcie.Port) units.Duration {
 	switch p.Kind {
 	case pcie.MWr:
 		off := uint64(p.Addr - t.base)

@@ -40,7 +40,7 @@ func (r *requester) Accept(now sim.Time, t *pcie.TLP, p *pcie.Port) units.Durati
 // after running the engine to idle.
 func (r *requester) read(addr pcie.Addr, n units.ByteSize) ([]byte, sim.Time) {
 	var out []byte
-	chunks := pcie.SplitRead(addr, n, pcie.DefaultMaxReadRequest)
+	chunks := pcie.SplitRead(addr, n, 512)
 	done := 0
 	for _, c := range chunks {
 		c := c
@@ -62,11 +62,11 @@ func (r *requester) read(addr pcie.Addr, n units.ByteSize) ([]byte, sim.Time) {
 	return out, end
 }
 
-func targetFixture(t *testing.T, params TargetParams) (*sim.Engine, *requester, *Target) {
+func targetFixture(t *testing.T, params targetParams) (*sim.Engine, *requester, *target) {
 	t.Helper()
 	eng := sim.NewEngine()
 	ram := NewRAM(1 * units.MiB)
-	tgt := NewTarget(eng, "dram", ram, 0x1_0000_0000, params)
+	tgt := newTarget(eng, "dram", ram, 0x1_0000_0000, params)
 	req := newRequester(eng, "cpu")
 	tport := pcie.NewPort(tgt, "up", pcie.RoleEP)
 	pcie.MustConnect(eng, req.port, tport, pcie.LinkParams{Config: pcie.Gen2x8})
@@ -74,32 +74,32 @@ func targetFixture(t *testing.T, params TargetParams) (*sim.Engine, *requester, 
 }
 
 func TestTargetWriteLandsInRAM(t *testing.T) {
-	eng, req, tgt := targetFixture(t, TargetParams{})
+	eng, req, tgt := targetFixture(t, targetParams{})
 	data := []byte("peach2 put")
 	for _, w := range pcie.SplitWrite(0x1_0000_0040, data, 256, false) {
 		req.port.Send(0, w)
 	}
 	eng.Run()
-	got, err := tgt.RAM().ReadBytes(0x40, units.ByteSize(len(data)))
+	got, err := tgt.ram.ReadBytes(0x40, units.ByteSize(len(data)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, data) {
 		t.Fatalf("RAM contains %q, want %q", got, data)
 	}
-	wr, _, in, _ := tgt.Stats()
+	wr, _, in, _ := tgt.writeTLPs, tgt.readTLPs, tgt.bytesIn, tgt.bytesOut
 	if wr != 1 || in != units.ByteSize(len(data)) {
 		t.Fatalf("stats: writes=%d bytesIn=%d", wr, in)
 	}
 }
 
 func TestTargetReadRoundTrip(t *testing.T) {
-	eng, req, tgt := targetFixture(t, TargetParams{ReadLatency: 200 * units.Nanosecond})
+	eng, req, tgt := targetFixture(t, targetParams{ReadLatency: 200 * units.Nanosecond})
 	want := make([]byte, 1500)
 	for i := range want {
 		want[i] = byte(i * 7)
 	}
-	if err := tgt.RAM().Write(0x200, want); err != nil {
+	if err := tgt.ram.Write(0x200, want); err != nil {
 		t.Fatal(err)
 	}
 	_ = eng
@@ -110,7 +110,7 @@ func TestTargetReadRoundTrip(t *testing.T) {
 }
 
 func TestTargetReadLatencyApplied(t *testing.T) {
-	_, req, _ := targetFixture(t, TargetParams{ReadLatency: 500 * units.Nanosecond})
+	_, req, _ := targetFixture(t, targetParams{ReadLatency: 500 * units.Nanosecond})
 	_, end := req.read(0x1_0000_0000, 4)
 	// Request wire (~6ns) + 500ns latency + completion wire (~7ns).
 	if end < sim.Time(500*units.Nanosecond) || end > sim.Time(600*units.Nanosecond) {
@@ -121,7 +121,7 @@ func TestTargetReadLatencyApplied(t *testing.T) {
 func TestTargetReadServiceSerializes(t *testing.T) {
 	// Two concurrent reads with 300 ns service must finish ≥600 ns apart
 	// in aggregate — modelling the GPU BAR translation bottleneck.
-	eng, req, tgt := targetFixture(t, TargetParams{ReadService: 300 * units.Nanosecond})
+	eng, req, tgt := targetFixture(t, targetParams{ReadService: 300 * units.Nanosecond})
 	_ = tgt
 	var finished []sim.Time
 	for i := 0; i < 2; i++ {
@@ -147,7 +147,7 @@ func TestTargetReadServiceSerializes(t *testing.T) {
 func TestTargetDeepWriteQueueReturnsCreditInstantly(t *testing.T) {
 	eng := sim.NewEngine()
 	ram := NewRAM(1 * units.MiB)
-	tgt := NewTarget(eng, "gddr", ram, 0, TargetParams{WriteDrain: units.Microsecond, DeepWriteQueue: true})
+	tgt := newTarget(eng, "gddr", ram, 0, targetParams{WriteDrain: units.Microsecond, DeepWriteQueue: true})
 	req := newRequester(eng, "peach2")
 	tport := pcie.NewPort(tgt, "up", pcie.RoleEP)
 	l := pcie.MustConnect(eng, req.port, tport, pcie.LinkParams{Config: pcie.Gen2x8, CreditTLPs: 2})
@@ -168,7 +168,7 @@ func TestTargetDeepWriteQueueReturnsCreditInstantly(t *testing.T) {
 func TestTargetWriteDrainBackpressures(t *testing.T) {
 	eng := sim.NewEngine()
 	ram := NewRAM(1 * units.MiB)
-	tgt := NewTarget(eng, "dram", ram, 0, TargetParams{WriteDrain: units.Microsecond})
+	tgt := newTarget(eng, "dram", ram, 0, targetParams{WriteDrain: units.Microsecond})
 	req := newRequester(eng, "peach2")
 	tport := pcie.NewPort(tgt, "up", pcie.RoleEP)
 	pcie.MustConnect(eng, req.port, tport, pcie.LinkParams{Config: pcie.Gen2x8, CreditTLPs: 2})
@@ -184,9 +184,9 @@ func TestTargetWriteDrainBackpressures(t *testing.T) {
 }
 
 func TestTargetWatch(t *testing.T) {
-	eng, req, tgt := targetFixture(t, TargetParams{})
+	eng, req, tgt := targetFixture(t, targetParams{})
 	var hits []pcie.Addr
-	tgt.Watch(pcie.Range{Base: 0x1_0000_0100, Size: 4}, func(now sim.Time, a pcie.Addr, n units.ByteSize) {
+	tgt.watch(pcie.Range{Base: 0x1_0000_0100, Size: 4}, func(now sim.Time, a pcie.Addr, n units.ByteSize) {
 		hits = append(hits, a)
 	})
 	req.port.Send(0, &pcie.TLP{Kind: pcie.MWr, Addr: 0x1_0000_0000, Data: make([]byte, 16)})   // miss
@@ -200,19 +200,19 @@ func TestTargetWatch(t *testing.T) {
 
 func TestTargetWindowAndBase(t *testing.T) {
 	eng := sim.NewEngine()
-	tgt := NewTarget(eng, "x", NewRAM(4*units.KiB), 0x5000, TargetParams{})
-	w := tgt.Window()
+	tgt := newTarget(eng, "x", NewRAM(4*units.KiB), 0x5000, targetParams{})
+	w := tgt.window()
 	if w.Base != 0x5000 || w.Size != 4096 {
 		t.Fatalf("Window = %v", w)
 	}
-	tgt.SetBase(0x9000)
-	if tgt.Base() != 0x9000 {
+	tgt.setBase(0x9000)
+	if tgt.base != 0x9000 {
 		t.Fatalf("SetBase did not apply")
 	}
 }
 
 func TestTargetOutOfWindowWritePanics(t *testing.T) {
-	eng, req, _ := targetFixture(t, TargetParams{})
+	eng, req, _ := targetFixture(t, targetParams{})
 	defer func() {
 		if recover() == nil {
 			t.Fatal("out-of-window write did not panic")

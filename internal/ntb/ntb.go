@@ -117,17 +117,12 @@ func (b *Bridge) AddMapping(from Side, fr pcie.Range, to pcie.Addr) error {
 	return nil
 }
 
-// Disconnect marks one side's peer as gone. Per §V, the surviving host
+// disconnect marks one side's peer as gone. Per §V, the surviving host
 // cannot keep using the bridge: endpoints it enumerated at BIOS time
 // vanished, and recovery needs a reboot — subsequent traffic panics with
 // that diagnosis. (PEACH2 avoids this: "the link state with the other node
 // has no impact on the connection between the host and the PEACH2 chip".)
-func (b *Bridge) Disconnect(s Side) { b.downAt[s] = true }
-
-// Stats reports per-side translation counts.
-func (b *Bridge) Stats() (translatedAtoB, translatedBtoA, rejected uint64) {
-	return b.translated[SideA], b.translated[SideB], b.rejected
-}
+func (b *Bridge) disconnect(s Side) { b.downAt[s] = true }
 
 // sideOf maps an arrival port to its side.
 func (b *Bridge) sideOf(p *pcie.Port) Side {
@@ -181,7 +176,7 @@ func (b *Bridge) Accept(now sim.Time, t *pcie.TLP, in *pcie.Port) units.Duration
 	}
 }
 
-// Ports implements pcie.Enumerable with BOTH sides — the §V criticism made
+// Ports lists BOTH sides for a bus scan — the §V criticism made
 // structural: "during the BIOS scan at boot time, the host must recognize
 // the EPs in the NTB", so an enumeration from either host crosses the
 // bridge into the peer's fabric, coupling their lifetimes.

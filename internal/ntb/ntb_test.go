@@ -59,7 +59,7 @@ func TestNTBWriteCrossesAndTranslates(t *testing.T) {
 	if !bytes.Equal(got, want[:16]) {
 		t.Fatalf("B's DRAM holds %q", got)
 	}
-	ab, ba, rej := p.bridge.Stats()
+	ab, ba, rej := p.bridge.translated[SideA], p.bridge.translated[SideB], p.bridge.rejected
 	if ab != 1 || ba != 0 || rej != 0 {
 		t.Fatalf("stats %d/%d/%d", ab, ba, rej)
 	}
@@ -148,7 +148,7 @@ func (f *fake) Accept(now sim.Time, t *pcie.TLP, p *pcie.Port) units.Duration { 
 
 func TestNTBDisconnectRequiresReboot(t *testing.T) {
 	p := newPair(t)
-	p.bridge.Disconnect(SideB)
+	p.bridge.disconnect(SideB)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("traffic after disconnect did not panic (§V: reboot required)")

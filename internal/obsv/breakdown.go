@@ -5,7 +5,6 @@ import (
 	"io"
 	"sort"
 
-	"tca/internal/sim"
 	"tca/internal/units"
 )
 
@@ -61,19 +60,6 @@ func TotalLatency(hops []Hop) units.Duration {
 		total += h.Dur
 	}
 	return total
-}
-
-// SpanWindow reports the first and last timestamps of a set of events.
-func SpanWindow(events []Event) (first, last sim.Time) {
-	for i, e := range events {
-		if i == 0 || e.At < first {
-			first = e.At
-		}
-		if e.At > last {
-			last = e.At
-		}
-	}
-	return first, last
 }
 
 // WriteBreakdown renders a hop table: cumulative timestamp, per-hop delta,

@@ -72,14 +72,6 @@ func (g *Gauge) Add(d int64) {
 	g.v.Add(d)
 }
 
-// Value reads the level (0 when disabled).
-func (g *Gauge) Value() int64 {
-	if g == nil {
-		return 0
-	}
-	return g.v.Load()
-}
-
 // DefaultLatencyBounds are the fixed histogram buckets used for hop and
 // transaction latencies, spanning the sub-microsecond port hops up to the
 // multi-millisecond reconfiguration events.
@@ -121,14 +113,6 @@ func (h *Histogram) Observe(d units.Duration) {
 	h.buckets[i].Add(1)
 	h.count.Add(1)
 	h.sum.Add(int64(d))
-}
-
-// Count reports the number of observations (0 when disabled).
-func (h *Histogram) Count() uint64 {
-	if h == nil {
-		return 0
-	}
-	return h.count.Load()
 }
 
 // desc identifies a metric: a name, the component that owns it, and extra
@@ -360,24 +344,4 @@ func (s *Snapshot) Counter(name, component string, labels ...Label) (uint64, boo
 		}
 	}
 	return 0, false
-}
-
-// Gauge looks a frozen gauge value up by identity.
-func (s *Snapshot) Gauge(name, component string, labels ...Label) (int64, bool) {
-	for _, g := range s.Gauges {
-		if sameID(g.Name, g.Component, g.Labels, name, component, labels) {
-			return g.Value, true
-		}
-	}
-	return 0, false
-}
-
-// Histogram looks a frozen histogram up by identity.
-func (s *Snapshot) Histogram(name, component string, labels ...Label) (HistogramVal, bool) {
-	for _, h := range s.Histograms {
-		if sameID(h.Name, h.Component, h.Labels, name, component, labels) {
-			return h, true
-		}
-	}
-	return HistogramVal{}, false
 }

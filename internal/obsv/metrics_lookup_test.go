@@ -90,33 +90,23 @@ func refGauge(s *Snapshot, q lookupID) (int64, bool) {
 	return 0, false
 }
 
-func refHist(s *Snapshot, q lookupID) (uint64, bool) {
+func refHist(s *Snapshot, q lookupID) (HistogramVal, bool) {
 	for _, h := range s.Histograms {
 		if h.Name == q.name && h.Component == q.component && sameLabels(h.Labels, q.labels) {
-			return h.Count, true
+			return h, true
 		}
 	}
-	return 0, false
+	return HistogramVal{}, false
 }
 
-// checkSnapshotLookups compares the snapshot's lookups with the reference
-// for every query, under each metric kind's name.
+// checkSnapshotLookups compares the snapshot's Counter lookup with the
+// reference for every query.
 func checkSnapshotLookups(t *testing.T, what string, s *Snapshot, queries []lookupID) {
 	t.Helper()
 	for _, q := range queries {
 		gv, gok := s.Counter(q.name, q.component, q.labels...)
 		if wv, wok := refCounter(s, q); gv != wv || gok != wok {
 			t.Errorf("%s: Counter%v = %d, %v; want %d, %v", what, q, gv, gok, wv, wok)
-		}
-		gq := lookupID{q.name + "_level", q.component, q.labels}
-		gg, gok := s.Gauge(gq.name, gq.component, gq.labels...)
-		if wg, wok := refGauge(s, gq); gg != wg || gok != wok {
-			t.Errorf("%s: Gauge%v = %d, %v; want %d, %v", what, gq, gg, gok, wg, wok)
-		}
-		hq := lookupID{q.name + "_lat", q.component, q.labels}
-		gh, gok := s.Histogram(hq.name, hq.component, hq.labels...)
-		if wc, wok := refHist(s, hq); gh.Count != wc || gok != wok {
-			t.Errorf("%s: Histogram%v count = %d, %v; want %d, %v", what, hq, gh.Count, gok, wc, wok)
 		}
 	}
 }

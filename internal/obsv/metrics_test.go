@@ -17,8 +17,8 @@ func TestCounterGaugeBasics(t *testing.T) {
 	g := reg.Gauge("queue", "dmac")
 	g.Set(5)
 	g.Add(-2)
-	if g.Value() != 3 {
-		t.Fatalf("gauge = %d, want 3", g.Value())
+	if g.v.Load() != 3 {
+		t.Fatalf("gauge = %d, want 3", g.v.Load())
 	}
 }
 
@@ -29,10 +29,10 @@ func TestHistogramBuckets(t *testing.T) {
 	h.Observe(units.Microsecond)      // bucket 0 (inclusive bound)
 	h.Observe(5 * units.Microsecond)  // bucket 1
 	h.Observe(20 * units.Microsecond) // overflow
-	if h.Count() != 4 {
-		t.Fatalf("count = %d, want 4", h.Count())
+	if h.count.Load() != 4 {
+		t.Fatalf("count = %d, want 4", h.count.Load())
 	}
-	hv, ok := reg.Snapshot(0).Histogram("lat", "dmac")
+	hv, ok := refHist(reg.Snapshot(0), lookupID{"lat", "dmac", nil})
 	if !ok {
 		t.Fatal("histogram missing from snapshot")
 	}
@@ -111,7 +111,7 @@ func TestSnapshotSortedAndLookup(t *testing.T) {
 	if v, ok := snap.Counter("aa", "b"); !ok || v != 2 {
 		t.Fatalf("lookup aa = %d, %v", v, ok)
 	}
-	if v, ok := snap.Gauge("g", "b"); !ok || v != -4 {
+	if v, ok := refGauge(snap, lookupID{"g", "b", nil}); !ok || v != -4 {
 		t.Fatalf("lookup g = %d, %v", v, ok)
 	}
 	if _, ok := snap.Counter("aa", "nope"); ok {

@@ -53,10 +53,10 @@ func TestSeriesMatchesEagerRing(t *testing.T) {
 			if got := s.Samples(); !reflect.DeepEqual(got, want) {
 				t.Fatalf("cap %d, %d appends: Samples = %v, want %v", capacity, n, got, want)
 			}
-			if s.Len() != len(want) {
-				t.Fatalf("cap %d, %d appends: Len = %d, want %d", capacity, n, s.Len(), len(want))
+			if len(s.samples) != len(want) {
+				t.Fatalf("cap %d, %d appends: len = %d, want %d", capacity, n, len(s.samples), len(want))
 			}
-			last, ok := s.Last()
+			last, ok := lastSample(s)
 			if ok != (len(want) > 0) || (ok && last != want[len(want)-1]) {
 				t.Fatalf("cap %d, %d appends: Last = %v, %v", capacity, n, last, ok)
 			}

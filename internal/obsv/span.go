@@ -304,19 +304,6 @@ func (r *Recorder) attachMetrics(reg *Registry) {
 	r.mEvicted = reg.Counter("span_evictions", "recorder")
 }
 
-// Len reports the number of retained events.
-func (r *Recorder) Len() int {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.full {
-		return len(r.events)
-	}
-	return r.next
-}
-
 // Total reports how many events were ever recorded.
 func (r *Recorder) Total() uint64 {
 	if r == nil {

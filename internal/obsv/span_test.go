@@ -10,8 +10,8 @@ func TestRecorderRingEviction(t *testing.T) {
 	r.Record(Event{At: 1, Txn: 1, Stage: StageCPUStore})
 	r.Record(Event{At: 2, Txn: 1, Stage: StagePortIn})
 	r.Record(Event{At: 3, Txn: 1, Stage: StagePortOut})
-	if r.Len() != 2 || r.Total() != 3 {
-		t.Fatalf("len=%d total=%d, want 2/3", r.Len(), r.Total())
+	if len(r.Events()) != 2 || r.Total() != 3 {
+		t.Fatalf("len=%d total=%d, want 2/3", len(r.Events()), r.Total())
 	}
 	evs := r.Events()
 	if evs[0].Stage != StagePortIn || evs[1].Stage != StagePortOut {
@@ -22,7 +22,7 @@ func TestRecorderRingEviction(t *testing.T) {
 func TestRecorderDropsUntraced(t *testing.T) {
 	r := NewRecorder(4)
 	r.Record(Event{At: 1, Txn: 0, Stage: StagePortIn})
-	if r.Len() != 0 {
+	if len(r.Events()) != 0 {
 		t.Fatal("Txn-0 event was retained")
 	}
 }
@@ -74,7 +74,7 @@ func TestBreakdownSumsToWindow(t *testing.T) {
 	if hops[0].From.Stage != StageCPUStore {
 		t.Fatalf("breakdown not time-sorted: %+v", hops[0])
 	}
-	first, last := SpanWindow(events)
+	first, last := spanWindow(events)
 	if TotalLatency(hops) != last.Sub(first) {
 		t.Fatalf("hop sum %v != window %v", TotalLatency(hops), last.Sub(first))
 	}

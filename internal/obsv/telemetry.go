@@ -81,26 +81,6 @@ func (s *Sampler) Timeline() *Timeline {
 	return s.tl
 }
 
-// Ticks reports how many sampling ticks have run.
-func (s *Sampler) Ticks() uint64 {
-	if s == nil {
-		return 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.ticks
-}
-
-// Interval reports the active sampling interval (0 when never started).
-func (s *Sampler) Interval() units.Duration {
-	if s == nil {
-		return 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.interval
-}
-
 // Register adds a probe and creates its series. No-op when disabled.
 func (s *Sampler) Register(name, component, label, unit string, fn Probe) *Series {
 	if s == nil {
@@ -120,7 +100,7 @@ func (s *Sampler) Register(name, component, label, unit string, fn Probe) *Serie
 // Start schedules the sampling tick train on eng, one tick per interval
 // of simulated time. No-op when disabled; panics on a non-positive
 // interval or when already running. Sampling stops by itself once the
-// engine's queue drains (see the type comment); Stop cancels it earlier.
+// engine's queue drains (see the type comment); stop cancels it earlier.
 func (s *Sampler) Start(eng *sim.Engine, interval units.Duration) {
 	if s == nil {
 		return
@@ -141,24 +121,14 @@ func (s *Sampler) Start(eng *sim.Engine, interval units.Duration) {
 	eng.AfterComp(comp, interval, func() { s.tick(eng) })
 }
 
-// Stop cancels sampling; the already-scheduled tick becomes a no-op.
-func (s *Sampler) Stop() {
+// stop cancels sampling; the already-scheduled tick becomes a no-op.
+func (s *Sampler) stop() {
 	if s == nil {
 		return
 	}
 	s.mu.Lock()
 	s.running = false
 	s.mu.Unlock()
-}
-
-// Running reports whether a tick train is active.
-func (s *Sampler) Running() bool {
-	if s == nil {
-		return false
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.running
 }
 
 func (s *Sampler) tick(eng *sim.Engine) {

@@ -25,17 +25,17 @@ func TestSamplerTicksAndAutoStop(t *testing.T) {
 	s.Start(eng, units.Microsecond)
 	eng.Run()
 
-	if s.Running() {
+	if s.running {
 		t.Error("sampler still running after the queue drained")
 	}
 	// Ticks at 1..5 µs; the 5 µs tick sees an empty queue and stops.
-	if got := s.Ticks(); got != 5 {
+	if got := s.ticks; got != 5 {
 		t.Errorf("ticks = %d, want 5", got)
 	}
-	if got := series.Len(); got != 5 {
+	if got := len(series.Samples()); got != 5 {
 		t.Errorf("series length = %d, want 5", got)
 	}
-	last, ok := series.Last()
+	last, ok := lastSample(series)
 	if !ok || last.V != 10 {
 		t.Errorf("last sample = %+v, want the final level 10", last)
 	}
@@ -44,15 +44,15 @@ func TestSamplerTicksAndAutoStop(t *testing.T) {
 	eng.After(3*units.Microsecond, func() { level = 99 })
 	s.Start(eng, units.Microsecond)
 	eng.Run()
-	if s.Running() {
+	if s.running {
 		t.Error("sampler running after phase 2")
 	}
-	if got := s.Ticks(); got <= 5 {
+	if got := s.ticks; got <= 5 {
 		t.Errorf("phase-2 ticks did not advance: %d", got)
 	}
 }
 
-// TestSamplerStop checks that Stop turns the pending tick into a no-op.
+// TestSamplerStop checks that stop turns the pending tick into a no-op.
 func TestSamplerStop(t *testing.T) {
 	eng := sim.NewEngine()
 	s := NewSampler(4)
@@ -60,13 +60,13 @@ func TestSamplerStop(t *testing.T) {
 	s.Register("sig", "comp", "", "u", func(sim.Time, units.Duration) float64 { calls++; return 0 })
 	eng.After(10*units.Microsecond, func() {})
 	s.Start(eng, units.Microsecond)
-	s.Stop()
+	s.stop()
 	eng.Run()
 	if calls != 0 {
 		t.Errorf("probe ran %d times after Stop", calls)
 	}
-	if s.Running() {
-		t.Error("sampler reports running after Stop")
+	if s.running {
+		t.Error("sampler reports running after stop")
 	}
 }
 
@@ -217,22 +217,22 @@ func TestTelemetryNilSafety(t *testing.T) {
 	var sr *Series
 	eng := sim.NewEngine()
 	s.Start(eng, units.Microsecond)
-	s.Stop()
+	s.stop()
 	if s.Register("a", "b", "", "u", func(sim.Time, units.Duration) float64 { return 0 }) != nil {
 		t.Error("nil sampler Register returned a series")
 	}
-	if s.Timeline() != nil || s.Ticks() != 0 || s.Interval() != 0 || s.Running() {
+	if s.Timeline() != nil {
 		t.Error("nil sampler accessors not zero")
 	}
 	if tl.Series() != nil || tl.Select("x") != nil || tl.Find("x", "y", "") != nil {
 		t.Error("nil timeline accessors not empty")
 	}
 	sr.append(1, 1)
-	if sr.Len() != 0 || sr.Max() != 0 || sr.Mean() != 0 || sr.ActiveMean() != 0 || sr.ID() != "" {
+	if len(sr.Samples()) != 0 || sr.Max() != 0 || sr.Mean() != 0 || sr.ActiveMean() != 0 || sr.ID() != "" {
 		t.Error("nil series accessors not zero")
 	}
-	if _, ok := sr.Last(); ok {
-		t.Error("nil series Last reported a sample")
+	if _, ok := lastSample(sr); ok {
+		t.Error("nil series reported a last sample")
 	}
 	if Attribute(nil, nil).Primary.Verdict != VerdictUnderutilized {
 		t.Error("nil-timeline attribution should be underutilized")
@@ -248,7 +248,7 @@ func TestDisabledSamplingZeroAllocs(t *testing.T) {
 	if n := testing.AllocsPerRun(200, func() {
 		s.Register("sig", "comp", "", "u", probe)
 		sr.append(1, 1)
-		_ = sr.Len()
+		_ = sr.Samples()
 	}); n != 0 {
 		t.Errorf("disabled path allocates %.1f per run, want 0", n)
 	}

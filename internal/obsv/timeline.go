@@ -104,29 +104,6 @@ func (s *Series) Samples() []Sample {
 	return append(out, s.samples[:s.next]...)
 }
 
-// Len reports the retained sample count.
-func (s *Series) Len() int {
-	if s == nil {
-		return 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.samples)
-}
-
-// Last returns the most recent sample.
-func (s *Series) Last() (Sample, bool) {
-	if s == nil {
-		return Sample{}, false
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if len(s.samples) == 0 {
-		return Sample{}, false
-	}
-	return s.samples[(s.next-1+len(s.samples))%len(s.samples)], true
-}
-
 // Max reports the largest sampled value (0 when empty).
 func (s *Series) Max() float64 {
 	if s == nil {

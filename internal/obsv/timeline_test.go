@@ -11,10 +11,10 @@ import (
 func TestNilSeriesIsDisabled(t *testing.T) {
 	var s *Series
 	s.Append(1, 2)
-	if s.ID() != "" || s.Len() != 0 || s.Samples() != nil {
+	if s.ID() != "" || len(s.Samples()) != 0 || s.Samples() != nil {
 		t.Fatal("nil series reported data")
 	}
-	if _, ok := s.Last(); ok {
+	if _, ok := lastSample(s); ok {
 		t.Fatal("nil series has a last sample")
 	}
 	if s.Max() != 0 || s.Mean() != 0 || s.ActiveMean() != 0 {
@@ -36,8 +36,8 @@ func TestSeriesRingEvictionOldestFirst(t *testing.T) {
 	for i := 1; i <= 6; i++ {
 		s.Append(sim.Time(i), float64(i))
 	}
-	if s.Len() != 4 {
-		t.Fatalf("Len = %d, want 4 (capacity)", s.Len())
+	if len(s.samples) != 4 {
+		t.Fatalf("len = %d, want 4 (capacity)", len(s.samples))
 	}
 	got := s.Samples()
 	for i, want := range []float64{3, 4, 5, 6} {
@@ -45,7 +45,7 @@ func TestSeriesRingEvictionOldestFirst(t *testing.T) {
 			t.Fatalf("Samples() = %v, want oldest-first 3..6", got)
 		}
 	}
-	last, ok := s.Last()
+	last, ok := lastSample(s)
 	if !ok || last.V != 6 {
 		t.Fatalf("Last = %v, %v", last, ok)
 	}
@@ -75,8 +75,8 @@ func TestSeriesStatistics(t *testing.T) {
 // mustNextTime appends at strictly increasing times without the test
 // tracking a counter.
 func (s *Series) mustNextTime() sim.Time {
-	if n := s.Len(); n > 0 {
-		last, _ := s.Last()
+	if n := len(s.samples); n > 0 {
+		last, _ := lastSample(s)
 		return last.At + 1
 	}
 	return 1
@@ -162,4 +162,12 @@ func TestWriteSeriesTableAlignsTicks(t *testing.T) {
 	if strings.Contains(out, "20.0") || !strings.Contains(out, "30.0") {
 		t.Fatalf("striding kept the wrong rows:\n%s", out)
 	}
+}
+
+// lastSample returns the most recent sample of the ring.
+func lastSample(s *Series) (Sample, bool) {
+	if s == nil || len(s.samples) == 0 {
+		return Sample{}, false
+	}
+	return s.samples[(s.next-1+len(s.samples))%len(s.samples)], true
 }

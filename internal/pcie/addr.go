@@ -35,10 +35,10 @@ func (r Range) Overlaps(s Range) bool {
 	return r.Size > 0 && s.Size > 0 && r.Base < s.End() && s.Base < r.End()
 }
 
-// Aligned reports whether the window sits on a multiple of its own size —
+// aligned reports whether the window sits on a multiple of its own size —
 // the property PEACH2's compare-only routing requires, since it decides the
 // destination purely from upper address bits.
-func (r Range) Aligned() bool {
+func (r Range) aligned() bool {
 	if r.Size == 0 || r.Size&(r.Size-1) != 0 {
 		return false // power-of-two sizes only
 	}
@@ -81,14 +81,6 @@ func (m *AddressMap) Add(r Range, target any) error {
 	return nil
 }
 
-// MustAdd is Add for static topologies built at simulation setup, where an
-// overlap is a programming error.
-func (m *AddressMap) MustAdd(r Range, target any) {
-	if err := m.Add(r, target); err != nil {
-		panic(fmt.Sprintf("pcie: MustAdd: %v", err))
-	}
-}
-
 // Lookup returns the target whose window contains a, or (nil, Range{},
 // false) when the address is unmapped.
 func (m *AddressMap) Lookup(a Addr) (any, Range, bool) {
@@ -99,24 +91,12 @@ func (m *AddressMap) Lookup(a Addr) (any, Range, bool) {
 	return nil, Range{}, false
 }
 
-// LookupRange returns the target whose window fully contains r. Transfers
+// lookupRange returns the target whose window fully contains r. Transfers
 // that straddle windows are split by callers before lookup.
-func (m *AddressMap) LookupRange(r Range) (any, Range, bool) {
+func (m *AddressMap) lookupRange(r Range) (any, Range, bool) {
 	t, w, ok := m.Lookup(r.Base)
 	if !ok || !w.ContainsRange(r) {
 		return nil, Range{}, false
 	}
 	return t, w, true
-}
-
-// Len reports the number of windows.
-func (m *AddressMap) Len() int { return len(m.entries) }
-
-// Windows returns the registered windows in ascending base order.
-func (m *AddressMap) Windows() []Range {
-	ws := make([]Range, len(m.entries))
-	for i, e := range m.entries {
-		ws[i] = e.r
-	}
-	return ws
 }

@@ -76,17 +76,17 @@ func TestRangeAligned(t *testing.T) {
 		{Range{Base: 0, Size: 0}, false},
 	}
 	for _, c := range cases {
-		if got := c.r.Aligned(); got != c.want {
-			t.Errorf("%v.Aligned() = %t, want %t", c.r, got, c.want)
+		if got := c.r.aligned(); got != c.want {
+			t.Errorf("%v.aligned() = %t, want %t", c.r, got, c.want)
 		}
 	}
 }
 
 func TestAddressMapLookup(t *testing.T) {
 	var m AddressMap
-	m.MustAdd(Range{Base: 0x1000, Size: 0x1000}, "a")
-	m.MustAdd(Range{Base: 0x4000, Size: 0x2000}, "b")
-	m.MustAdd(Range{Base: 0x0, Size: 0x800}, "c")
+	mustAdd(t, &m, Range{Base: 0x1000, Size: 0x1000}, "a")
+	mustAdd(t, &m, Range{Base: 0x4000, Size: 0x2000}, "b")
+	mustAdd(t, &m, Range{Base: 0x0, Size: 0x800}, "c")
 
 	cases := []struct {
 		a    Addr
@@ -113,15 +113,15 @@ func TestAddressMapLookup(t *testing.T) {
 
 func TestAddressMapRejectsOverlap(t *testing.T) {
 	var m AddressMap
-	m.MustAdd(Range{Base: 0x1000, Size: 0x1000}, "a")
+	mustAdd(t, &m, Range{Base: 0x1000, Size: 0x1000}, "a")
 	if err := m.Add(Range{Base: 0x1800, Size: 0x1000}, "b"); err == nil {
 		t.Fatal("overlapping Add succeeded")
 	}
 	if err := m.Add(Range{Base: 0x1000, Size: 0x1000}, "b"); err == nil {
 		t.Fatal("duplicate Add succeeded")
 	}
-	if m.Len() != 1 {
-		t.Fatalf("Len = %d after rejected adds, want 1", m.Len())
+	if len(m.entries) != 1 {
+		t.Fatalf("Len = %d after rejected adds, want 1", len(m.entries))
 	}
 }
 
@@ -137,25 +137,31 @@ func TestAddressMapRejectsEmptyAndWrapping(t *testing.T) {
 
 func TestAddressMapLookupRange(t *testing.T) {
 	var m AddressMap
-	m.MustAdd(Range{Base: 0x1000, Size: 0x1000}, "a")
-	if _, _, ok := m.LookupRange(Range{Base: 0x1800, Size: 0x100}); !ok {
-		t.Fatal("interior LookupRange failed")
+	mustAdd(t, &m, Range{Base: 0x1000, Size: 0x1000}, "a")
+	if _, _, ok := m.lookupRange(Range{Base: 0x1800, Size: 0x100}); !ok {
+		t.Fatal("interior lookupRange failed")
 	}
-	if _, _, ok := m.LookupRange(Range{Base: 0x1f00, Size: 0x200}); ok {
-		t.Fatal("straddling LookupRange succeeded")
+	if _, _, ok := m.lookupRange(Range{Base: 0x1f00, Size: 0x200}); ok {
+		t.Fatal("straddling lookupRange succeeded")
 	}
 }
 
 func TestAddressMapWindowsSorted(t *testing.T) {
 	var m AddressMap
-	m.MustAdd(Range{Base: 0x4000, Size: 0x100}, 1)
-	m.MustAdd(Range{Base: 0x1000, Size: 0x100}, 2)
-	m.MustAdd(Range{Base: 0x2000, Size: 0x100}, 3)
-	ws := m.Windows()
-	for i := 1; i < len(ws); i++ {
-		if ws[i].Base < ws[i-1].Base {
-			t.Fatalf("Windows not sorted: %v", ws)
+	mustAdd(t, &m, Range{Base: 0x4000, Size: 0x100}, 1)
+	mustAdd(t, &m, Range{Base: 0x1000, Size: 0x100}, 2)
+	mustAdd(t, &m, Range{Base: 0x2000, Size: 0x100}, 3)
+	for i := 1; i < len(m.entries); i++ {
+		if m.entries[i].r.Base < m.entries[i-1].r.Base {
+			t.Fatalf("windows not sorted: %v", m.entries)
 		}
+	}
+}
+
+func mustAdd(t *testing.T, m *AddressMap, r Range, target any) {
+	t.Helper()
+	if err := m.Add(r, target); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -100,6 +100,3 @@ func (t *TagTable) CancelAll() int {
 
 // Outstanding reports the number of reads in flight.
 func (t *TagTable) Outstanding() int { return len(t.pending) }
-
-// Free reports how many tags remain available.
-func (t *TagTable) Free() int { return len(t.free) }

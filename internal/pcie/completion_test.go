@@ -12,8 +12,8 @@ func TestTagTableAllocAndComplete(t *testing.T) {
 	if !ok {
 		t.Fatal("Alloc failed on empty table")
 	}
-	if tt.Outstanding() != 1 || tt.Free() != 7 {
-		t.Fatalf("Outstanding/Free = %d/%d, want 1/7", tt.Outstanding(), tt.Free())
+	if tt.Outstanding() != 1 || len(tt.free) != 7 {
+		t.Fatalf("Outstanding/Free = %d/%d, want 1/7", tt.Outstanding(), len(tt.free))
 	}
 	if err := tt.HandleCompletion(&TLP{Kind: CplD, Tag: tag, Data: []byte{1, 2, 3}}); err != nil {
 		t.Fatal(err)
@@ -27,8 +27,8 @@ func TestTagTableAllocAndComplete(t *testing.T) {
 	if !bytes.Equal(got, []byte{1, 2, 3, 4, 5, 6}) {
 		t.Fatalf("reassembled data = %v", got)
 	}
-	if tt.Outstanding() != 0 || tt.Free() != 8 {
-		t.Fatalf("tag not recycled: %d/%d", tt.Outstanding(), tt.Free())
+	if tt.Outstanding() != 0 || len(tt.free) != 8 {
+		t.Fatalf("tag not recycled: %d/%d", tt.Outstanding(), len(tt.free))
 	}
 }
 
@@ -93,8 +93,8 @@ func TestTagTableCapacityBounds(t *testing.T) {
 		}()
 	}
 	tt := NewTagTable(256)
-	if tt.Free() != 256 {
-		t.Fatalf("Free = %d, want 256", tt.Free())
+	if len(tt.free) != 256 {
+		t.Fatalf("Free = %d, want 256", len(tt.free))
 	}
 }
 
@@ -132,15 +132,15 @@ func TestTagTableDoubleCompletion(t *testing.T) {
 	if err := tt.HandleCompletion(done); err != nil {
 		t.Fatal(err)
 	}
-	if tt.Free() != 4 {
-		t.Fatalf("Free = %d after completion, want 4", tt.Free())
+	if len(tt.free) != 4 {
+		t.Fatalf("Free = %d after completion, want 4", len(tt.free))
 	}
 	if err := tt.HandleCompletion(done); err == nil {
 		t.Fatal("second completion on a freed tag not rejected")
 	}
-	if tt.Free() != 4 || tt.Outstanding() != 0 {
+	if len(tt.free) != 4 || tt.Outstanding() != 0 {
 		t.Fatalf("double completion grew the free list: Free=%d Outstanding=%d, want 4/0",
-			tt.Free(), tt.Outstanding())
+			len(tt.free), tt.Outstanding())
 	}
 }
 
@@ -158,8 +158,8 @@ func TestTagTableCancelAfterComplete(t *testing.T) {
 	if n := tt.CancelAll(); n != 0 {
 		t.Fatalf("CancelAll cancelled %d reads after completion, want 0", n)
 	}
-	if tt.Free() != 4 {
-		t.Fatalf("Free = %d after cancel-after-complete, want 4", tt.Free())
+	if len(tt.free) != 4 {
+		t.Fatalf("Free = %d after cancel-after-complete, want 4", len(tt.free))
 	}
 }
 
@@ -178,9 +178,9 @@ func TestTagTableDoubleCancel(t *testing.T) {
 	if n := tt.CancelAll(); n != 0 {
 		t.Fatalf("second CancelAll = %d, want 0", n)
 	}
-	if tt.Free() != 4 || tt.Outstanding() != 0 {
+	if len(tt.free) != 4 || tt.Outstanding() != 0 {
 		t.Fatalf("double cancel corrupted the table: Free=%d Outstanding=%d, want 4/0",
-			tt.Free(), tt.Outstanding())
+			len(tt.free), tt.Outstanding())
 	}
 }
 
@@ -200,7 +200,7 @@ func TestTagTableCancelThenStaleCompletion(t *testing.T) {
 	if err := tt.HandleCompletion(&TLP{Kind: CplD, Tag: tag, Data: []byte{1}, Last: true}); err == nil {
 		t.Fatal("stale completion after cancel not rejected")
 	}
-	if tt.Free() != 4 {
-		t.Fatalf("stale completion grew the free list: Free=%d, want 4", tt.Free())
+	if len(tt.free) != 4 {
+		t.Fatalf("stale completion grew the free list: Free=%d, want 4", len(tt.free))
 	}
 }

@@ -139,9 +139,6 @@ func (l *Link) DLLName() string {
 	return l.dll.name
 }
 
-// Ends returns the two ports the link joins, in Connect order.
-func (l *Link) Ends() (*Port, *Port) { return l.a, l.b }
-
 // SetDeadHandler registers the salvage callback for the direction out of
 // from. Requires an enabled DLL.
 func (l *Link) SetDeadHandler(from *Port, fn DeadHandler) {
@@ -150,16 +147,6 @@ func (l *Link) SetDeadHandler(from *Port, fn DeadHandler) {
 	}
 	_, di := l.dir(from)
 	l.dll.dirs[di].onDead = fn
-}
-
-// DeadFrom reports whether the direction out of from has been declared
-// dead. A link without a DLL can never die.
-func (l *Link) DeadFrom(from *Port) bool {
-	if l.dll == nil {
-		return false
-	}
-	_, di := l.dir(from)
-	return l.dll.dirs[di].dead
 }
 
 // dllBufFull reports whether the direction's replay buffer backpressures

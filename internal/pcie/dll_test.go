@@ -58,7 +58,7 @@ func TestDLLReplayRecoversFlap(t *testing.T) {
 	if c.LinkDown != 0 {
 		t.Fatalf("short flap killed the link: %+v", c)
 	}
-	if l.DeadFrom(pa) {
+	if deadFrom(l, pa) {
 		t.Fatal("link dead after recoverable flap")
 	}
 }
@@ -85,7 +85,7 @@ func TestDLLNakTriggersReplay(t *testing.T) {
 	if c.ReplayExhausted != 1 || c.LinkDown != 1 {
 		t.Fatalf("link did not die after exhausting replays: %+v", c)
 	}
-	if !l.DeadFrom(pa) {
+	if !deadFrom(l, pa) {
 		t.Fatal("DeadFrom false after replay exhaustion")
 	}
 }
@@ -190,7 +190,7 @@ func TestDLLBothDirectionsDie(t *testing.T) {
 	if len(a.got)+len(b.got) != 0 {
 		t.Fatal("cut link delivered")
 	}
-	if !l.DeadFrom(pa) || !l.DeadFrom(pb) {
+	if !deadFrom(l, pa) || !deadFrom(l, pb) {
 		t.Fatal("death must cover both directions of the cable")
 	}
 }
@@ -211,8 +211,8 @@ func TestCancelAllReleasesTags(t *testing.T) {
 	if fired {
 		t.Fatal("CancelAll ran a completion callback")
 	}
-	if tt.Outstanding() != 0 || tt.Free() != 8 {
-		t.Fatalf("outstanding=%d free=%d after CancelAll", tt.Outstanding(), tt.Free())
+	if tt.Outstanding() != 0 || len(tt.free) != 8 {
+		t.Fatalf("outstanding=%d free=%d after CancelAll", tt.Outstanding(), len(tt.free))
 	}
 	// The table must still work afterwards.
 	tag, ok := tt.Alloc(4, func(data []byte) { fired = len(data) == 4 })
@@ -225,4 +225,10 @@ func TestCancelAllReleasesTags(t *testing.T) {
 	if !fired {
 		t.Fatal("completion after CancelAll did not fire")
 	}
+}
+
+// deadFrom reports whether the direction out of from has been declared dead.
+func deadFrom(l *Link, from *Port) bool {
+	_, di := l.dir(from)
+	return l.dll.dirs[di].dead
 }

@@ -70,10 +70,6 @@ type LinkConfig struct {
 var (
 	// Gen2x8 is the configuration of all four PEACH2 ports: 4 GB/s raw.
 	Gen2x8 = LinkConfig{Gen: Gen2, Lanes: 8}
-	// Gen2x16 is the physical Port S connector (only 8 data lanes wired).
-	Gen2x16 = LinkConfig{Gen: Gen2, Lanes: 16}
-	// Gen3x8 is the InfiniBand NIC slot on the base cluster.
-	Gen3x8 = LinkConfig{Gen: Gen3, Lanes: 8}
 	// Gen3x16 is a GPU slot.
 	Gen3x16 = LinkConfig{Gen: Gen3, Lanes: 16}
 )

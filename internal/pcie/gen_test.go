@@ -63,7 +63,7 @@ func TestGen3x16BandwidthClass(t *testing.T) {
 }
 
 func TestLinkConfigValidate(t *testing.T) {
-	valid := []LinkConfig{Gen2x8, Gen2x16, Gen3x8, {Gen1, 1}, {Gen3, 32}}
+	valid := []LinkConfig{Gen2x8, {Gen2, 16}, {Gen3, 8}, {Gen1, 1}, {Gen3, 32}}
 	for _, c := range valid {
 		if err := c.Validate(); err != nil {
 			t.Errorf("Validate(%v) = %v, want nil", c, err)

@@ -44,9 +44,6 @@ func NewPort(owner Device, label string, role Role) *Port {
 // Owner returns the device the port belongs to.
 func (p *Port) Owner() Device { return p.owner }
 
-// Role reports which side of the link the port plays.
-func (p *Port) Role() Role { return p.role }
-
 // SetRole reconfigures the port's role. PEACH2's Port S is "selectable as RC
 // or EP" (§III-D); reconfiguration is only legal while disconnected.
 func (p *Port) SetRole(r Role) {
@@ -416,12 +413,6 @@ func (l *Link) pump(now sim.Time, d *linkDir, di int) {
 			return
 		}
 	}
-}
-
-// InFlight reports the occupied credit slots in the direction out of from.
-func (l *Link) InFlight(from *Port) int {
-	d, _ := l.dir(from)
-	return d.inFlight
 }
 
 // QueuedTLPs reports how many packets wait for credits in the direction out

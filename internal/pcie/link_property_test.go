@@ -97,7 +97,7 @@ func TestQuickLinkCreditBound(t *testing.T) {
 		dst.drain = 500 * units.Nanosecond
 		ok := true
 		dst.onTLP = func(now sim.Time, tlp *TLP, p *Port) {
-			if l.InFlight(pa) > credits {
+			if d, _ := l.dir(pa); d.inFlight > credits {
 				ok = false
 			}
 		}

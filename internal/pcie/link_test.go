@@ -224,7 +224,7 @@ func TestSetRoleOnlyWhileDisconnected(t *testing.T) {
 	// PEACH2's Port S switches RC/EP before link-up (§III-D).
 	p := NewPort(&sink{name: "S"}, "S", RoleEP)
 	p.SetRole(RoleRC)
-	if p.Role() != RoleRC {
+	if p.role != RoleRC {
 		t.Fatal("SetRole did not apply")
 	}
 	params := LinkParams{Config: Gen2x8}

@@ -27,11 +27,6 @@ package pcie
 // sink returns to the pool of the entity that produced it.
 type TLPPool struct {
 	free []*TLP
-
-	// gets and reuses count pool traffic so tests can assert that steady
-	// state stops allocating (reuses == gets after warmup).
-	gets   uint64
-	reuses uint64
 }
 
 // Get returns a zeroed TLP owned by the pool. The caller fills the public
@@ -39,24 +34,15 @@ type TLPPool struct {
 // by assigning Data directly when the bytes already have an owner) and
 // hands the packet into the fabric; the sink releases it.
 func (p *TLPPool) Get() *TLP {
-	p.gets++
 	if n := len(p.free) - 1; n >= 0 {
 		t := p.free[n]
 		p.free[n] = nil
 		p.free = p.free[:n]
 		t.pool = p
-		p.reuses++
 		return t
 	}
 	return &TLP{pool: p}
 }
-
-// Stats reports how many Gets the pool has served and how many of them were
-// satisfied by reuse instead of a fresh allocation.
-func (p *TLPPool) Stats() (gets, reuses uint64) { return p.gets, p.reuses }
-
-// Free reports how many TLPs sit in the free list.
-func (p *TLPPool) Free() int { return len(p.free) }
 
 // SetPayload copies data into the TLP's retained scratch buffer and points
 // Data at it. The copy decouples the packet from the caller's buffer; the

@@ -78,8 +78,8 @@ func FuzzRoute(f *testing.F) {
 				reference = append(reference, routeRule{r: r, target: i / 2})
 			}
 		}
-		if m.Len() != len(reference) {
-			t.Fatalf("map has %d windows, reference has %d", m.Len(), len(reference))
+		if len(m.entries) != len(reference) {
+			t.Fatalf("map has %d windows, reference has %d", len(m.entries), len(reference))
 		}
 
 		for _, a := range probes(probe, reference) {
@@ -104,10 +104,10 @@ func FuzzRoute(f *testing.F) {
 			if !gotRange.Contains(a) {
 				t.Fatalf("Lookup(%v) returned window %v that does not contain it", a, gotRange)
 			}
-			// LookupRange on a 1-byte slice at a must agree.
-			rt, rw, rok := m.LookupRange(Range{Base: a, Size: 1})
+			// lookupRange on a 1-byte slice at a must agree.
+			rt, rw, rok := m.lookupRange(Range{Base: a, Size: 1})
 			if !rok || rt.(int) != wantTarget || rw != wantRange {
-				t.Fatalf("LookupRange(%v+1) = (%v, %v, %t), want (%v, %v, true)",
+				t.Fatalf("lookupRange(%v+1) = (%v, %v, %t), want (%v, %v, true)",
 					a, rt, rw, rok, wantTarget, wantRange)
 			}
 		}

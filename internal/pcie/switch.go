@@ -108,9 +108,6 @@ func (s *Switch) MustAddDownstream(label string, w Range) *Port {
 	return p
 }
 
-// Downstream returns the downstream ports in creation order.
-func (s *Switch) Downstream() []*Port { return s.down }
-
 // Accept implements Device: route the packet and forward it after the
 // crossbar latency.
 func (s *Switch) Accept(now sim.Time, t *TLP, in *Port) units.Duration {
@@ -182,4 +179,11 @@ func (s *Switch) route(t *TLP, in *Port) *Port {
 	default:
 		panic(fmt.Sprintf("switch %s: unroutable TLP kind %v", s.name, t.Kind))
 	}
+}
+
+// Ports lists the switch's ports, upstream first, for bus scans.
+func (s *Switch) Ports() []*Port {
+	out := []*Port{s.up}
+	out = append(out, s.down...)
+	return out
 }

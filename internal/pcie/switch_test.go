@@ -27,7 +27,7 @@ func newSwitchFixture(t *testing.T) *switchFixture {
 	f.devA = &sink{name: "devA"}
 	f.devB = &sink{name: "devB"}
 	f.rootPort = NewPort(f.root, "dn", RoleRC)
-	MustConnect(f.eng, f.rootPort, f.sw.Upstream(), LinkParams{Config: Gen3x8})
+	MustConnect(f.eng, f.rootPort, f.sw.Upstream(), LinkParams{Config: LinkConfig{Gen: Gen3, Lanes: 8}})
 	dA := f.sw.MustAddDownstream("slot0", Range{Base: 0x1000_0000, Size: 0x1000_0000})
 	dB := f.sw.MustAddDownstream("slot1", Range{Base: 0x2000_0000, Size: 0x1000_0000})
 	f.portA = NewPort(f.devA, "up", RoleEP)

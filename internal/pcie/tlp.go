@@ -22,11 +22,6 @@ const (
 	// paper's test environment (§IV-A: "the maximum payload size is 256
 	// bytes").
 	DefaultMaxPayload units.ByteSize = 256
-
-	// DefaultMaxReadRequest bounds a single Memory Read Request. PCIe
-	// allows up to 4 KiB; the reference DMA design issues reads of at
-	// most this size and receives the data as a series of completions.
-	DefaultMaxReadRequest units.ByteSize = 512
 )
 
 // Kind enumerates the TLP types the model uses.
@@ -61,10 +56,6 @@ func (k Kind) String() string {
 		return fmt.Sprintf("Kind(%d)", int(k))
 	}
 }
-
-// Posted reports whether the kind is a posted transaction (fire-and-forget,
-// no completion expected).
-func (k Kind) Posted() bool { return k == MWr }
 
 // DeviceID identifies a requester/completer on the fabric (a compressed
 // bus/device/function triple).

@@ -186,9 +186,6 @@ func (c *Chip) DevName() string { return c.name }
 // ID reports the chip's requester ID.
 func (c *Chip) ID() pcie.DeviceID { return c.id }
 
-// Params returns the chip's parameters.
-func (c *Chip) Params() Params { return c.params }
-
 // Plan returns the chip's address plan.
 func (c *Chip) Plan() NodePlan { return c.plan }
 
@@ -210,8 +207,8 @@ func (c *Chip) NIOS() *NIOS { return c.nios }
 // buffer start, i.e. internal-block offset IntMemOffset).
 func (c *Chip) InternalMemory() *memory.RAM { return c.intMem }
 
-// IntMemGlobal returns the global bus address of internal-memory offset off.
-func (c *Chip) IntMemGlobal(off uint64) pcie.Addr {
+// intMemGlobal returns the global bus address of internal-memory offset off.
+func (c *Chip) intMemGlobal(off uint64) pcie.Addr {
 	return c.plan.Internal.Base + pcie.Addr(IntMemOffset+off)
 }
 
@@ -222,9 +219,6 @@ func (c *Chip) SetIRQHandler(fn func(now sim.Time)) { c.onIRQ = fn }
 // recovery timers (completion timeout, chain watchdog). A nil injector —
 // the default — leaves the chip on the exact pre-fault event schedule.
 func (c *Chip) AttachFaults(inj *fault.Injector) { c.faults = inj }
-
-// Faults returns the attached injector (nil on a perfect fabric).
-func (c *Chip) Faults() *fault.Injector { return c.faults }
 
 // PortUp reports whether a physical port is connected and its link alive —
 // what the NIOS health scan and the status register report.
@@ -305,33 +299,6 @@ func (c *Chip) flushParked() {
 			}
 		}
 	})
-}
-
-// PartialReconfigTime is how long the FPGA's partial reconfiguration of
-// the PCIe hard-IP takes when Port S switches between RC and EP. The paper
-// ships two full configuration images and notes that "dynamic switching for
-// the role of the port will be implemented because the partial
-// reconfiguration for PCIe IP is available in this FPGA" (§III-D); this is
-// that announced feature. Partial reconfiguration of a Stratix IV region is
-// a multi-millisecond operation.
-const PartialReconfigTime = 5 * units.Millisecond
-
-// ReconfigurePortS switches Port S between RC and EP through partial
-// reconfiguration; done fires when the port is usable in its new role. The
-// port must be disconnected (a connected link would be torn down by the
-// reconfiguration in reality; the model forbids it outright).
-func (c *Chip) ReconfigurePortS(role pcie.Role, done func(now sim.Time)) error {
-	if c.ports[PortS].Connected() {
-		return fmt.Errorf("peach2 %s: Port S reconfiguration requires link-down", c.name)
-	}
-	c.eng.AfterComp(c.comp, PartialReconfigTime, func() {
-		c.ports[PortS].SetRole(role)
-		c.nios.logEvent(fmt.Sprintf("port S reconfigured to %v", role))
-		if done != nil {
-			done(c.eng.Now())
-		}
-	})
-	return nil
 }
 
 // SetRoutes programs the routing rules directly (the driver equivalent of
@@ -803,8 +770,7 @@ func (c *Chip) Stats() Stats {
 	}
 }
 
-// Ports implements pcie.Enumerable for topology walks — and deliberately
-// exposes only Port N. The host's bus scan sees PEACH2 as an ordinary
+// Ports lists the ports a bus scan sees — deliberately only Port N. The host's bus scan sees PEACH2 as an ordinary
 // endpoint; the E/W/S ring links are invisible to configuration space, so
 // "the link state with the other node has no impact on the connection
 // between the host and the PEACH2 chip" (§V). Contrast ntb.Bridge.

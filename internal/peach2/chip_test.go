@@ -2,6 +2,7 @@ package peach2
 
 import (
 	"encoding/binary"
+	"strings"
 	"testing"
 
 	"tca/internal/pcie"
@@ -180,7 +181,7 @@ func TestChipUnroutableAddressPanics(t *testing.T) {
 
 func TestChipInternalMemoryWriteAndRead(t *testing.T) {
 	f := newChipFixture(t)
-	dst := f.chip.IntMemGlobal(0x40)
+	dst := f.chip.intMemGlobal(0x40)
 	f.hostPort().Send(0, &pcie.TLP{Kind: pcie.MWr, Addr: dst, Data: []byte("buffer bytes")})
 	f.eng.Run()
 	got, err := f.chip.InternalMemory().ReadBytes(0x40, 12)
@@ -298,12 +299,12 @@ func TestNIOSMonitoring(t *testing.T) {
 	if st.Events != 2 {
 		t.Fatalf("events = %d, want 2", st.Events)
 	}
-	f.chip.NIOS().Stop()
+	f.chip.NIOS().stop()
 	f.eng.RunFor(10 * units.Microsecond)
 	after := f.chip.NIOS().Status().Scans
 	f.eng.RunFor(10 * units.Microsecond)
 	if f.chip.NIOS().Status().Scans != after {
-		t.Fatal("NIOS kept scanning after Stop")
+		t.Fatal("NIOS kept scanning after stop")
 	}
 }
 
@@ -320,10 +321,10 @@ func TestNIOSStartValidation(t *testing.T) {
 func TestChipPortAccessors(t *testing.T) {
 	eng := sim.NewEngine()
 	chip := New(eng, "c", 1, DefaultParams, testPlan(0))
-	if chip.Port(PortN).Role() != pcie.RoleEP {
+	if !strings.HasSuffix(chip.Port(PortN).String(), "(EP)") {
 		t.Fatal("Port N must be an endpoint toward the host")
 	}
-	if chip.Port(PortE).Role() != pcie.RoleEP || chip.Port(PortW).Role() != pcie.RoleRC {
+	if !strings.HasSuffix(chip.Port(PortE).String(), "(EP)") || !strings.HasSuffix(chip.Port(PortW).String(), "(RC)") {
 		t.Fatal("E must be EP and W must be RC (§III-D)")
 	}
 	defer func() {

@@ -146,7 +146,6 @@ type DMAC struct {
 	// reaped by the watchdog.
 	chainGen uint64
 	lastErr  error
-	errs     uint64
 	stuck    bool
 
 	// Stats.
@@ -795,7 +794,6 @@ func (d *DMAC) failChain(err error) {
 		return
 	}
 	d.chip.faults.NoteChainError()
-	d.errs++
 	d.mErrs.Inc()
 	d.lastErr = fmt.Errorf("peach2 %s: %v", d.chip.name, err)
 	d.chip.nios.logEvent(fmt.Sprintf("dmac chain aborted: %v", err))
@@ -821,9 +819,6 @@ func (d *DMAC) failChain(err error) {
 // LastChainError reports the most recent chain's error (nil after a clean
 // completion — resetChain clears it at the next doorbell).
 func (d *DMAC) LastChainError() error { return d.lastErr }
-
-// ChainErrors reports how many chains have been aborted.
-func (d *DMAC) ChainErrors() uint64 { return d.errs }
 
 // handleCompletion feeds a completion arriving on Port N into the tag
 // table. Under fault injection a completion can legitimately miss — its
@@ -885,6 +880,3 @@ func (d *DMAC) maybeComplete() {
 	d.txn = 0
 	d.chip.raiseIRQ(d.lastTxn)
 }
-
-// ChainsCompleted reports how many chains have finished.
-func (d *DMAC) ChainsCompleted() uint64 { return d.chains }

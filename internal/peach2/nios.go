@@ -67,8 +67,8 @@ func (n *NIOS) Start(interval units.Duration) {
 	n.chip.eng.AfterComp(n.chip.comp, interval, n.scan)
 }
 
-// Stop halts monitoring after the next scan.
-func (n *NIOS) Stop() { n.running = false }
+// stop halts monitoring after the next scan.
+func (n *NIOS) stop() { n.running = false }
 
 func (n *NIOS) scan() {
 	if !n.running {
@@ -113,9 +113,6 @@ func (n *NIOS) NoteFailover(cut int) {
 func (n *NIOS) NoteFailoverAbort(err error) {
 	n.logEvent(fmt.Sprintf("failover aborted: %v", err))
 }
-
-// Failovers reports how many reroutes this controller completed.
-func (n *NIOS) Failovers() uint64 { return n.failovers }
 
 func linkWord(up bool) string {
 	if up {
@@ -168,11 +165,11 @@ func (n *NIOS) statusWord() uint64 {
 	return w
 }
 
-// Execute processes a management-console command line as the board's
+// execute processes a management-console command line as the board's
 // RS-232C / Gigabit Ethernet side channel would ("Gigabit Ethernet and
 // RS-232C are equipped for communication with the NIOS processor",
 // §III-D). Supported commands: status, counters, log, routes, help.
-func (n *NIOS) Execute(cmd string) (string, error) {
+func (n *NIOS) execute(cmd string) (string, error) {
 	switch strings.TrimSpace(cmd) {
 	case "help", "":
 		return "commands: status counters log routes help", nil

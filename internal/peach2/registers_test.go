@@ -100,7 +100,7 @@ func TestChipStatsCounters(t *testing.T) {
 	f := newChipFixture(t)
 	remote := pcie.Addr(0x80_0000_0000 + uint64(64<<30) + 0x40)
 	f.hostPort().Send(0, &pcie.TLP{Kind: pcie.MWr, Addr: remote, Data: []byte{1}})
-	f.hostPort().Send(0, &pcie.TLP{Kind: pcie.MWr, Addr: f.chip.IntMemGlobal(0), Data: []byte{2}})
+	f.hostPort().Send(0, &pcie.TLP{Kind: pcie.MWr, Addr: f.chip.intMemGlobal(0), Data: []byte{2}})
 	f.eng.Run()
 	st := f.chip.Stats()
 	if st.Forwarded[PortE] != 1 {
@@ -116,7 +116,7 @@ func TestChipStatsCounters(t *testing.T) {
 
 func TestIntMemGlobalRoundTrip(t *testing.T) {
 	f := newChipFixture(t)
-	a := f.chip.IntMemGlobal(0x1234)
+	a := f.chip.intMemGlobal(0x1234)
 	if !f.chip.plan.Internal.Contains(a) {
 		t.Fatal("IntMemGlobal outside the internal block")
 	}
@@ -143,28 +143,28 @@ func TestNIOSConsole(t *testing.T) {
 	f.hostPort().Send(0, &pcie.TLP{Kind: pcie.MWr, Addr: remote, Data: []byte{1}})
 	f.eng.Run()
 
-	out, err := f.chip.NIOS().Execute("status")
+	out, err := f.chip.NIOS().execute("status")
 	if err != nil || !strings.Contains(out, "dmac=idle") {
 		t.Fatalf("status = %q, %v", out, err)
 	}
-	out, err = f.chip.NIOS().Execute("counters")
+	out, err = f.chip.NIOS().execute("counters")
 	if err != nil || !strings.Contains(out, "E=1") {
 		t.Fatalf("counters = %q, %v", out, err)
 	}
-	out, err = f.chip.NIOS().Execute("routes")
+	out, err = f.chip.NIOS().execute("routes")
 	if err != nil || !strings.Contains(out, "-> E") {
 		t.Fatalf("routes = %q, %v", out, err)
 	}
-	if _, err := f.chip.NIOS().Execute("reboot"); err == nil {
+	if _, err := f.chip.NIOS().execute("reboot"); err == nil {
 		t.Fatal("unknown command accepted")
 	}
-	if out, err := f.chip.NIOS().Execute("help"); err != nil || out == "" {
+	if out, err := f.chip.NIOS().execute("help"); err != nil || out == "" {
 		t.Fatal("help broken")
 	}
 	// The log command reflects recorded events once monitoring ran.
 	f.chip.NIOS().Start(units.Microsecond)
 	f.eng.RunFor(3 * units.Microsecond)
-	out, err = f.chip.NIOS().Execute("log")
+	out, err = f.chip.NIOS().execute("log")
 	if err != nil || !strings.Contains(out, "link up") {
 		t.Fatalf("log = %q, %v", out, err)
 	}
@@ -190,7 +190,7 @@ func TestNIOSLogEvictsOldest(t *testing.T) {
 			t.Fatalf("Events()[%d] = %q, want %q", i, e.What, want(i))
 		}
 	}
-	out, err := n.Execute("log")
+	out, err := n.execute("log")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -131,19 +131,6 @@ func (p *Profiler) Detach() {
 	p.eng = nil
 }
 
-// Reset clears all accumulated counts and timings, keeping registrations,
-// so one profiler can measure several phases separately.
-func (p *Profiler) Reset() {
-	if p == nil {
-		return
-	}
-	for i := range p.comps {
-		p.comps[i].events, p.comps[i].sampled, p.comps[i].sampledNS = 0, 0, 0
-	}
-	p.seq = 0
-	p.hostNS = 0
-}
-
 // RecordHostSeries registers a "host_time" series on tl and streams the
 // profiler's cumulative host time (µs) into it at every timed event,
 // stamped with the engine's sim time. In the Perfetto export this becomes a
@@ -188,27 +175,6 @@ func (p *Profiler) ExecEvent(id sim.CompID, fn func()) {
 	if p.hostSeries != nil {
 		p.hostSeries.Append(p.eng.Now(), float64(p.hostNS)/1e3)
 	}
-}
-
-// Events reports the total executed events the profiler observed.
-func (p *Profiler) Events() uint64 {
-	if p == nil {
-		return 0
-	}
-	var n uint64
-	for i := range p.comps {
-		n += p.comps[i].events
-	}
-	return n
-}
-
-// HostNS reports the summed host time of all timed samples (not
-// extrapolated).
-func (p *Profiler) HostNS() int64 {
-	if p == nil {
-		return 0
-	}
-	return p.hostNS
 }
 
 // ComponentStats is one component's aggregated host-time attribution.

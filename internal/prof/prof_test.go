@@ -35,8 +35,7 @@ func TestNilProfilerIsDisabled(t *testing.T) {
 	}
 	p.Attach(sim.NewEngine())
 	p.Detach()
-	p.Reset()
-	if p.Events() != 0 || p.HostNS() != 0 || p.Components() != nil {
+	if p.Components() != nil {
 		t.Fatal("nil profiler reported data")
 	}
 	if s := p.RecordHostSeries(&obsv.Timeline{}, 16); s != nil {
@@ -60,8 +59,12 @@ func TestComponentAttributionCounts(t *testing.T) {
 	eng.Run()
 	p.Detach()
 
-	if got := p.Events(); got != 15 {
-		t.Fatalf("Events() = %d, want 15", got)
+	var got uint64
+	for _, c := range p.comps {
+		got += c.events
+	}
+	if got != 15 {
+		t.Fatalf("events = %d, want 15", got)
 	}
 	comps := p.Components()
 	byName := map[string]ComponentStats{}
@@ -156,7 +159,7 @@ func TestHostSeriesFeedsTimeline(t *testing.T) {
 	p.Attach(eng)
 	workload(eng, []sim.CompID{p.Component("a")}, 20)
 	eng.Run()
-	if s.Len() == 0 {
+	if len(s.Samples()) == 0 {
 		t.Fatal("host series stayed empty")
 	}
 	got := tl.Find("host_time", "prof", "")

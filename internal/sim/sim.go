@@ -206,10 +206,6 @@ func (e *Engine) ResetQueueHighWater() { e.hiWater = len(e.queue) }
 // wrapper observes is exactly the order the bare engine would execute.
 func (e *Engine) SetExecutor(x Executor) { e.exec = x }
 
-// CurrentComp reports the component tag of the executing event (0 between
-// events) — the tag plain At/After calls inherit.
-func (e *Engine) CurrentComp() CompID { return e.curComp }
-
 // At schedules fn to run at absolute time t, attributed to the component of
 // the currently executing event (untagged at the top level). Scheduling in
 // the past is a model bug, so it panics rather than silently reordering
@@ -426,9 +422,9 @@ func (e *Engine) RunUntil(deadline Time) {
 // RunFor executes events for d of simulated time from now.
 func (e *Engine) RunFor(d units.Duration) { e.RunUntil(e.now.Add(d)) }
 
-// Stop aborts a Run/RunUntil in progress after the current event handler
+// stop aborts a Run/RunUntil in progress after the current event handler
 // returns. Queued events are preserved.
-func (e *Engine) Stop() { e.stopped = true }
+func (e *Engine) stop() { e.stopped = true }
 
 // Serializer models an exclusive resource that services work in FIFO order —
 // a link transmitting one packet at a time, a DMA engine issuing one TLP per
@@ -455,5 +451,5 @@ func (s *Serializer) Reserve(now Time, dur units.Duration) Time {
 // NextFree reports when the resource becomes idle again.
 func (s *Serializer) NextFree() Time { return s.nextFree }
 
-// Busy reports whether the resource is occupied at time now.
-func (s *Serializer) Busy(now Time) bool { return s.nextFree > now }
+// busy reports whether the resource is occupied at time now.
+func (s *Serializer) busy(now Time) bool { return s.nextFree > now }

@@ -144,7 +144,7 @@ func TestStopAbortsRun(t *testing.T) {
 		e.At(Time(i), func() {
 			count++
 			if count == 3 {
-				e.Stop()
+				e.stop()
 			}
 		})
 	}
@@ -244,11 +244,11 @@ func TestSerializerFIFO(t *testing.T) {
 func TestSerializerBusy(t *testing.T) {
 	var s Serializer
 	s.Reserve(0, 100)
-	if !s.Busy(50) {
-		t.Fatal("Busy(50) = false during reservation")
+	if !s.busy(50) {
+		t.Fatal("busy(50) = false during reservation")
 	}
-	if s.Busy(100) {
-		t.Fatal("Busy(100) = true at exact release time")
+	if s.busy(100) {
+		t.Fatal("busy(100) = true at exact release time")
 	}
 }
 
@@ -346,8 +346,8 @@ func TestComponentTagInheritance(t *testing.T) {
 			t.Fatalf("comps = %v, want %v", x.comps, want)
 		}
 	}
-	if e.CurrentComp() != 0 {
-		t.Fatalf("CurrentComp() = %d between events, want 0", e.CurrentComp())
+	if e.curComp != 0 {
+		t.Fatalf("curComp = %d between events, want 0", e.curComp)
 	}
 }
 
@@ -480,7 +480,7 @@ func TestStopThenRerunResumesBitIdentically(t *testing.T) {
 			got = append(got, step{id, e.Now()})
 			count++
 			if interrupt && count == 4 {
-				e.Stop()
+				e.stop()
 			}
 		})
 		if _, reason := e.Run(); interrupt && reason != StopRequested {

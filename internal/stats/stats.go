@@ -102,8 +102,8 @@ func (s Summary) WriteTable(w io.Writer) {
 	}
 }
 
-// RelativeError reports |got-want|/|want|.
-func RelativeError(got, want float64) float64 {
+// relativeError reports |got-want|/|want|.
+func relativeError(got, want float64) float64 {
 	if want == 0 {
 		if got == 0 {
 			return 0
@@ -111,9 +111,4 @@ func RelativeError(got, want float64) float64 {
 		return math.Inf(1)
 	}
 	return math.Abs(got-want) / math.Abs(want)
-}
-
-// Within reports whether got is within frac of want.
-func Within(got, want, frac float64) bool {
-	return RelativeError(got, want) <= frac
 }

@@ -41,19 +41,19 @@ func TestSummarizeEmptyPanics(t *testing.T) {
 }
 
 func TestRelativeErrorAndWithin(t *testing.T) {
-	if e := RelativeError(3.3, 3.0); math.Abs(e-0.1) > 1e-12 {
-		t.Fatalf("RelativeError = %v", e)
+	if e := relativeError(3.3, 3.0); math.Abs(e-0.1) > 1e-12 {
+		t.Fatalf("relativeError = %v", e)
 	}
-	if RelativeError(0, 0) != 0 {
+	if relativeError(0, 0) != 0 {
 		t.Fatal("0/0 should be 0")
 	}
-	if !math.IsInf(RelativeError(1, 0), 1) {
+	if !math.IsInf(relativeError(1, 0), 1) {
 		t.Fatal("x/0 should be +Inf")
 	}
-	if !Within(782, 800, 0.05) {
+	if relativeError(782, 800) > 0.05 {
 		t.Fatal("782 should be within 5% of 800")
 	}
-	if Within(600, 800, 0.05) {
+	if relativeError(600, 800) <= 0.05 {
 		t.Fatal("600 should not be within 5% of 800")
 	}
 }

@@ -13,7 +13,7 @@ import (
 // between the host and the PEACH2 chip" — a dead cable degrades the ring
 // into a line instead of rebooting hosts. The NIOS management controllers
 // detect the dead link (replay exhaustion in the data-link layer) and the
-// management plane reprograms the Fig. 5 registers; RingRoutesAvoiding
+// management plane reprograms the Fig. 5 registers; ringRoutesAvoidingIn
 // computes those replacement rules and SubCluster.RerouteAvoidingCut
 // applies them — at build time for static avoidance or mid-run through
 // EnableAutoFailover (faultinject.go).
@@ -24,22 +24,16 @@ import (
 // the host/IB path) instead of crashing the chip model.
 var ErrRouteRulesOverflow = errors.New("tcanet: avoidance rules exceed the route register file")
 
-// RingRoutesAvoiding computes node i's routing rules when the eastward
+// ringRoutesAvoidingIn computes node i's routing rules when the eastward
 // cable out of node cut (the link cut→cut+1) must not be used: every
 // destination routes along the surviving arc. With a single cut the ring
 // is a line, so exactly one direction works for each destination. Returns
 // an error wrapping ErrRouteRulesOverflow when the line's rules do not fit
 // the register file.
-func (p Plan) RingRoutesAvoiding(i, cut int) ([]peach2.RouteRule, error) {
-	p.checkNode(i)
-	p.checkNode(cut)
-	return p.ringRoutesAvoidingIn(0, p.nodes, i, cut, nil)
-}
-
-// ringRoutesAvoidingIn is RingRoutesAvoiding generalized to a k-node ring
-// spanning nodes [base, base+k) of the plan — the dual-ring case, where
-// each ring fails over independently and every chip must also keep its
-// extra rules (the Port-S coupling) intact. i and cut are global node IDs
+//
+// The ring is the k nodes [base, base+k) of the plan, so in a dual ring
+// each ring fails over independently and every chip keeps its extra
+// rules (the Port-S coupling) intact. i and cut are global node IDs
 // inside the ring; extra rules count against the register budget.
 func (p Plan) ringRoutesAvoidingIn(base, k, i, cut int, extra []peach2.RouteRule) ([]peach2.RouteRule, error) {
 	local, cutLocal := i-base, cut-base

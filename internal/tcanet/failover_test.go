@@ -3,7 +3,6 @@ package tcanet
 import (
 	"testing"
 
-	"tca/internal/pcie"
 	"tca/internal/peach2"
 	"tca/internal/sim"
 )
@@ -12,12 +11,12 @@ func TestRingRoutesAvoidingNeverUsesCutLink(t *testing.T) {
 	// n=2 is the degenerate ring (the cut leaves exactly one cable); every
 	// cut position also exercises cuts adjacent to the source on both sides.
 	for _, n := range []int{2, 3, 4, 8, 16} {
-		p := MustPlan(n)
+		p := mustPlan(n)
 		for cut := 0; cut < n; cut++ {
 			rules := map[int][]peach2.RouteRule{}
 			for i := 0; i < n; i++ {
 				var err error
-				rules[i], err = p.RingRoutesAvoiding(i, cut)
+				rules[i], err = p.ringRoutesAvoidingIn(0, n, i, cut, nil)
 				if err != nil {
 					t.Fatalf("n=%d cut=%d node=%d: %v", n, cut, i, err)
 				}
@@ -98,54 +97,5 @@ func TestRerouteAvoidingCutKeepsTrafficFlowing(t *testing.T) {
 	// still works.
 	if !sc.Chip(0).Port(peach2.PortN).Connected() {
 		t.Fatal("host link lost")
-	}
-}
-
-func TestReconfigurePortS(t *testing.T) {
-	eng := sim.NewEngine()
-	sc, err := BuildRing(eng, 2, DefaultParams) // ring leaves S disconnected
-	if err != nil {
-		t.Fatal(err)
-	}
-	chip := sc.Chip(0)
-	if chip.Port(peach2.PortS).Role() != pcie.RoleEP {
-		t.Fatal("S should default to EP")
-	}
-	var at sim.Time
-	if err := chip.ReconfigurePortS(pcie.RoleRC, func(now sim.Time) { at = now }); err != nil {
-		t.Fatal(err)
-	}
-	eng.Run()
-	if chip.Port(peach2.PortS).Role() != pcie.RoleRC {
-		t.Fatal("role did not switch")
-	}
-	if at < sim.Time(peach2.PartialReconfigTime) {
-		t.Fatalf("reconfiguration completed at %v — partial-reconfig time missing", at)
-	}
-	// The NIOS log records the event.
-	found := false
-	for _, e := range chip.NIOS().Events() {
-		if e.What == "port S reconfigured to RC" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("NIOS log missing the reconfiguration event")
-	}
-	// And the reconfigured port can now be cabled as RC.
-	peer := sc.Chip(1)
-	if _, err := pcie.Connect(eng, chip.Port(peach2.PortS), peer.Port(peach2.PortS), pcie.LinkParams{Config: pcie.Gen2x8}); err != nil {
-		t.Fatalf("post-reconfiguration connect failed: %v", err)
-	}
-}
-
-func TestReconfigurePortSRejectsConnectedPort(t *testing.T) {
-	eng := sim.NewEngine()
-	sc, err := BuildDualRing(eng, 2, DefaultParams) // S ports in use
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sc.Chip(0).ReconfigurePortS(pcie.RoleEP, nil); err == nil {
-		t.Fatal("reconfiguration of a connected Port S accepted")
 	}
 }

@@ -74,7 +74,7 @@ func TestRingRoutesAvoidingOverflowReturnsTaggedError(t *testing.T) {
 	// A dual-ring chip carries one S rule plus the avoidance arcs; shrink
 	// the budget artificially by passing many extra rules so the register
 	// file overflows, and check the error is tagged for the NIOS to match.
-	p := MustPlan(16)
+	p := mustPlan(16)
 	extra := make([]peach2.RouteRule, peach2.MaxRouteRules)
 	_, err := p.ringRoutesAvoidingIn(0, 16, 3, 7, extra)
 	if err == nil {
@@ -142,7 +142,7 @@ func TestLiveFailover(t *testing.T) {
 	if c.Failovers != 1 {
 		t.Fatalf("failovers = %d, want exactly 1 (both cable ends report the same cut)", c.Failovers)
 	}
-	if sc.Chip(1).NIOS().Failovers()+sc.Chip(2).NIOS().Failovers() != 1 {
+	if sc.Chip(1).NIOS().Status().Failovers+sc.Chip(2).NIOS().Status().Failovers != 1 {
 		t.Fatal("no NIOS recorded the reroute")
 	}
 	// Post-failover, 0→2 goes the long way west; the dead cable's E

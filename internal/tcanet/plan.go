@@ -61,18 +61,6 @@ func NewPlan(n int) (Plan, error) {
 	return Plan{nodes: n, windowSize: w, blockSize: w / BlocksPerNode}, nil
 }
 
-// MustPlan is NewPlan for static configurations.
-func MustPlan(n int) Plan {
-	p, err := NewPlan(n)
-	if err != nil {
-		panic(fmt.Sprintf("tcanet: MustPlan(%d): %v", n, err))
-	}
-	return p
-}
-
-// Nodes reports the sub-cluster size.
-func (p Plan) Nodes() int { return p.nodes }
-
 // Region returns the whole TCA window.
 func (p Plan) Region() pcie.Range {
 	return pcie.Range{Base: RegionBase, Size: RegionSize}

@@ -23,12 +23,12 @@ func TestNewPlanBounds(t *testing.T) {
 
 func TestPlanWindowsAlignedDisjointOrdered(t *testing.T) {
 	for _, n := range []int{2, 3, 4, 8, 16} {
-		p := MustPlan(n)
+		p := mustPlan(n)
 		region := p.Region()
 		var prev pcie.Range
 		for i := 0; i < n; i++ {
 			w := p.NodeWindow(i)
-			if !w.Aligned() {
+			if !selfAligned(w) {
 				t.Fatalf("n=%d node %d window %v not self-aligned", n, i, w)
 			}
 			if !region.ContainsRange(w) {
@@ -48,13 +48,13 @@ func TestPlanWindowsAlignedDisjointOrdered(t *testing.T) {
 }
 
 func TestPlanBlocksPartitionWindow(t *testing.T) {
-	p := MustPlan(4)
+	p := mustPlan(4)
 	for i := 0; i < 4; i++ {
 		w := p.NodeWindow(i)
 		var total uint64
 		for b := 0; b < BlocksPerNode; b++ {
 			blk := p.Block(i, b)
-			if !blk.Aligned() {
+			if !selfAligned(blk) {
 				t.Fatalf("block %d/%d %v not aligned", i, b, blk)
 			}
 			if !w.ContainsRange(blk) {
@@ -69,7 +69,7 @@ func TestPlanBlocksPartitionWindow(t *testing.T) {
 }
 
 func TestPlanClassOf(t *testing.T) {
-	p := MustPlan(4)
+	p := mustPlan(4)
 	cases := []struct {
 		a    pcie.Addr
 		want peach2.BlockClass
@@ -91,7 +91,7 @@ func TestPlanClassOf(t *testing.T) {
 }
 
 func TestPlanNodeOf(t *testing.T) {
-	p := MustPlan(3) // 3 nodes in 4 power-of-two slots: slot 3 unmapped
+	p := mustPlan(3) // 3 nodes in 4 power-of-two slots: slot 3 unmapped
 	for i := 0; i < 3; i++ {
 		w := p.NodeWindow(i)
 		for _, a := range []pcie.Addr{w.Base, w.Base + pcie.Addr(w.Size/2), w.End() - 1} {
@@ -108,7 +108,7 @@ func TestPlanNodeOf(t *testing.T) {
 }
 
 func TestPlanAckAddrInsideInternalBlock(t *testing.T) {
-	p := MustPlan(8)
+	p := mustPlan(8)
 	for i := 0; i < 8; i++ {
 		if !p.InternalBlock(i).Contains(p.AckAddr(i)) {
 			t.Fatalf("node %d ack addr outside its internal block", i)
@@ -117,7 +117,7 @@ func TestPlanAckAddrInsideInternalBlock(t *testing.T) {
 }
 
 func TestGPUBlockRejectsFarSocketGPUs(t *testing.T) {
-	p := MustPlan(4)
+	p := mustPlan(4)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("GPUBlock(_, 2) did not panic — PEACH2 reaches only GPU0/GPU1")
@@ -131,7 +131,7 @@ func TestGPUBlockRejectsFarSocketGPUs(t *testing.T) {
 // the hop count, or -1 on a routing failure/loop.
 func simulateRoute(p Plan, rules map[int][]peach2.RouteRule, src int, a pcie.Addr, ringNext func(i int, out peach2.PortID) int) int {
 	cur := src
-	for hops := 0; hops <= p.Nodes()+2; hops++ {
+	for hops := 0; hops <= p.nodes+2; hops++ {
 		if p.NodeWindow(cur).Contains(a) {
 			return hops
 		}
@@ -152,7 +152,7 @@ func simulateRoute(p Plan, rules map[int][]peach2.RouteRule, src int, a pcie.Add
 
 func TestRingRoutesReachEveryNodeViaShortestArc(t *testing.T) {
 	for _, n := range []int{2, 3, 4, 5, 8, 16} {
-		p := MustPlan(n)
+		p := mustPlan(n)
 		rules := map[int][]peach2.RouteRule{}
 		for i := 0; i < n; i++ {
 			rs := p.RingRoutes(i)
@@ -196,7 +196,7 @@ func TestRingRoutesReachEveryNodeViaShortestArc(t *testing.T) {
 // Property: any address anywhere in a destination window routes identically
 // to the window base (the compare-only router never looks at low bits).
 func TestQuickRingRoutesIgnoreLowBits(t *testing.T) {
-	p := MustPlan(8)
+	p := mustPlan(8)
 	rules := map[int][]peach2.RouteRule{}
 	for i := 0; i < 8; i++ {
 		rules[i] = p.RingRoutes(i)
@@ -249,4 +249,19 @@ func TestIdRanges(t *testing.T) {
 			}
 		}
 	}
+}
+
+// selfAligned reports whether r is a power-of-two window on a multiple of
+// its own size — the property PEACH2's compare-only routing requires.
+func selfAligned(r pcie.Range) bool {
+	return r.Size != 0 && r.Size&(r.Size-1) == 0 && uint64(r.Base)%r.Size == 0
+}
+
+// mustPlan is NewPlan for the fixed sizes the tests use.
+func mustPlan(n int) Plan {
+	p, err := NewPlan(n)
+	if err != nil {
+		panic(err)
+	}
+	return p
 }

@@ -353,20 +353,6 @@ type Loopback struct {
 	Plan  Plan
 }
 
-// Instrument attaches the loopback rig — its node, both chips, and all
-// links — to an observability set.
-func (lb *Loopback) Instrument(set *obsv.Set) {
-	lb.Node.Instrument(set)
-	instrumentChips(set, lb.ChipA, lb.ChipB)
-}
-
-// Profile registers the loopback rig's node, chips, and links with an
-// engine profiler. Safe with a nil profiler.
-func (lb *Loopback) Profile(p *prof.Profiler) {
-	lb.Node.Profile(p)
-	profileChips(p, lb.ChipA, lb.ChipB)
-}
-
 // BuildLoopback assembles the rig.
 func BuildLoopback(eng *sim.Engine, prm Params) (*Loopback, error) {
 	plan, err := NewPlan(2)

@@ -327,7 +327,7 @@ func TestDMAChainMultipleDescriptors(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatal("chained transfer corrupted data")
 	}
-	if sc.Chip(0).DMAC().ChainsCompleted() != 1 {
+	if sc.Chip(0).Stats().DMAChains != 1 {
 		t.Fatal("chain counter wrong")
 	}
 }

