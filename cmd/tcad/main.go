@@ -16,6 +16,7 @@ import (
 	"context"
 	"errors"
 	"flag"
+	"fmt"
 	"log"
 	"net/http"
 	"os"
@@ -28,46 +29,29 @@ import (
 )
 
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Args[1:]))
 }
 
-func run() int {
-	var (
-		addr        = flag.String("addr", ":7421", "listen address")
-		workers     = flag.Int("workers", 0, "worker goroutines (0 = GOMAXPROCS)")
-		queueCap    = flag.Int("queue", 256, "admission queue capacity per priority lane")
-		retries     = flag.Int("retries", 2, "max retries for panicking/transient jobs before quarantine")
-		maxEvents   = flag.Uint64("max-events", 50_000_000, "default per-job engine event budget")
-		maxHost     = flag.Duration("max-host", 30*time.Second, "default per-job host wall-clock budget")
-		verifyEvery = flag.Int("verify-every", 0, "re-verify every Nth cache hit against a fresh run (0 = off)")
-		checkpoint  = flag.String("checkpoint", "", "path for the drain checkpoint (empty = no checkpointing)")
-		drainGrace  = flag.Duration("drain-grace", 30*time.Second, "how long a drain waits for in-flight jobs")
-	)
-	flag.Parse()
-
+func run(args []string) int {
+	cfg, addr, err := parseFlags(args)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "tcad: %v\n", err)
+		return 2
+	}
 	logger := log.New(os.Stderr, "tcad: ", log.LstdFlags)
-	srv, err := tcad.New(tcad.Config{
-		Workers:          *workers,
-		QueueCap:         *queueCap,
-		MaxRetries:       *retries,
-		DefaultMaxEvents: *maxEvents,
-		DefaultMaxHost:   *maxHost,
-		VerifyEvery:      *verifyEvery,
-		CheckpointPath:   *checkpoint,
-		DrainGrace:       *drainGrace,
-		Logf: func(format string, args ...any) {
-			logger.Printf(format, args...)
-		},
-	})
+	cfg.Logf = func(format string, args ...any) {
+		logger.Printf(format, args...)
+	}
+	srv, err := tcad.New(cfg)
 	if err != nil {
 		logger.Printf("startup failed: %v", err)
 		return 1
 	}
 
-	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler()}
+	httpSrv := &http.Server{Addr: addr, Handler: srv.Handler()}
 	errCh := make(chan error, 1)
 	go func() {
-		logger.Printf("serving on %s (%d workers, queue %d/lane)", *addr, effectiveWorkers(*workers), *queueCap)
+		logger.Printf("serving on %s (%d workers, queue %d/lane)", addr, effectiveWorkers(cfg.Workers), cfg.QueueCap)
 		errCh <- httpSrv.ListenAndServe()
 	}()
 
@@ -79,7 +63,7 @@ func run() int {
 		srv.Close()
 		return 1
 	case s := <-sig:
-		logger.Printf("received %v, draining (grace %v)", s, *drainGrace)
+		logger.Printf("received %v, draining (grace %v)", s, cfg.DrainGrace)
 	}
 
 	// Drain protocol: stop admitting (readyz flips to 503 immediately),
@@ -99,6 +83,43 @@ func run() int {
 	}
 	logger.Printf("drained, exiting")
 	return 0
+}
+
+// parseFlags turns the command line into the server config and the listen
+// address. Counts and durations must not be negative. -retries 0 means no
+// retries; tcad.Config spells that as a negative MaxRetries, because its
+// zero value selects the default.
+func parseFlags(args []string) (tcad.Config, string, error) {
+	fs := flag.NewFlagSet(os.Args[0], flag.ExitOnError)
+	var (
+		addr        = fs.String("addr", ":7421", "listen address")
+		workers     = fs.Int("workers", 0, "worker goroutines (0 = GOMAXPROCS)")
+		queueCap    = fs.Int("queue", 256, "admission queue capacity per priority lane")
+		retries     = fs.Int("retries", 2, "max retries for panicking/transient jobs before quarantine")
+		maxEvents   = fs.Uint64("max-events", 50_000_000, "default per-job engine event budget")
+		maxHost     = fs.Duration("max-host", 30*time.Second, "default per-job host wall-clock budget")
+		verifyEvery = fs.Int("verify-every", 0, "re-verify every Nth cache hit against a fresh run (0 = off)")
+		checkpoint  = fs.String("checkpoint", "", "path for the drain checkpoint (empty = no checkpointing)")
+		drainGrace  = fs.Duration("drain-grace", 30*time.Second, "how long a drain waits for in-flight jobs")
+	)
+	fs.Parse(args)
+	if *workers < 0 || *queueCap < 0 || *retries < 0 || *verifyEvery < 0 || *drainGrace < 0 {
+		return tcad.Config{}, "", errors.New("-workers, -queue, -retries, -verify-every and -drain-grace must not be negative")
+	}
+	maxRetries := *retries
+	if maxRetries == 0 {
+		maxRetries = -1
+	}
+	return tcad.Config{
+		Workers:          *workers,
+		QueueCap:         *queueCap,
+		MaxRetries:       maxRetries,
+		DefaultMaxEvents: *maxEvents,
+		DefaultMaxHost:   *maxHost,
+		VerifyEvery:      *verifyEvery,
+		CheckpointPath:   *checkpoint,
+		DrainGrace:       *drainGrace,
+	}, *addr, nil
 }
 
 func effectiveWorkers(n int) int {

@@ -18,14 +18,14 @@
 //	                from one component domain only (or under a lock)
 //	lockorder       nested mutexes follow one global acquisition order;
 //	                fields written under a lock are not read without it
-//	deadexport      every exported name has a non-test reference
-//	                somewhere in the module
+//	deadcode        every package-level name, exported or not, has a
+//	                non-test reference somewhere in the module
 //
 // poolsafety, sharedstate and lockorder use cross-package facts: a marker
 // or edge discovered in a type's defining package travels with it into
 // every importer, so the whole module is loaded in dependency order and
 // fact-producing analyzers run over all of it even when only a subset of
-// packages is requested. deadexport runs once, after the per-package
+// packages is requested. deadcode runs once, after the per-package
 // passes, over the whole module.
 //
 // Usage:
@@ -48,7 +48,7 @@ import (
 	"path/filepath"
 	"strings"
 
-	"tca/internal/analysis/deadexport"
+	"tca/internal/analysis/deadcode"
 	"tca/internal/analysis/framework"
 	"tca/internal/analysis/heapsafety"
 	"tca/internal/analysis/lockorder"
@@ -69,7 +69,7 @@ var suite = []*framework.Analyzer{
 	poolsafety.Analyzer,
 	sharedstate.Analyzer,
 	lockorder.Analyzer,
-	deadexport.Analyzer,
+	deadcode.Analyzer,
 }
 
 func main() {

@@ -1,11 +1,11 @@
-// Package deadexport keeps the module free of exported names that only
-// tests reach. An export with no caller is code the simulator carries for
-// nobody: it must still compile, be read and be kept in step with the
+// Package deadcode keeps the module free of package-level names that only
+// tests reach. A declaration with no caller is code the simulator carries
+// for nobody: it must still compile, be read and be kept in step with the
 // model, yet no experiment, CLI or example can observe it. Because a name
 // is dead only when no package in the whole module refers to it, the
 // check is a module analyzer: it runs once, after every package is
 // loaded.
-package deadexport
+package deadcode
 
 import (
 	"go/ast"
@@ -17,24 +17,25 @@ import (
 	"tca/internal/analysis/framework"
 )
 
-// Analyzer reports exported package-level names without a non-test
-// reference anywhere in the module.
+// Analyzer reports package-level names, exported or not, without a
+// non-test reference anywhere in the module.
 var Analyzer = &framework.Analyzer{
-	Name: "deadexport",
-	Doc: `report exported names that nothing outside tests refers to
+	Name: "deadcode",
+	Doc: `report package-level names that nothing outside tests refers to
 
-Every exported package-level func, method, type, var and const declared in
-a non-test file of a non-main package must be referenced from a non-test
-file somewhere in the module; references inside the name's own
-declaration (for a type: its methods) do not count. Exempt are the root
-package (the public facade), packages that only _test.go files import,
-methods that let a type satisfy a named interface of the module or of a
-package it imports, Error/Unwrap/Is/As on error types, and methods of
+Every package-level func, method, type, var and const declared in a
+non-test file, exported or not and main packages included, must be
+referenced from a non-test file somewhere in the module; references
+inside the name's own declaration (for a type: its methods) do not count.
+Never reported are _, init, and main in a main package. Exempt are the
+root package (the public facade), packages that only _test.go files
+import, methods that let a type satisfy a named interface of the module or
+of a package it imports, Error/Unwrap/Is/As on error types, and methods of
 types the root package re-exports by alias.`,
 	RunModule: run,
 }
 
-// A candidate is one exported declaration and the source ranges that make
+// A candidate is one package-level declaration and the source ranges that make
 // up its own declaration.
 type candidate struct {
 	obj  types.Object
@@ -72,8 +73,7 @@ func run(pass *framework.Pass) error {
 	cands := make(map[types.Object]*candidate)
 	var order []*candidate
 	for _, pkg := range pkgs {
-		if pkg == root || pkg.Types.Name() == "main" ||
-			(importedByTests[pkg.Path] && !importedByCode[pkg.Path]) {
+		if pkg == root || (importedByTests[pkg.Path] && !importedByCode[pkg.Path]) {
 			continue
 		}
 		for _, c := range declared(pass, pkg) {
@@ -102,7 +102,7 @@ func run(pass *framework.Pass) error {
 		if c.used || exempt[c.obj] {
 			continue
 		}
-		pass.Reportf(c.obj.Pos(), "%s %s is exported but has no non-test reference", kind(c.obj), name(c.obj))
+		pass.Reportf(c.obj.Pos(), "%s %s has no non-test reference", kind(c.obj), name(c.obj))
 	}
 	return nil
 }
@@ -135,14 +135,20 @@ func nonTestFiles(pass *framework.Pass, pkg *framework.Package) []*ast.File {
 	return out
 }
 
-// declared collects the package's exported package-level declarations. A
+// declared collects the package's package-level declarations, leaving
+// out the ones the language itself calls or that cannot be named. A
 // type's own declaration spans its spec and its methods.
 func declared(pass *framework.Pass, pkg *framework.Package) []*candidate {
 	var out []*candidate
 	byType := make(map[types.Object]*candidate)
+	isMain := pkg.Types.Name() == "main"
 	add := func(id *ast.Ident, node ast.Node) *candidate {
 		obj := pkg.Info.Defs[id]
-		if obj == nil || !id.IsExported() {
+		if obj == nil || id.Name == "_" {
+			return nil
+		}
+		if fn, ok := obj.(*types.Func); ok && fn.Type().(*types.Signature).Recv() == nil &&
+			(id.Name == "init" || isMain && id.Name == "main") {
 			return nil
 		}
 		c := &candidate{obj: obj, own: [][2]token.Pos{{node.Pos(), node.End()}}}
@@ -194,8 +200,10 @@ func declared(pass *framework.Pass, pkg *framework.Package) []*candidate {
 // of types the root package re-exports by alias.
 func exemptMethods(pkgs []*framework.Package, root *framework.Package) map[types.Object]bool {
 	exempt := make(map[types.Object]bool)
-	mark := func(t types.Type, name string) {
-		if obj, _, _ := types.LookupFieldOrMethod(t, true, nil, name); obj != nil {
+	// The lookup runs in the type's own package so that an unexported
+	// method is found too.
+	mark := func(tn *types.TypeName, name string) {
+		if obj, _, _ := types.LookupFieldOrMethod(tn.Type(), true, tn.Pkg(), name); obj != nil {
 			if fn, ok := obj.(*types.Func); ok {
 				exempt[fn.Origin()] = true
 			}
@@ -240,14 +248,14 @@ func exemptMethods(pkgs []*framework.Package, root *framework.Package) map[types
 				name := ms.At(i).Obj().Name()
 				for _, iface := range ifaces[name] {
 					if types.Implements(t, iface) || types.Implements(ptr, iface) {
-						mark(t, name)
+						mark(tn, name)
 						break
 					}
 				}
 			}
 			if types.Implements(ptr, errorIface) {
 				for _, name := range []string{"Error", "Unwrap", "Is", "As"} {
-					mark(t, name)
+					mark(tn, name)
 				}
 			}
 		}

@@ -8,6 +8,7 @@ import (
 
 func TestOnlyCaller(t *testing.T) {
 	TestOnly()
+	testOnly()
 	Dead()
 	testhelp.Assert(t, DeadVar == 1)
 }

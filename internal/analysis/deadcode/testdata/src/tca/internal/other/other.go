@@ -11,6 +11,7 @@ import (
 // Run exercises lib from another package.
 func Run() {
 	lib.UsedCross()
+	_ = lib.Drive()
 	lib.Drain(&lib.Box{})
 	fmt.Fprint(lib.Discard(), "x")
 	_ = errors.Unwrap(lib.Wrap(errors.New("x")))

@@ -10,7 +10,7 @@ func (b Bandwidth) MBps() float64 { return float64(b) / 1e6 }
 type Duration int64
 
 // Seconds has no caller and Duration is not re-exported.
-func (d Duration) Seconds() float64 { return float64(d) } // want "method Duration.Seconds is exported but has no non-test reference"
+func (d Duration) Seconds() float64 { return float64(d) } // want "method Duration.Seconds has no non-test reference"
 
 // Use keeps Duration itself referenced.
 func Use(d Duration) Duration { return d }

@@ -122,7 +122,7 @@ func NewRig(n int, prm tcanet.Params, a Attach) (*Rig, error) {
 	if inj != nil {
 		inj.Instrument(r.Set)
 		sc.InjectFaults(inj, pcie.DefaultDLLParams())
-		sc.EnableAutoFailover(0)
+		sc.EnableAutoFailover()
 	}
 	if a.Prof != nil {
 		sc.Profile(a.Prof)

@@ -143,7 +143,7 @@ func Run(spec scenariogen.Spec, opt Options) (*Result, error) {
 		dll := pcie.DefaultDLLParams()
 		dll.BreakSalvage = opt.BreakSalvage
 		sc.InjectFaults(inj, dll)
-		sc.EnableAutoFailover(0)
+		sc.EnableAutoFailover()
 	}
 
 	comm, err := core.NewComm(sc)

@@ -31,7 +31,6 @@ type Communicator struct {
 
 	// Observability (nil handles when the sub-cluster is uninstrumented).
 	mBarriers   *obsv.Counter
-	mBcasts     *obsv.Counter
 	mAllreduces *obsv.Counter
 	mSignals    *obsv.Counter
 }
@@ -62,7 +61,6 @@ func New(comm *core.Comm) (*Communicator, error) {
 	}
 	reg := comm.SubCluster().Observability().Registry()
 	c.mBarriers = reg.Counter("coll_barriers", "coll")
-	c.mBcasts = reg.Counter("coll_bcasts", "coll")
 	c.mAllreduces = reg.Counter("coll_allreduces", "coll")
 	c.mSignals = reg.Counter("coll_signals", "coll")
 	return c, nil
@@ -203,51 +201,6 @@ func (c *Communicator) Barrier(done func(now sim.Time)) {
 	for i := 0; i < c.n; i++ {
 		emit(i, 0)
 	}
-}
-
-// bcast copies n bytes from root's buffer (rootBus) into every node's
-// destination buffer (dsts[i], which may be the same registered buffer per
-// node) along the ring — a pipeline broadcast. done fires when the last
-// node has the data.
-func (c *Communicator) bcast(root int, rootBus pcie.Addr, dsts []core.HostBuffer, n units.ByteSize, done func(now sim.Time)) error {
-	if len(dsts) != c.n {
-		return fmt.Errorf("coll: bcast needs %d destination buffers, got %d", c.n, len(dsts))
-	}
-	if n <= 0 || n > mailboxSize {
-		return fmt.Errorf("coll: bcast of %v exceeds the %v mailbox", n, units.ByteSize(mailboxSize))
-	}
-	c.mBcasts.Inc()
-	c.seq++
-	gen := uint64(c.seq) << 32
-
-	// Forward hop by hop: root -> root+1 -> ... -> root+n-1.
-	var hop func(from int, fromBus pcie.Addr, dist int, now sim.Time)
-	hop = func(from int, fromBus pcie.Addr, dist int, now sim.Time) {
-		if dist == c.n-1 {
-			done(now)
-			return
-		}
-		to := (from + 1) % c.n
-		c.watchFlag(to, func(now sim.Time, v uint64) {
-			if v != gen|uint64(dist) {
-				return
-			}
-			// Land the staged data in the local destination, then
-			// forward from the *local copy* (store-and-forward ring
-			// pipeline).
-			data, err := c.comm.ReadHost(c.boxes[to].buf, 0, n)
-			if err != nil {
-				panic(err)
-			}
-			if err := c.comm.WriteHost(dsts[to], 0, data); err != nil {
-				panic(err)
-			}
-			hop(to, dsts[to].Bus, dist+1, now)
-		})
-		c.putThenSignal(from, fromBus, to, 0, n, gen|uint64(dist))
-	}
-	hop(root, rootBus, 0, 0)
-	return nil
 }
 
 // ringStep is one send of the allreduce/allgather schedule.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"tca/internal/obsv"
 	"tca/internal/pcie"
 	"tca/internal/peach2"
 	"tca/internal/sim"
@@ -18,11 +19,22 @@ func newComm(t *testing.T, nodes int) (*sim.Engine, *Comm) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	sc.Instrument(obsv.NewSet(1024))
 	c, err := NewComm(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return eng, c
+}
+
+// chains reports how many DMA chains chip 0 completed.
+func chains(t *testing.T, c *Comm) uint64 {
+	t.Helper()
+	v, ok := c.SubCluster().Observability().Registry().CounterValue("dma_chains", c.SubCluster().Chip(0).DevName()+"/dmac")
+	if !ok {
+		t.Fatal("no dma_chains counter: the sub-cluster is not instrumented")
+	}
+	return v
 }
 
 func pattern(n int, seed byte) []byte {
@@ -60,8 +72,8 @@ func TestMemcpyPeerCrossNodeTwoPhase(t *testing.T) {
 		t.Fatal("cross-node GPU copy corrupted data")
 	}
 	// Two-phase = two activations = two chains on the source chip.
-	if chains := c.SubCluster().Chip(0).Stats().DMAChains; chains != 2 {
-		t.Fatalf("two-phase used %d chains, want 2", chains)
+	if n := chains(t, c); n != 2 {
+		t.Fatalf("two-phase used %d chains, want 2", n)
 	}
 }
 
@@ -86,8 +98,8 @@ func TestMemcpyPeerCrossNodePipelined(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatal("pipelined GPU copy corrupted data")
 	}
-	if chains := c.SubCluster().Chip(0).Stats().DMAChains; chains != 1 {
-		t.Fatalf("pipelined used %d chains, want 1", chains)
+	if n := chains(t, c); n != 1 {
+		t.Fatalf("pipelined used %d chains, want 1", n)
 	}
 }
 
@@ -146,7 +158,7 @@ func TestMemcpyPeerSameNodeUsesCUDAPath(t *testing.T) {
 		t.Fatal("same-node copy corrupted data")
 	}
 	// No DMA chain ran; the CUDA peer engine carries it.
-	if c.SubCluster().Chip(0).Stats().DMAChains != 0 {
+	if chains(t, c) != 0 {
 		t.Fatal("same-node copy used the PEACH2 DMAC")
 	}
 	if doneAt < sim.Time(7*units.Microsecond) {
@@ -253,7 +265,7 @@ func TestChainQueueingSerializesOnDMAC(t *testing.T) {
 	if len(order) != 3 || order[0] != 0 || order[1] != 1 || order[2] != 2 {
 		t.Fatalf("chains completed in order %v", order)
 	}
-	if c.SubCluster().Chip(0).Stats().DMAChains != 3 {
+	if chains(t, c) != 3 {
 		t.Fatal("chain count wrong")
 	}
 }

@@ -52,18 +52,6 @@ func TestMemAllocRejectsNonPositive(t *testing.T) {
 	}
 }
 
-func TestMemFree(t *testing.T) {
-	eng := sim.NewEngine()
-	g := testGPU(eng)
-	p, _ := g.MemAlloc(64)
-	if err := g.memFree(p); err != nil {
-		t.Fatal(err)
-	}
-	if err := g.memFree(p); err == nil {
-		t.Fatal("double free succeeded")
-	}
-}
-
 func TestGPUDirectPinSequence(t *testing.T) {
 	// The four-step sequence from §IV-A2: alloc, get token, pin, access.
 	eng := sim.NewEngine()
@@ -220,24 +208,6 @@ func TestDeepWriteQueueNoBackpressure(t *testing.T) {
 	}
 	if l.QueuedTLPs(port) != 0 {
 		t.Fatal("packets still queued")
-	}
-}
-
-func TestGPUWatch(t *testing.T) {
-	eng := sim.NewEngine()
-	g := testGPU(eng)
-	ptr, _ := g.MemAlloc(4 * units.KiB)
-	tok, _ := g.PointerGetAttribute(ptr)
-	bus, _ := g.Pin(tok)
-	var fired int
-	g.watch(ptr+100, 4, func(now sim.Time, p DevicePtr, n units.ByteSize) { fired++ })
-	port := pcie.NewPort(&fakeHost{}, "dn", pcie.RoleRC)
-	pcie.MustConnect(eng, port, g.Port(), pcie.LinkParams{Config: pcie.Gen2x8})
-	port.Send(0, &pcie.TLP{Kind: pcie.MWr, Addr: bus, Data: make([]byte, 64)})         // miss
-	port.Send(0, &pcie.TLP{Kind: pcie.MWr, Addr: bus + 100, Data: []byte{1, 2, 3, 4}}) // hit
-	eng.Run()
-	if fired != 1 {
-		t.Fatalf("watch fired %d times, want 1", fired)
 	}
 }
 

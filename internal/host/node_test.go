@@ -23,8 +23,12 @@ func TestNodeConstruction(t *testing.T) {
 			t.Fatalf("GPU %d not attached", i)
 		}
 	}
-	if n.rc.dram.Size() != 128*units.GiB {
-		t.Fatalf("DRAM size %v", n.rc.dram.Size())
+	// DRAM holds exactly 128 GiB: the last byte is writable, the next is not.
+	if err := n.rc.dram.Write(uint64(128*units.GiB)-1, []byte{1}); err != nil {
+		t.Fatalf("last DRAM byte: %v", err)
+	}
+	if err := n.rc.dram.Write(uint64(128*units.GiB), []byte{1}); err == nil {
+		t.Fatal("DRAM accepted a write past 128 GiB")
 	}
 }
 

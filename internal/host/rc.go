@@ -219,7 +219,3 @@ func (rc *RootComplex) Accept(now sim.Time, t *pcie.TLP, in *pcie.Port) units.Du
 		panic(fmt.Sprintf("%s: unexpected %v at root complex", rc.DevName(), t.Kind))
 	}
 }
-
-// Ports lists the ports a bus scan sees: the BIOS scan starts at the root
-// complex and descends both socket trees.
-func (rc *RootComplex) Ports() []*pcie.Port { return []*pcie.Port{rc.dn[0], rc.dn[1]} }

@@ -29,9 +29,6 @@ func NewRAM(size units.ByteSize) *RAM {
 	return &RAM{size: size, pages: make(map[uint64]*page)}
 }
 
-// Size reports the capacity.
-func (r *RAM) Size() units.ByteSize { return r.size }
-
 func (r *RAM) check(off uint64, n int) error {
 	if n < 0 {
 		return fmt.Errorf("memory: negative length %d", n)

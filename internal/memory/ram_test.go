@@ -108,8 +108,8 @@ func TestRAMSparseness(t *testing.T) {
 	if got := units.ByteSize(len(r.pages) * pageSize); got > 8*units.KiB {
 		t.Fatalf("resident bytes = %v after a 1-byte write into 512GiB", got)
 	}
-	if r.Size() != 512*units.GiB {
-		t.Fatalf("Size = %v", r.Size())
+	if r.size != 512*units.GiB {
+		t.Fatalf("size = %v", r.size)
 	}
 }
 

@@ -76,7 +76,6 @@ type Bridge struct {
 	params Params
 	ports  [2]*pcie.Port
 	lut    [2][]Mapping
-	downAt [2]bool
 
 	translated [2]uint64
 	rejected   uint64
@@ -117,13 +116,6 @@ func (b *Bridge) AddMapping(from Side, fr pcie.Range, to pcie.Addr) error {
 	return nil
 }
 
-// disconnect marks one side's peer as gone. Per §V, the surviving host
-// cannot keep using the bridge: endpoints it enumerated at BIOS time
-// vanished, and recovery needs a reboot — subsequent traffic panics with
-// that diagnosis. (PEACH2 avoids this: "the link state with the other node
-// has no impact on the connection between the host and the PEACH2 chip".)
-func (b *Bridge) disconnect(s Side) { b.downAt[s] = true }
-
 // sideOf maps an arrival port to its side.
 func (b *Bridge) sideOf(p *pcie.Port) Side {
 	if p == b.ports[SideA] {
@@ -136,9 +128,6 @@ func (b *Bridge) sideOf(p *pcie.Port) Side {
 func (b *Bridge) Accept(now sim.Time, t *pcie.TLP, in *pcie.Port) units.Duration {
 	from := b.sideOf(in)
 	to := from.other()
-	if b.downAt[to] || b.downAt[from] {
-		panic(fmt.Sprintf("ntb %s: traffic after peer disconnect — host must reboot (§V)", b.name))
-	}
 	switch t.Kind {
 	case pcie.MWr, pcie.MRd:
 		// Table search: linear scan, each entry costs lookup time.
@@ -175,9 +164,3 @@ func (b *Bridge) Accept(now sim.Time, t *pcie.TLP, in *pcie.Port) units.Duration
 		panic(fmt.Sprintf("ntb %s: unhandled %v", b.name, t.Kind))
 	}
 }
-
-// Ports lists BOTH sides for a bus scan — the §V criticism made
-// structural: "during the BIOS scan at boot time, the host must recognize
-// the EPs in the NTB", so an enumeration from either host crosses the
-// bridge into the peer's fabric, coupling their lifetimes.
-func (b *Bridge) Ports() []*pcie.Port { return []*pcie.Port{b.ports[SideA], b.ports[SideB]} }

@@ -100,7 +100,7 @@ func (s *Sampler) Register(name, component, label, unit string, fn Probe) *Serie
 // Start schedules the sampling tick train on eng, one tick per interval
 // of simulated time. No-op when disabled; panics on a non-positive
 // interval or when already running. Sampling stops by itself once the
-// engine's queue drains (see the type comment); stop cancels it earlier.
+// engine's queue drains (see the type comment).
 func (s *Sampler) Start(eng *sim.Engine, interval units.Duration) {
 	if s == nil {
 		return
@@ -121,22 +121,8 @@ func (s *Sampler) Start(eng *sim.Engine, interval units.Duration) {
 	eng.AfterComp(comp, interval, func() { s.tick(eng) })
 }
 
-// stop cancels sampling; the already-scheduled tick becomes a no-op.
-func (s *Sampler) stop() {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	s.running = false
-	s.mu.Unlock()
-}
-
 func (s *Sampler) tick(eng *sim.Engine) {
 	s.mu.Lock()
-	if !s.running {
-		s.mu.Unlock()
-		return
-	}
 	now := eng.Now()
 	elapsed := now.Sub(s.lastTick)
 	s.lastTick = now

@@ -52,24 +52,6 @@ func TestSamplerTicksAndAutoStop(t *testing.T) {
 	}
 }
 
-// TestSamplerStop checks that stop turns the pending tick into a no-op.
-func TestSamplerStop(t *testing.T) {
-	eng := sim.NewEngine()
-	s := NewSampler(4)
-	calls := 0
-	s.Register("sig", "comp", "", "u", func(sim.Time, units.Duration) float64 { calls++; return 0 })
-	eng.After(10*units.Microsecond, func() {})
-	s.Start(eng, units.Microsecond)
-	s.stop()
-	eng.Run()
-	if calls != 0 {
-		t.Errorf("probe ran %d times after Stop", calls)
-	}
-	if s.running {
-		t.Error("sampler reports running after stop")
-	}
-}
-
 // TestSamplerStartValidation locks the misuse panics.
 func TestSamplerStartValidation(t *testing.T) {
 	eng := sim.NewEngine()
@@ -217,7 +199,6 @@ func TestTelemetryNilSafety(t *testing.T) {
 	var sr *Series
 	eng := sim.NewEngine()
 	s.Start(eng, units.Microsecond)
-	s.stop()
 	if s.Register("a", "b", "", "u", func(sim.Time, units.Duration) float64 { return 0 }) != nil {
 		t.Error("nil sampler Register returned a series")
 	}

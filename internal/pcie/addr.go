@@ -35,16 +35,6 @@ func (r Range) Overlaps(s Range) bool {
 	return r.Size > 0 && s.Size > 0 && r.Base < s.End() && s.Base < r.End()
 }
 
-// aligned reports whether the window sits on a multiple of its own size —
-// the property PEACH2's compare-only routing requires, since it decides the
-// destination purely from upper address bits.
-func (r Range) aligned() bool {
-	if r.Size == 0 || r.Size&(r.Size-1) != 0 {
-		return false // power-of-two sizes only
-	}
-	return uint64(r.Base)%r.Size == 0
-}
-
 // String formats like "[0x...8000000000 +512GiB)".
 func (r Range) String() string {
 	return fmt.Sprintf("[%v +0x%x)", r.Base, r.Size)
@@ -89,14 +79,4 @@ func (m *AddressMap) Lookup(a Addr) (any, Range, bool) {
 		return m.entries[i].target, m.entries[i].r, true
 	}
 	return nil, Range{}, false
-}
-
-// lookupRange returns the target whose window fully contains r. Transfers
-// that straddle windows are split by callers before lookup.
-func (m *AddressMap) lookupRange(r Range) (any, Range, bool) {
-	t, w, ok := m.Lookup(r.Base)
-	if !ok || !w.ContainsRange(r) {
-		return nil, Range{}, false
-	}
-	return t, w, true
 }

@@ -63,25 +63,6 @@ func TestRangeOverlaps(t *testing.T) {
 	}
 }
 
-func TestRangeAligned(t *testing.T) {
-	cases := []struct {
-		r    Range
-		want bool
-	}{
-		{Range{Base: 0, Size: 1 << 30}, true},
-		{Range{Base: 1 << 30, Size: 1 << 30}, true},
-		{Range{Base: 3 << 30, Size: 1 << 30}, true},
-		{Range{Base: 1 << 29, Size: 1 << 30}, false}, // misaligned base
-		{Range{Base: 0, Size: 3 << 20}, false},       // non-power-of-two
-		{Range{Base: 0, Size: 0}, false},
-	}
-	for _, c := range cases {
-		if got := c.r.aligned(); got != c.want {
-			t.Errorf("%v.aligned() = %t, want %t", c.r, got, c.want)
-		}
-	}
-}
-
 func TestAddressMapLookup(t *testing.T) {
 	var m AddressMap
 	mustAdd(t, &m, Range{Base: 0x1000, Size: 0x1000}, "a")
@@ -132,17 +113,6 @@ func TestAddressMapRejectsEmptyAndWrapping(t *testing.T) {
 	}
 	if err := m.Add(Range{Base: ^Addr(0) - 10, Size: 100}, "x"); err == nil {
 		t.Fatal("wrapping range accepted")
-	}
-}
-
-func TestAddressMapLookupRange(t *testing.T) {
-	var m AddressMap
-	mustAdd(t, &m, Range{Base: 0x1000, Size: 0x1000}, "a")
-	if _, _, ok := m.lookupRange(Range{Base: 0x1800, Size: 0x100}); !ok {
-		t.Fatal("interior lookupRange failed")
-	}
-	if _, _, ok := m.lookupRange(Range{Base: 0x1f00, Size: 0x200}); ok {
-		t.Fatal("straddling lookupRange succeeded")
 	}
 }
 

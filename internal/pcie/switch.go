@@ -180,10 +180,3 @@ func (s *Switch) route(t *TLP, in *Port) *Port {
 		panic(fmt.Sprintf("switch %s: unroutable TLP kind %v", s.name, t.Kind))
 	}
 }
-
-// Ports lists the switch's ports, upstream first, for bus scans.
-func (s *Switch) Ports() []*Port {
-	out := []*Port{s.up}
-	out = append(out, s.down...)
-	return out
-}

@@ -52,13 +52,6 @@ type Chip struct {
 	ringFree []*ringFwdAction
 	nFree    []*nFwdAction
 
-	// Stats
-	forwarded [numPorts]uint64 // by egress
-	converted uint64
-	acksSent  uint64
-	acksRecv  uint64
-	intWrites uint64
-
 	// Observability (all handles nil when uninstrumented — every update
 	// below is then a single-branch no-op).
 	rec *obsv.Recorder
@@ -108,8 +101,8 @@ func (c *Chip) Instrument(set *obsv.Set) {
 	c.dmac.instrument(set)
 }
 
-// Profile registers the chip and its DMAC with an engine profiler so router,
-// NIOS, and DMA events charge host time to them. Safe with a nil profiler.
+// Profile registers the chip and its DMAC with an engine profiler so router
+// and DMA events charge host time to them. Safe with a nil profiler.
 func (c *Chip) Profile(p *prof.Profiler) {
 	c.comp = p.Component(c.name)
 	c.dmac.profile(p)
@@ -207,11 +200,6 @@ func (c *Chip) NIOS() *NIOS { return c.nios }
 // buffer start, i.e. internal-block offset IntMemOffset).
 func (c *Chip) InternalMemory() *memory.RAM { return c.intMem }
 
-// intMemGlobal returns the global bus address of internal-memory offset off.
-func (c *Chip) intMemGlobal(off uint64) pcie.Addr {
-	return c.plan.Internal.Base + pcie.Addr(IntMemOffset+off)
-}
-
 // SetIRQHandler registers the driver's completion interrupt handler.
 func (c *Chip) SetIRQHandler(fn func(now sim.Time)) { c.onIRQ = fn }
 
@@ -221,7 +209,7 @@ func (c *Chip) SetIRQHandler(fn func(now sim.Time)) { c.onIRQ = fn }
 func (c *Chip) AttachFaults(inj *fault.Injector) { c.faults = inj }
 
 // PortUp reports whether a physical port is connected and its link alive —
-// what the NIOS health scan and the status register report.
+// what the status register reports.
 func (c *Chip) PortUp(id PortID) bool {
 	return c.Port(id).Connected() && !c.portDead[id]
 }
@@ -263,8 +251,8 @@ func (c *Chip) Parked() int { return len(c.parked) }
 
 // flushParked re-injects every parked TLP through the (just reprogrammed)
 // routing unit. Packets whose new route is still dead re-park; packets
-// with no route are dropped with a management-log entry — the fabric
-// equivalent of an unreachable destination after degradation.
+// with no route are dropped — the fabric equivalent of an unreachable
+// destination after degradation.
 func (c *Chip) flushParked() {
 	if len(c.parked) == 0 {
 		return
@@ -280,7 +268,6 @@ func (c *Chip) flushParked() {
 			}
 			dst, err := c.route(t.Addr)
 			if err != nil {
-				c.nios.logEvent(fmt.Sprintf("dropped parked packet for %v: no route after failover", t.Addr))
 				if c.led != nil && t.LID != 0 {
 					c.led.Dropped(now, t.LID, c.name, "no route after failover")
 				}
@@ -423,7 +410,6 @@ func (c *Chip) forwardRing(now sim.Time, t *pcie.TLP, out PortID) {
 	if !c.ports[out].Connected() {
 		panic(fmt.Sprintf("peach2 %s: route to unconnected port %v for %v", c.name, out, t.Addr))
 	}
-	c.forwarded[out]++
 	c.cm.tlpsOut[out].Inc()
 	c.cm.bytesOut[out].Add(uint64(t.WireBytes()))
 	if c.rec != nil && t.Txn != 0 {
@@ -473,15 +459,11 @@ func (c *Chip) forwardN(now sim.Time, t *pcie.TLP) {
 	local, class, conv := c.convertN(t.Addr)
 	lat := c.params.RouterLatency
 	if conv {
-		c.converted++
 		lat += c.params.NConvLatency
-	}
-	c.forwarded[PortN]++
-	c.cm.tlpsOut[PortN].Inc()
-	c.cm.bytesOut[PortN].Add(uint64(t.WireBytes()))
-	if conv {
 		c.cm.converted.Inc()
 	}
+	c.cm.tlpsOut[PortN].Inc()
+	c.cm.bytesOut[PortN].Add(uint64(t.WireBytes()))
 	if c.rec != nil && t.Txn != 0 {
 		if conv {
 			c.rec.Record(obsv.Event{At: now, Txn: t.Txn, Stage: obsv.StageConvert,
@@ -584,7 +566,6 @@ func (c *Chip) sendFlushAck(req pcie.DeviceID, txn uint64) {
 	ack.Requester = c.id
 	ack.Last = true
 	ack.Txn = txn
-	c.acksSent++
 	c.cm.acksSent.Inc()
 	dst, err := c.route(ack.Addr)
 	if err != nil {
@@ -607,7 +588,6 @@ func (c *Chip) acceptInternalWrite(now sim.Time, t *pcie.TLP) {
 	case off < AckOffset:
 		c.writeRouteRegister(off, t.Data)
 	case off < IntMemOffset:
-		c.acksRecv++
 		c.cm.acksRecv.Inc()
 		if c.rec != nil && t.Txn != 0 {
 			c.rec.Record(obsv.Event{At: now, Txn: t.Txn, Stage: obsv.StageFlushAck,
@@ -615,7 +595,6 @@ func (c *Chip) acceptInternalWrite(now sim.Time, t *pcie.TLP) {
 		}
 		c.dmac.handleAck(now)
 	default:
-		c.intWrites++
 		c.cm.intWrites.Inc()
 		if err := c.intMem.Write(off-IntMemOffset, t.Data); err != nil {
 			panic(fmt.Sprintf("peach2 %s: internal write: %v", c.name, err))
@@ -745,33 +724,3 @@ func (c *Chip) raiseIRQ(txn uint64) {
 		}
 	})
 }
-
-// Stats summarizes the chip's activity.
-type Stats struct {
-	Forwarded [numPorts]uint64
-	Converted uint64
-	AcksSent  uint64
-	AcksRecv  uint64
-	IntWrites uint64
-	DMAChains uint64
-	DMATLPs   uint64
-}
-
-// Stats returns a snapshot of the chip's counters.
-func (c *Chip) Stats() Stats {
-	return Stats{
-		Forwarded: c.forwarded,
-		Converted: c.converted,
-		AcksSent:  c.acksSent,
-		AcksRecv:  c.acksRecv,
-		IntWrites: c.intWrites,
-		DMAChains: c.dmac.chains,
-		DMATLPs:   c.dmac.tlpsIssued,
-	}
-}
-
-// Ports lists the ports a bus scan sees — deliberately only Port N. The host's bus scan sees PEACH2 as an ordinary
-// endpoint; the E/W/S ring links are invisible to configuration space, so
-// "the link state with the other node has no impact on the connection
-// between the host and the PEACH2 chip" (§V). Contrast ntb.Bridge.
-func (c *Chip) Ports() []*pcie.Port { return []*pcie.Port{c.ports[PortN]} }

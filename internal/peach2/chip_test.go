@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"tca/internal/obsv"
 	"tca/internal/pcie"
 	"tca/internal/sim"
 	"tca/internal/units"
@@ -66,10 +67,13 @@ func (r *recorder) Accept(now sim.Time, t *pcie.TLP, p *pcie.Port) units.Duratio
 	return 0
 }
 
-// chipFixture: a chip with a fake host on N and a fake neighbour on E.
+// chipFixture: an instrumented chip with a fake host on N and a fake
+// neighbour on E.
 type chipFixture struct {
+	t     *testing.T
 	eng   *sim.Engine
 	chip  *Chip
+	set   *obsv.Set
 	hostd *recorder
 	east  *recorder
 }
@@ -78,7 +82,8 @@ func newChipFixture(t *testing.T) *chipFixture {
 	t.Helper()
 	eng := sim.NewEngine()
 	chip := New(eng, "peach2-A", 1, DefaultParams, testPlan(0))
-	f := &chipFixture{eng: eng, chip: chip, hostd: &recorder{name: "host"}, east: &recorder{name: "east"}}
+	f := &chipFixture{t: t, eng: eng, chip: chip, set: obsv.NewSet(64), hostd: &recorder{name: "host"}, east: &recorder{name: "east"}}
+	chip.Instrument(f.set)
 	hp := pcie.NewPort(f.hostd, "dn", pcie.RoleRC)
 	pcie.MustConnect(eng, hp, chip.Port(PortN), pcie.LinkParams{Config: pcie.Gen2x8})
 	ep := pcie.NewPort(f.east, "W", pcie.RoleRC) // pretends to be the next chip's W port
@@ -95,6 +100,22 @@ func newChipFixture(t *testing.T) *chipFixture {
 }
 
 func (f *chipFixture) hostPort() *pcie.Port { return f.chip.Port(PortN).Peer() }
+
+// count reads a counter the chip registered under its own name plus
+// suffix ("" for the router, "/dmac" for the DMAC).
+func (f *chipFixture) count(name, suffix string, labels ...obsv.Label) uint64 {
+	f.t.Helper()
+	v, ok := f.set.Registry().CounterValue(name, f.chip.DevName()+suffix, labels...)
+	if !ok {
+		f.t.Fatalf("no %s counter for %s%s", name, f.chip.DevName(), suffix)
+	}
+	return v
+}
+
+// intMemGlobal returns the global bus address of internal-memory offset off.
+func (c *Chip) intMemGlobal(off uint64) pcie.Addr {
+	return c.plan.Internal.Base + pcie.Addr(IntMemOffset+off)
+}
 
 func TestChipRoutesRemoteWindowToRing(t *testing.T) {
 	f := newChipFixture(t)
@@ -127,7 +148,7 @@ func TestChipConvertsOwnWindowAtPortN(t *testing.T) {
 	if got := f.hostd.got[0].Addr; got != 0x4000 {
 		t.Fatalf("converted address = %v, want 0x4000", got)
 	}
-	if f.chip.Stats().Converted != 1 {
+	if f.count("addr_conversions", "") != 1 {
 		t.Fatal("conversion counter not incremented")
 	}
 }
@@ -282,40 +303,6 @@ func TestSetRoutesLimit(t *testing.T) {
 		}
 	}()
 	f.chip.SetRoutes(make([]RouteRule, 9))
-}
-
-func TestNIOSMonitoring(t *testing.T) {
-	f := newChipFixture(t)
-	f.chip.NIOS().Start(units.Microsecond)
-	f.eng.RunFor(10 * units.Microsecond)
-	st := f.chip.NIOS().Status()
-	if st.Scans < 9 {
-		t.Fatalf("scans = %d, want ~10", st.Scans)
-	}
-	if !st.PortUp[PortN] || !st.PortUp[PortE] || st.PortUp[PortW] || st.PortUp[PortS] {
-		t.Fatalf("port state wrong: %+v", st.PortUp)
-	}
-	// Link-up transitions were logged for N and E.
-	if st.Events != 2 {
-		t.Fatalf("events = %d, want 2", st.Events)
-	}
-	f.chip.NIOS().stop()
-	f.eng.RunFor(10 * units.Microsecond)
-	after := f.chip.NIOS().Status().Scans
-	f.eng.RunFor(10 * units.Microsecond)
-	if f.chip.NIOS().Status().Scans != after {
-		t.Fatal("NIOS kept scanning after stop")
-	}
-}
-
-func TestNIOSStartValidation(t *testing.T) {
-	f := newChipFixture(t)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("zero interval did not panic")
-		}
-	}()
-	f.chip.NIOS().Start(0)
 }
 
 func TestChipPortAccessors(t *testing.T) {

@@ -148,11 +148,6 @@ type DMAC struct {
 	lastErr  error
 	stuck    bool
 
-	// Stats.
-	chains     uint64
-	tlpsIssued uint64
-	readsSent  uint64
-
 	// Observability. txn is the running chain's transaction ID (0 when
 	// untraced); lastTxn survives until the next doorbell so the driver's
 	// IRQ handler can close the span after the chain completed. All metric
@@ -173,13 +168,13 @@ type DMAC struct {
 	mChainLat *obsv.Histogram
 }
 
-// instrument registers the DMAC's metrics under "<chip>/dmac".
 // profile registers the DMAC as its own component so chain and TLP-issue
 // events are attributed separately from the chip's router.
 func (d *DMAC) profile(p *prof.Profiler) {
 	d.comp = p.Component(d.chip.name + "/dmac")
 }
 
+// instrument registers the DMAC's metrics under "<chip>/dmac".
 func (d *DMAC) instrument(set *obsv.Set) {
 	reg := set.Registry()
 	name := d.chip.name + "/dmac"
@@ -527,7 +522,6 @@ func (d *DMAC) issueWrite(addr pcie.Addr, srcOff uint64, n units.ByteSize, relax
 		}
 		d.writeTLPsIssued++
 		d.issuesPending--
-		d.tlpsIssued++
 		d.mTLPs.Inc()
 		final := d.writeTLPsIssued == d.totalWriteTLPs
 		d.recordIssueWait(final, reservedAt, slot)
@@ -587,7 +581,6 @@ func (d *DMAC) issueWriteData(addr pcie.Addr, data []byte, relaxed bool) {
 		}
 		d.writeTLPsIssued++
 		d.issuesPending--
-		d.tlpsIssued++
 		d.mTLPs.Inc()
 		final := d.writeTLPsIssued == d.totalWriteTLPs
 		d.recordIssueWait(final, reservedAt, slot)
@@ -619,7 +612,6 @@ func (d *DMAC) sendFromDMAC(t *pcie.TLP) {
 	case PortN:
 		local, _, conv := d.chip.convertN(t.Addr)
 		if conv {
-			d.chip.converted++
 			d.chip.cm.converted.Inc()
 		}
 		out := t
@@ -638,7 +630,6 @@ func (d *DMAC) sendFromDMAC(t *pcie.TLP) {
 			d.chip.parkTLP(d.chip.eng.Now(), t)
 			return
 		}
-		d.chip.forwarded[out]++
 		d.chip.cm.tlpsOut[out].Inc()
 		d.chip.cm.bytesOut[out].Add(uint64(t.WireBytes()))
 		d.chip.ports[out].Send(d.chip.eng.Now(), t)
@@ -715,7 +706,6 @@ func (d *DMAC) pumpReads() {
 		d.readQueue.Pop()
 		d.mQueue.Set(int64(d.readQueue.Len()))
 		d.readsPending++
-		d.readsSent++
 		d.mReads.Inc()
 		if req.tagWait && d.txn != 0 {
 			d.chip.rec.Record(obsv.Event{At: d.chip.eng.Now(), Txn: d.txn,
@@ -796,7 +786,6 @@ func (d *DMAC) failChain(err error) {
 	d.chip.faults.NoteChainError()
 	d.mErrs.Inc()
 	d.lastErr = fmt.Errorf("peach2 %s: %v", d.chip.name, err)
-	d.chip.nios.logEvent(fmt.Sprintf("dmac chain aborted: %v", err))
 	if d.txn != 0 {
 		d.chip.rec.Record(obsv.Event{At: d.chip.eng.Now(), Txn: d.txn,
 			Stage: obsv.StageChainError, Where: d.chip.name, Note: err.Error()})
@@ -823,7 +812,7 @@ func (d *DMAC) LastChainError() error { return d.lastErr }
 // handleCompletion feeds a completion arriving on Port N into the tag
 // table. Under fault injection a completion can legitimately miss — its
 // read was cancelled by failChain, or a retry raced the original reply —
-// so mismatches are logged and dropped instead of treated as fabric bugs.
+// so mismatches are dropped instead of treated as fabric bugs.
 func (d *DMAC) handleCompletion(t *pcie.TLP) {
 	err := d.tags.HandleCompletion(t)
 	if d.chip.led != nil && t.LID != 0 {
@@ -839,7 +828,6 @@ func (d *DMAC) handleCompletion(t *pcie.TLP) {
 	t.Release()
 	if err != nil {
 		if d.chip.faults.Enabled() {
-			d.chip.nios.logEvent(fmt.Sprintf("dropped stale completion: %v", err))
 			return
 		}
 		panic(fmt.Sprintf("peach2 %s: %v", d.chip.name, err))
@@ -870,7 +858,6 @@ func (d *DMAC) maybeComplete() {
 		return
 	}
 	d.state = dmacIdle
-	d.chains++
 	d.mChains.Inc()
 	busy := d.chip.eng.Now().Sub(d.chainStart)
 	d.busyAccum += busy

@@ -2,10 +2,9 @@ package peach2
 
 import (
 	"encoding/binary"
-	"fmt"
-	"strings"
 	"testing"
 
+	"tca/internal/obsv"
 	"tca/internal/pcie"
 	"tca/internal/units"
 )
@@ -102,14 +101,13 @@ func TestChipStatsCounters(t *testing.T) {
 	f.hostPort().Send(0, &pcie.TLP{Kind: pcie.MWr, Addr: remote, Data: []byte{1}})
 	f.hostPort().Send(0, &pcie.TLP{Kind: pcie.MWr, Addr: f.chip.intMemGlobal(0), Data: []byte{2}})
 	f.eng.Run()
-	st := f.chip.Stats()
-	if st.Forwarded[PortE] != 1 {
-		t.Fatalf("Forwarded[E] = %d", st.Forwarded[PortE])
+	if n := f.count("port_tlps_out", "", obsv.Label{Key: "port", Value: "E"}); n != 1 {
+		t.Fatalf("port_tlps_out{port=E} = %d", n)
 	}
-	if st.IntWrites != 1 {
-		t.Fatalf("IntWrites = %d", st.IntWrites)
+	if n := f.count("internal_writes", ""); n != 1 {
+		t.Fatalf("internal_writes = %d", n)
 	}
-	if st.DMAChains != 0 || st.DMATLPs != 0 {
+	if f.count("dma_chains", "/dmac") != 0 || f.count("dma_write_tlps", "/dmac") != 0 {
 		t.Fatal("phantom DMA activity in stats")
 	}
 }
@@ -128,79 +126,15 @@ func TestIntMemGlobalRoundTrip(t *testing.T) {
 
 func TestInternalMemorySize(t *testing.T) {
 	f := newChipFixture(t)
-	if f.chip.InternalMemory().Size() != DefaultParams.InternalMemSize {
-		t.Fatalf("internal memory size %v", f.chip.InternalMemory().Size())
+	// The last configured byte is writable, the next is not.
+	mem, size := f.chip.InternalMemory(), uint64(DefaultParams.InternalMemSize)
+	if err := mem.Write(size-1, []byte{1}); err != nil {
+		t.Fatalf("last internal-memory byte: %v", err)
+	}
+	if err := mem.Write(size, []byte{1}); err == nil {
+		t.Fatalf("internal memory accepted a write past %v", DefaultParams.InternalMemSize)
 	}
 	if DefaultParams.InternalMemSize < 64*units.MiB {
 		t.Fatal("internal memory must hold the bandwidth experiments' staging data")
-	}
-}
-
-func TestNIOSConsole(t *testing.T) {
-	f := newChipFixture(t)
-	// Generate some traffic first.
-	remote := pcie.Addr(0x80_0000_0000 + uint64(64<<30) + 0x40)
-	f.hostPort().Send(0, &pcie.TLP{Kind: pcie.MWr, Addr: remote, Data: []byte{1}})
-	f.eng.Run()
-
-	out, err := f.chip.NIOS().execute("status")
-	if err != nil || !strings.Contains(out, "dmac=idle") {
-		t.Fatalf("status = %q, %v", out, err)
-	}
-	out, err = f.chip.NIOS().execute("counters")
-	if err != nil || !strings.Contains(out, "E=1") {
-		t.Fatalf("counters = %q, %v", out, err)
-	}
-	out, err = f.chip.NIOS().execute("routes")
-	if err != nil || !strings.Contains(out, "-> E") {
-		t.Fatalf("routes = %q, %v", out, err)
-	}
-	if _, err := f.chip.NIOS().execute("reboot"); err == nil {
-		t.Fatal("unknown command accepted")
-	}
-	if out, err := f.chip.NIOS().execute("help"); err != nil || out == "" {
-		t.Fatal("help broken")
-	}
-	// The log command reflects recorded events once monitoring ran.
-	f.chip.NIOS().Start(units.Microsecond)
-	f.eng.RunFor(3 * units.Microsecond)
-	out, err = f.chip.NIOS().execute("log")
-	if err != nil || !strings.Contains(out, "link up") {
-		t.Fatalf("log = %q, %v", out, err)
-	}
-}
-
-// TestNIOSLogEvictsOldest: past maxEvents entries the management log keeps
-// only the newest ones, oldest first, in both Events and the console.
-func TestNIOSLogEvictsOldest(t *testing.T) {
-	f := newChipFixture(t)
-	n := f.chip.NIOS()
-	for i := 0; i < 300; i++ {
-		n.NoteFailover(i)
-	}
-	want := func(i int) string {
-		return fmt.Sprintf("failover: routes reprogrammed around cut ring link %d", 300-maxEvents+i)
-	}
-	evs := n.Events()
-	if len(evs) != maxEvents {
-		t.Fatalf("Events() holds %d entries, want %d", len(evs), maxEvents)
-	}
-	for i, e := range evs {
-		if e.What != want(i) {
-			t.Fatalf("Events()[%d] = %q, want %q", i, e.What, want(i))
-		}
-	}
-	out, err := n.execute("log")
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSuffix(out, "\n"), "\n")
-	if len(lines) != maxEvents {
-		t.Fatalf("log has %d lines, want %d", len(lines), maxEvents)
-	}
-	for i, line := range lines {
-		if !strings.HasSuffix(line, "] "+want(i)) {
-			t.Fatalf("log line %d = %q, want it to end in %q", i, line, want(i))
-		}
 	}
 }

@@ -59,17 +59,15 @@ type Action interface {
 	RunAction(now Time)
 }
 
-// StopReason reports why a Run returned: the queue drained, Stop was
-// called, or a run budget (event count or host wall-clock) was exhausted.
-// Budget stops leave the pending queue intact, so a supervisor can inspect
-// the stuck simulation or hand the engine back for a resumed run.
+// StopReason reports why a Run returned: the queue drained or a run
+// budget (event count or host wall-clock) was exhausted. Budget stops
+// leave the pending queue intact, so a supervisor can inspect the stuck
+// simulation or hand the engine back for a resumed run.
 type StopReason uint8
 
 const (
 	// StopDrained: the event queue is empty — the normal end of a run.
 	StopDrained StopReason = iota
-	// StopRequested: Stop was called from inside a handler.
-	StopRequested
 	// StopMaxEvents: the SetBudget event allowance was exhausted.
 	StopMaxEvents
 	// StopMaxHost: the SetBudget host wall-clock allowance was exhausted.
@@ -81,8 +79,6 @@ func (r StopReason) String() string {
 	switch r {
 	case StopDrained:
 		return "drained"
-	case StopRequested:
-		return "stopped"
 	case StopMaxEvents:
 		return "max-events"
 	case StopMaxHost:
@@ -153,7 +149,6 @@ type Engine struct {
 	seq      uint64
 	queue    []event
 	executed uint64
-	stopped  bool
 	// hiWater is the queue-depth high-water mark since the last
 	// ResetQueueHighWater — a capacity-planning signal for the profiler.
 	hiWater   int
@@ -377,12 +372,11 @@ func (e *Engine) SetBudget(maxEvents uint64, maxHost time.Duration) {
 // (0 when SetBudget was never called).
 func (e *Engine) BudgetUsed() uint64 { return e.executed - e.budgetStart }
 
-// Run executes events until the queue drains, Stop is called, or the
-// armed budget runs out. It returns the time of the last executed event
-// and the typed reason the run ended. Budget checks cost two predictable
-// branches per event when disarmed and allocate nothing.
+// Run executes events until the queue drains or the armed budget runs
+// out. It returns the time of the last executed event and the typed
+// reason the run ended. Budget checks cost two predictable branches per
+// event when disarmed and allocate nothing.
 func (e *Engine) Run() (Time, StopReason) {
-	e.stopped = false
 	if e.budgetHost > 0 && e.hostClock != nil && !e.hostArmed {
 		e.hostStart = e.hostClock()
 		e.hostArmed = true
@@ -400,9 +394,6 @@ func (e *Engine) Run() (Time, StopReason) {
 			return e.now, StopMaxHost
 		}
 		e.Step()
-		if e.stopped {
-			return e.now, StopRequested
-		}
 	}
 }
 
@@ -410,21 +401,16 @@ func (e *Engine) Run() (Time, StopReason) {
 // clock to the deadline (even if no event lands exactly there). Events after
 // the deadline stay queued.
 func (e *Engine) RunUntil(deadline Time) {
-	e.stopped = false
-	for !e.stopped && len(e.queue) > 0 && e.queue[0].at <= deadline {
+	for len(e.queue) > 0 && e.queue[0].at <= deadline {
 		e.Step()
 	}
-	if !e.stopped && e.now < deadline {
+	if e.now < deadline {
 		e.now = deadline
 	}
 }
 
 // RunFor executes events for d of simulated time from now.
 func (e *Engine) RunFor(d units.Duration) { e.RunUntil(e.now.Add(d)) }
-
-// stop aborts a Run/RunUntil in progress after the current event handler
-// returns. Queued events are preserved.
-func (e *Engine) stop() { e.stopped = true }
 
 // Serializer models an exclusive resource that services work in FIFO order —
 // a link transmitting one packet at a time, a DMA engine issuing one TLP per
@@ -450,6 +436,3 @@ func (s *Serializer) Reserve(now Time, dur units.Duration) Time {
 
 // NextFree reports when the resource becomes idle again.
 func (s *Serializer) NextFree() Time { return s.nextFree }
-
-// busy reports whether the resource is occupied at time now.
-func (s *Serializer) busy(now Time) bool { return s.nextFree > now }

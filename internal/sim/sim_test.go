@@ -137,26 +137,6 @@ func TestRunForAdvancesRelative(t *testing.T) {
 	}
 }
 
-func TestStopAbortsRun(t *testing.T) {
-	e := NewEngine()
-	count := 0
-	for i := 1; i <= 10; i++ {
-		e.At(Time(i), func() {
-			count++
-			if count == 3 {
-				e.stop()
-			}
-		})
-	}
-	e.Run()
-	if count != 3 {
-		t.Fatalf("ran %d events before Stop, want 3", count)
-	}
-	if e.Pending() != 7 {
-		t.Fatalf("Pending() = %d, want 7", e.Pending())
-	}
-}
-
 func TestEventsCanScheduleMoreEvents(t *testing.T) {
 	e := NewEngine()
 	depth := 0
@@ -238,17 +218,6 @@ func TestSerializerFIFO(t *testing.T) {
 	start = s.Reserve(1000, 10)
 	if start != 1000 {
 		t.Fatalf("idle Reserve start = %v, want 1000", start)
-	}
-}
-
-func TestSerializerBusy(t *testing.T) {
-	var s Serializer
-	s.Reserve(0, 100)
-	if !s.busy(50) {
-		t.Fatal("busy(50) = false during reservation")
-	}
-	if s.busy(100) {
-		t.Fatal("busy(100) = true at exact release time")
 	}
 }
 
@@ -454,9 +423,10 @@ func TestHeapPopOrderMatchesSort(t *testing.T) {
 }
 
 func TestStopThenRerunResumesBitIdentically(t *testing.T) {
-	// The same workload executed straight through and executed with a Stop
-	// in the middle plus a second Run must visit identical (time, id)
-	// sequences: Stop preserves the queue and the (at, seq) total order.
+	// The same workload executed straight through and executed with a
+	// budget stop in the middle plus a second Run must visit identical
+	// (time, id) sequences: the stop preserves the queue and the (at, seq)
+	// total order.
 	workload := func(e *Engine, visit func(id int)) {
 		for i, at := range []Time{40, 10, 30, 10, 20, 50, 30} {
 			i, at := i, at
@@ -475,21 +445,20 @@ func TestStopThenRerunResumesBitIdentically(t *testing.T) {
 	run := func(interrupt bool) []step {
 		e := NewEngine()
 		var got []step
-		count := 0
 		workload(e, func(id int) {
 			got = append(got, step{id, e.Now()})
-			count++
-			if interrupt && count == 4 {
-				e.stop()
-			}
 		})
-		if _, reason := e.Run(); interrupt && reason != StopRequested {
-			t.Fatalf("interrupted Run reason = %v, want %v", reason, StopRequested)
+		if interrupt {
+			e.SetBudget(4, 0)
+		}
+		if _, reason := e.Run(); interrupt && reason != StopMaxEvents {
+			t.Fatalf("interrupted Run reason = %v, want %v", reason, StopMaxEvents)
 		}
 		if interrupt {
-			if e.Pending() == 0 {
-				t.Fatal("Stop drained the queue")
+			if len(got) != 4 || e.Pending() == 0 {
+				t.Fatalf("budget stop after %d visits with %d pending, want 4 and a non-empty queue", len(got), e.Pending())
 			}
+			e.SetBudget(0, 0)
 			if _, reason := e.Run(); reason != StopDrained {
 				t.Fatalf("resumed Run reason = %v, want %v", reason, StopDrained)
 			}

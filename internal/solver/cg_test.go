@@ -6,6 +6,7 @@ import (
 
 	"tca/internal/coll"
 	"tca/internal/core"
+	"tca/internal/obsv"
 	"tca/internal/sim"
 	"tca/internal/tcanet"
 )
@@ -17,6 +18,7 @@ func newCG(t *testing.T, nodes, N int) (*sim.Engine, *CG) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	sc.Instrument(obsv.NewSet(1024))
 	comm, err := core.NewComm(sc)
 	if err != nil {
 		t.Fatal(err)
@@ -141,11 +143,14 @@ func TestCGCommunicationDominatedBySmallMessages(t *testing.T) {
 	}
 	cg.Solve(1e-10, 640, func(Stats) {})
 	eng.Run()
-	st := cg.comm.SubCluster().Chip(0).Stats()
-	if st.DMAChains == 0 {
+	sc := cg.comm.SubCluster()
+	dmac := sc.Chip(0).DevName() + "/dmac"
+	chains, _ := sc.Observability().Registry().CounterValue("dma_chains", dmac)
+	tlps, _ := sc.Observability().Registry().CounterValue("dma_write_tlps", dmac)
+	if chains == 0 {
 		t.Fatal("no DMA chains ran")
 	}
-	if st.DMATLPs/st.DMAChains > 4 {
-		t.Fatalf("average %d TLPs per chain — expected small-message traffic", st.DMATLPs/st.DMAChains)
+	if tlps/chains > 4 {
+		t.Fatalf("average %d TLPs per chain — expected small-message traffic", tlps/chains)
 	}
 }

@@ -101,14 +101,3 @@ func (s Summary) WriteTable(w io.Writer) {
 		fmt.Fprintf(w, "  %-8s %.4g\n", r.k, r.v)
 	}
 }
-
-// relativeError reports |got-want|/|want|.
-func relativeError(got, want float64) float64 {
-	if want == 0 {
-		if got == 0 {
-			return 0
-		}
-		return math.Inf(1)
-	}
-	return math.Abs(got-want) / math.Abs(want)
-}

@@ -40,24 +40,6 @@ func TestSummarizeEmptyPanics(t *testing.T) {
 	Summarize(nil)
 }
 
-func TestRelativeErrorAndWithin(t *testing.T) {
-	if e := relativeError(3.3, 3.0); math.Abs(e-0.1) > 1e-12 {
-		t.Fatalf("relativeError = %v", e)
-	}
-	if relativeError(0, 0) != 0 {
-		t.Fatal("0/0 should be 0")
-	}
-	if !math.IsInf(relativeError(1, 0), 1) {
-		t.Fatal("x/0 should be +Inf")
-	}
-	if relativeError(782, 800) > 0.05 {
-		t.Fatal("782 should be within 5% of 800")
-	}
-	if relativeError(600, 800) <= 0.05 {
-		t.Fatal("600 should not be within 5% of 800")
-	}
-}
-
 // Property: Min ≤ Median ≤ Max and Min ≤ Mean ≤ Max.
 func TestQuickSummaryOrdering(t *testing.T) {
 	f := func(xs []float64) bool {

@@ -85,7 +85,7 @@ func (s *Server) runJob(j *Job) {
 	terminal := StateFailed
 	if failure.Class == FailPanic {
 		terminal = StateQuarantined
-		if j.Kind == KindScenario && !s.cfg.DisableShrink {
+		if j.Kind == KindScenario {
 			failure.Reproducer = s.shrinkReproducer(j)
 		}
 	}

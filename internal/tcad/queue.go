@@ -98,14 +98,3 @@ func (q *queue) close() {
 	}
 	q.cond.Broadcast()
 }
-
-// depth reports queued jobs per lane (for tests and /metrics sanity).
-func (q *queue) depth() [laneCount]int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	var d [laneCount]int
-	for pri := range q.lanes {
-		d[pri] = q.lanes[pri].Len()
-	}
-	return d
-}

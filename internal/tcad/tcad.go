@@ -103,9 +103,6 @@ type Config struct {
 	// DrainGrace bounds how long Drain waits for in-flight jobs before
 	// checkpointing them as pending and giving up. Default 30s.
 	DrainGrace time.Duration
-	// DisableShrink turns off reproducer minimization for quarantined
-	// panicking jobs (each shrink step is a full simulation).
-	DisableShrink bool
 	// Runner executes job bodies; nil selects DefaultRunner. Tests
 	// inject deliberate panics and transient failures here.
 	Runner Runner

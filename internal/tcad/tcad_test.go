@@ -415,8 +415,8 @@ func TestQueueCapPerLane(t *testing.T) {
 	}
 	// pushUnbounded ignores the cap.
 	q.pushUnbounded(&Job{ID: 4, Priority: PrioritySweep})
-	if d := q.depth(); d[PrioritySweep] != 2 || d[PriorityInteractive] != 1 {
-		t.Fatalf("depth = %v", d)
+	if sweep, inter := q.lanes[PrioritySweep].Len(), q.lanes[PriorityInteractive].Len(); sweep != 2 || inter != 1 {
+		t.Fatalf("lane depths = sweep %d, interactive %d; want 2, 1", sweep, inter)
 	}
 }
 

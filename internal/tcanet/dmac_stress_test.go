@@ -162,7 +162,8 @@ func TestDMAImmediateWithRemoteFlush(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatal("immediate remote put corrupted data")
 	}
-	if sc.Chip(1).Stats().AcksSent != 1 || sc.Chip(0).Stats().AcksRecv != 1 {
+	if chipCounter(t, sc, sc.Chip(1).DevName(), "flush_acks_sent") != 1 ||
+		chipCounter(t, sc, sc.Chip(0).DevName(), "flush_acks_recv") != 1 {
 		t.Fatal("flush ack missing on immediate remote put")
 	}
 }

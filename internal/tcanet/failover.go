@@ -19,9 +19,9 @@ import (
 // EnableAutoFailover (faultinject.go).
 
 // ErrRouteRulesOverflow tags the failure mode where a topology's avoidance
-// rules do not fit the eight Fig. 5 register sets. The NIOS health monitor
-// degrades gracefully on it (leaves routes untouched, logs, falls back to
-// the host/IB path) instead of crashing the chip model.
+// rules do not fit the eight Fig. 5 register sets. Failover degrades
+// gracefully on it (leaves routes untouched and falls back to the host/IB
+// path) instead of crashing the chip model.
 var ErrRouteRulesOverflow = errors.New("tcanet: avoidance rules exceed the route register file")
 
 // ringRoutesAvoidingIn computes node i's routing rules when the eastward

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"tca/internal/peach2"
-	"tca/internal/sim"
 )
 
 func TestRingRoutesAvoidingNeverUsesCutLink(t *testing.T) {
@@ -66,13 +65,9 @@ func TestRingRoutesAvoidingNeverUsesCutLink(t *testing.T) {
 }
 
 func TestRerouteAvoidingCutKeepsTrafficFlowing(t *testing.T) {
-	eng := sim.NewEngine()
-	sc, err := BuildRing(eng, 4, DefaultParams)
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng, sc := buildRing(t, 4)
 	// Before the cut, node0 → node1 goes east over link 0→1.
-	before := sc.Chip(0).Stats().Forwarded[peach2.PortE]
+	before := forwarded(t, sc, 0, peach2.PortE)
 	// Management plane reroutes around a dead 0→1 cable.
 	if err := sc.RerouteAvoidingCut(0); err != nil {
 		t.Fatal(err)
@@ -87,10 +82,10 @@ func TestRerouteAvoidingCutKeepsTrafficFlowing(t *testing.T) {
 	}
 	// It must have gone west the long way (0 →W 3 →W 2 →W 1), so node 0's
 	// E counter did not move and intermediate chips forwarded westward.
-	if sc.Chip(0).Stats().Forwarded[peach2.PortE] != before {
+	if forwarded(t, sc, 0, peach2.PortE) != before {
 		t.Fatal("traffic still used the dead eastward cable")
 	}
-	if sc.Chip(3).Stats().Forwarded[peach2.PortW] == 0 || sc.Chip(2).Stats().Forwarded[peach2.PortW] == 0 {
+	if forwarded(t, sc, 3, peach2.PortW) == 0 || forwarded(t, sc, 2, peach2.PortW) == 0 {
 		t.Fatal("long-way path not taken")
 	}
 	// The host-chip links were never affected (§V): another local DMA

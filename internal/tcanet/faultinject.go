@@ -7,7 +7,6 @@ import (
 	"tca/internal/pcie"
 	"tca/internal/peach2"
 	"tca/internal/sim"
-	"tca/internal/units"
 )
 
 // Fault wiring: InjectFaults layers a data-link layer (LCRC, ACK/NAK,
@@ -77,29 +76,24 @@ func (sc *SubCluster) InjectFaults(inj *fault.Injector, dll pcie.DLLParams) {
 // mid-run: when a chip's data-link layer exhausts its replay budget, the
 // controller maps the dead port to the cut ring link, reprograms the
 // affected ring with RerouteAvoidingCut, and the chips re-inject their
-// parked traffic along the surviving arc. A positive scanInterval also
-// starts each NIOS's periodic link scan (0 skips it — the dead-link fast
-// path alone drives failover). Requires InjectFaults first.
-func (sc *SubCluster) EnableAutoFailover(scanInterval units.Duration) {
+// parked traffic along the surviving arc. Requires InjectFaults first.
+func (sc *SubCluster) EnableAutoFailover() {
 	if sc.inj == nil {
 		panic("tcanet: EnableAutoFailover before InjectFaults")
 	}
 	for i, c := range sc.chips {
 		idx := i
-		c.NIOS().SetDeadLinkHandler(func(now sim.Time, port peach2.PortID) {
-			sc.failOver(now, idx, port)
+		c.NIOS().SetDeadLinkHandler(func(_ sim.Time, port peach2.PortID) {
+			sc.failOver(idx, port)
 		})
-		if scanInterval > 0 {
-			c.NIOS().Start(scanInterval)
-		}
 	}
 }
 
 // failOver is the management-plane reaction to chip chipIdx losing the
 // cable on port: identify the cut ring link, reroute its ring once (both
 // ends of a cable report the same cut; the second report is a no-op), and
-// count the outcome.
-func (sc *SubCluster) failOver(now sim.Time, chipIdx int, port peach2.PortID) {
+// count the reroute if it fits the route registers.
+func (sc *SubCluster) failOver(chipIdx int, port peach2.PortID) {
 	k := sc.ringSize
 	base := chipIdx / k * k
 	local := chipIdx - base
@@ -112,18 +106,13 @@ func (sc *SubCluster) failOver(now sim.Time, chipIdx int, port peach2.PortID) {
 	default:
 		// A dead S coupling has no redundant path in the Fig. 2 topology;
 		// inter-ring traffic is left to the host/IB fallback.
-		sc.chips[chipIdx].NIOS().NoteFailoverAbort(
-			fmt.Errorf("tcanet: no alternate route for dead port %v", port))
 		return
 	}
 	if sc.cutDone[cut] {
 		return
 	}
 	sc.cutDone[cut] = true
-	if err := sc.RerouteAvoidingCut(cut); err != nil {
-		sc.chips[chipIdx].NIOS().NoteFailoverAbort(err)
-		return
+	if sc.RerouteAvoidingCut(cut) == nil {
+		sc.inj.NoteFailover()
 	}
-	sc.inj.NoteFailover()
-	sc.chips[chipIdx].NIOS().NoteFailover(cut)
 }

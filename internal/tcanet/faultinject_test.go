@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"tca/internal/fault"
+	"tca/internal/obsv"
 	"tca/internal/pcie"
 	"tca/internal/peach2"
 	"tca/internal/sim"
@@ -17,6 +18,7 @@ func TestDualRingRerouteKeepsSCoupling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	sc.Instrument(obsv.NewSet(1024))
 	ringBBefore := make([][]peach2.RouteRule, 3)
 	for i := 3; i < 6; i++ {
 		ringBBefore[i-3] = sc.Chip(i).Routes()
@@ -65,7 +67,7 @@ func TestDualRingRerouteKeepsSCoupling(t *testing.T) {
 	if got, _ := sc.Node(4).ReadLocal(buf4, 1); got[0] != 22 {
 		t.Fatal("cross-ring write did not cross the S coupling after reroute")
 	}
-	if sc.Chip(1).Stats().Forwarded[peach2.PortE] != 0 {
+	if forwarded(t, sc, 1, peach2.PortE) != 0 {
 		t.Fatal("traffic crossed the cut cable")
 	}
 }
@@ -91,11 +93,7 @@ func TestRingRoutesAvoidingOverflowReturnsTaggedError(t *testing.T) {
 // payload — including TLPs parked on the dead egress and TLPs salvaged from
 // the dead DLL's replay buffer — arrives byte-identical via the long way.
 func TestLiveFailover(t *testing.T) {
-	eng := sim.NewEngine()
-	sc, err := BuildRing(eng, 4, DefaultParams)
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng, sc := buildRing(t, 4)
 	// Cable 1→2 dies permanently at 5 µs.
 	prof, err := fault.ParseScenario("linkdown:1e:5us", 7)
 	if err != nil {
@@ -103,7 +101,7 @@ func TestLiveFailover(t *testing.T) {
 	}
 	inj := fault.New(prof)
 	sc.InjectFaults(inj, pcie.DefaultDLLParams())
-	sc.EnableAutoFailover(0)
+	sc.EnableAutoFailover()
 
 	// Node 0 streams one-byte writes to node 2 every 2 µs from t=0 to
 	// t=38 µs, spanning before the cut, the replay/death window, and the
@@ -142,12 +140,9 @@ func TestLiveFailover(t *testing.T) {
 	if c.Failovers != 1 {
 		t.Fatalf("failovers = %d, want exactly 1 (both cable ends report the same cut)", c.Failovers)
 	}
-	if sc.Chip(1).NIOS().Status().Failovers+sc.Chip(2).NIOS().Status().Failovers != 1 {
-		t.Fatal("no NIOS recorded the reroute")
-	}
 	// Post-failover, 0→2 goes the long way west; the dead cable's E
 	// counter at chip 1 must stay below the write count.
-	if sc.Chip(3).Stats().Forwarded[peach2.PortW] == 0 {
+	if forwarded(t, sc, 3, peach2.PortW) == 0 {
 		t.Fatal("rerouted traffic never took the surviving western arc")
 	}
 }

@@ -5,12 +5,15 @@ import (
 	"encoding/binary"
 	"testing"
 
+	"tca/internal/obsv"
 	"tca/internal/pcie"
 	"tca/internal/peach2"
 	"tca/internal/sim"
 	"tca/internal/units"
 )
 
+// buildRing builds an instrumented n-node ring, so tests can read the
+// chips' counters.
 func buildRing(t *testing.T, n int) (*sim.Engine, *SubCluster) {
 	t.Helper()
 	eng := sim.NewEngine()
@@ -18,7 +21,25 @@ func buildRing(t *testing.T, n int) (*sim.Engine, *SubCluster) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	sc.Instrument(obsv.NewSet(1024))
 	return eng, sc
+}
+
+// chipCounter reads counter name of component comp from an instrumented
+// sub-cluster's metrics.
+func chipCounter(t *testing.T, sc *SubCluster, comp, name string, labels ...obsv.Label) uint64 {
+	t.Helper()
+	v, ok := sc.Observability().Registry().CounterValue(name, comp, labels...)
+	if !ok {
+		t.Fatalf("no %s counter for %s", name, comp)
+	}
+	return v
+}
+
+// forwarded reports how many TLPs chip i sent out of port.
+func forwarded(t *testing.T, sc *SubCluster, i int, port peach2.PortID) uint64 {
+	t.Helper()
+	return chipCounter(t, sc, sc.Chip(i).DevName(), "port_tlps_out", obsv.Label{Key: "port", Value: port.String()})
 }
 
 func TestBuildRingTopology(t *testing.T) {
@@ -71,10 +92,10 @@ func TestPIOWriteMultiHop(t *testing.T) {
 		t.Fatal("multi-hop PIO did not land")
 	}
 	// The intermediate chips forwarded it; the endpoints' stats show it.
-	if sc.Chip(1).Stats().Forwarded[peach2.PortE] != 1 || sc.Chip(2).Stats().Forwarded[peach2.PortE] != 1 {
+	if forwarded(t, sc, 1, peach2.PortE) != 1 || forwarded(t, sc, 2, peach2.PortE) != 1 {
 		t.Fatal("intermediate chips did not forward eastward")
 	}
-	if sc.Chip(3).Stats().Forwarded[peach2.PortN] != 1 {
+	if forwarded(t, sc, 3, peach2.PortN) != 1 {
 		t.Fatal("destination chip did not deliver to its host")
 	}
 }
@@ -89,12 +110,11 @@ func TestPIOWriteWestwardShortestPath(t *testing.T) {
 	if got[0] != 1 {
 		t.Fatal("westward PIO did not land")
 	}
-	if sc.Chip(0).Stats().Forwarded[peach2.PortW] != 1 {
+	if forwarded(t, sc, 0, peach2.PortW) != 1 {
 		t.Fatal("packet did not leave westward")
 	}
 	for i := 1; i < 7; i++ {
-		st := sc.Chip(i).Stats()
-		if st.Forwarded[peach2.PortE] != 0 && st.Forwarded[peach2.PortW] != 0 {
+		if forwarded(t, sc, i, peach2.PortE) != 0 && forwarded(t, sc, i, peach2.PortW) != 0 {
 			t.Fatalf("chip %d forwarded on the long arc", i)
 		}
 	}
@@ -213,11 +233,11 @@ func TestDMAWriteRemoteHost(t *testing.T) {
 		t.Fatal("remote DMA write corrupted data")
 	}
 	// Remote host targets use the flush ack (§IV-B2 modelling).
-	if sc.Chip(2).Stats().AcksSent != 1 {
-		t.Fatalf("remote chip sent %d acks, want 1", sc.Chip(2).Stats().AcksSent)
+	if n := chipCounter(t, sc, sc.Chip(2).DevName(), "flush_acks_sent"); n != 1 {
+		t.Fatalf("remote chip sent %d acks, want 1", n)
 	}
-	if sc.Chip(0).Stats().AcksRecv != 1 {
-		t.Fatalf("source chip received %d acks, want 1", sc.Chip(0).Stats().AcksRecv)
+	if n := chipCounter(t, sc, sc.Chip(0).DevName(), "flush_acks_recv"); n != 1 {
+		t.Fatalf("source chip received %d acks, want 1", n)
 	}
 }
 
@@ -243,7 +263,7 @@ func TestDMAWriteRemoteGPUNoFlush(t *testing.T) {
 		t.Fatal("remote GPU DMA corrupted data")
 	}
 	// Deep-queue GPU sinks complete without a flush ack.
-	if sc.Chip(1).Stats().AcksSent != 0 {
+	if chipCounter(t, sc, sc.Chip(1).DevName(), "flush_acks_sent") != 0 {
 		t.Fatal("GPU-targeted chain used a flush ack")
 	}
 }
@@ -327,7 +347,7 @@ func TestDMAChainMultipleDescriptors(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatal("chained transfer corrupted data")
 	}
-	if sc.Chip(0).Stats().DMAChains != 1 {
+	if chipCounter(t, sc, sc.Chip(0).DevName()+"/dmac", "dma_chains") != 1 {
 		t.Fatal("chain counter wrong")
 	}
 }
@@ -368,6 +388,7 @@ func TestDualRingRoutesAcrossS(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	sc.Instrument(obsv.NewSet(1024))
 	// Node 1 (ring A) writes node 5 (ring B): must cross an S coupling.
 	dst, _ := sc.GlobalHostAddr(5, 0x2000)
 	sc.Node(1).Store(dst, []byte{0x77})
@@ -376,7 +397,7 @@ func TestDualRingRoutesAcrossS(t *testing.T) {
 	if got[0] != 0x77 {
 		t.Fatal("cross-ring write did not land")
 	}
-	if sc.Chip(1).Stats().Forwarded[peach2.PortS] != 1 {
+	if forwarded(t, sc, 1, peach2.PortS) != 1 {
 		t.Fatal("packet did not cross Port S at the source")
 	}
 	// And within-ring traffic still works on ring B.
@@ -409,17 +430,16 @@ func TestGlobalAddrValidation(t *testing.T) {
 	}
 }
 
-func TestNIOSOnLiveRing(t *testing.T) {
+func TestChipStateOnLiveRing(t *testing.T) {
 	eng, sc := buildRing(t, 2)
-	sc.Chip(0).NIOS().Start(10 * units.Microsecond)
 	dst, _ := sc.GlobalHostAddr(1, 0x100)
 	sc.Node(0).Store(dst, []byte{1})
 	eng.RunFor(50 * units.Microsecond)
-	st := sc.Chip(0).NIOS().Status()
-	if !st.PortUp[peach2.PortN] || !st.PortUp[peach2.PortE] || !st.PortUp[peach2.PortW] {
-		t.Fatalf("ring ports down in NIOS status: %+v", st.PortUp)
+	c := sc.Chip(0)
+	if !c.PortUp(peach2.PortN) || !c.PortUp(peach2.PortE) || !c.PortUp(peach2.PortW) {
+		t.Fatalf("ring ports down: N=%t E=%t W=%t", c.PortUp(peach2.PortN), c.PortUp(peach2.PortE), c.PortUp(peach2.PortW))
 	}
-	if st.Forwarded[peach2.PortE] == 0 {
-		t.Fatal("NIOS status missed forwarded traffic")
+	if forwarded(t, sc, 0, peach2.PortE) == 0 {
+		t.Fatal("chip stats missed forwarded traffic")
 	}
 }
