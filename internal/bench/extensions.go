@@ -142,37 +142,7 @@ func ExtRingScaling(prm tcanet.Params) *Table {
 	const count = 255
 	total := units.ByteSize(size * count)
 	for _, n := range []int{2, 4, 8, 16} {
-		r := newRig(n, prm)
-		eng, sc, comm := r.eng, r.sc, r.comm()
-		done := 0
-		var last sim.Time
-		for i := 0; i < n; i++ {
-			if err := sc.Chip(i).InternalMemory().Write(0, make([]byte, size)); err != nil {
-				panic(err)
-			}
-			dstNode := (i + n/2) % n
-			buf, err := sc.Node(dstNode).AllocDMABuffer(total)
-			if err != nil {
-				panic(err)
-			}
-			g, err := sc.GlobalHostAddr(dstNode, buf)
-			if err != nil {
-				panic(err)
-			}
-			chainDescs := buildWriteChain(uint64(g), size, count)
-			if err := comm.StartChain(i, chainDescs, func(now sim.Time) {
-				done++
-				if now > last {
-					last = now
-				}
-			}); err != nil {
-				panic(err)
-			}
-		}
-		eng.Run()
-		if done != n {
-			panic(fmt.Sprintf("bench: %d/%d flows completed", done, n))
-		}
+		last := newRig(n, prm).allShift(size, count)
 		perFlow := units.Rate(total, last.Elapsed())
 		agg := units.Bandwidth(perFlow.BytesPerSec() * float64(n))
 		single := 3.322
@@ -182,6 +152,44 @@ func ExtRingScaling(prm tcanet.Params) *Table {
 	t.AddNote("every node targets its antipode; shortest-arc routing splits flows over both directions")
 	t.AddNote("§II-B: sub-clusters stay at 8–16 nodes because contention (and cable reach) grows with size")
 	return t
+}
+
+// allShift starts one count×size write chain on every node of the ring at
+// once, each to its antipode's host memory, drains the engine and returns
+// when the last flow completed.
+func (r *Rig) allShift(size units.ByteSize, count int) sim.Time {
+	n := r.sc.Nodes()
+	total := size * units.ByteSize(count)
+	comm := r.comm()
+	done := 0
+	var last sim.Time
+	for i := 0; i < n; i++ {
+		if err := r.sc.Chip(i).InternalMemory().Write(0, make([]byte, size)); err != nil {
+			panic(err)
+		}
+		dstNode := (i + n/2) % n
+		buf, err := r.sc.Node(dstNode).AllocDMABuffer(total)
+		if err != nil {
+			panic(err)
+		}
+		g, err := r.sc.GlobalHostAddr(dstNode, buf)
+		if err != nil {
+			panic(err)
+		}
+		if err := comm.StartChain(i, buildWriteChain(uint64(g), size, count), func(now sim.Time) {
+			done++
+			if now > last {
+				last = now
+			}
+		}); err != nil {
+			panic(err)
+		}
+	}
+	r.eng.Run()
+	if done != n {
+		panic(fmt.Sprintf("bench: %d/%d flows completed", done, n))
+	}
+	return last
 }
 
 // buildWriteChain makes a count-descriptor chain of size-byte writes from
