@@ -99,3 +99,21 @@ func (b PerfBaseline) Compare(got PerfBaseline, allocTol, slowdownMax float64) [
 	}
 	return drifts
 }
+
+// TestAllShiftQueueDepth is the deep-queue tripwire. The 16-node all-shift
+// of ExtRingScaling issues 16 concurrent 255×4 KiB chains, over 65,000
+// write TLPs, yet the engine heap must stay O(components) deep: only the
+// next event of each DMAC's issue stream and of each link direction's
+// arrivals is queued, so the peak follows the ring size, not the chain
+// length. The depth is deterministic, so this gate holds on hosts too
+// noisy for a timing gate.
+func TestAllShiftQueueDepth(t *testing.T) {
+	const nodes, perNode = 16, 32
+	r := newRig(nodes, tcanet.DefaultParams)
+	r.allShift(4096, 255)
+	hw := r.eng.QueueHighWater()
+	t.Logf("16-node all-shift peak queue depth %d (%.1f per node)", hw, float64(hw)/nodes)
+	if hw > perNode*nodes {
+		t.Fatalf("16-node all-shift queued %d events at its peak, over %d per node", hw, perNode)
+	}
+}

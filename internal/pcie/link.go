@@ -130,9 +130,9 @@ type Link struct {
 	// original lossless fast path — same events, same schedule.
 	dll *dll
 
-	// deliverFree recycles the two-phase delivery actions of the lossless
-	// fast path, so steady-state traffic schedules arrival and drain
-	// without allocating.
+	// deliverFree recycles the delivery actions of the lossless fast
+	// path, so steady-state traffic schedules arrival and drain without
+	// allocating.
 	deliverFree []*deliverAction
 
 	// Observability (nil when disabled — all updates are no-ops then).
@@ -156,6 +156,8 @@ type queuedTLP struct {
 }
 
 type linkDir struct {
+	l        *Link
+	di       int
 	wire     sim.Serializer
 	inFlight int
 	waiting  fifo.Queue[queuedTLP]
@@ -164,6 +166,11 @@ type linkDir struct {
 	// compute the direction's exact busy time up to any instant as
 	// reserved − max(0, nextFree − now).
 	reserved units.Duration
+	// first and last bound the lossless path's packets on the wire, in
+	// arrival order. Wire starts are serialized and propagation is fixed,
+	// so their (at, seq) keys strictly increase: only first has an event
+	// on the engine heap (the direction itself, as a sim.Action).
+	first, last *deliverAction
 }
 
 // Connect joins two ports with a link. Exactly one port must be RC-side and
@@ -187,8 +194,8 @@ func Connect(eng *sim.Engine, a, b *Port, params LinkParams) (*Link, error) {
 	}
 	params = params.withDefaults()
 	l := &Link{eng: eng, params: params, a: a, b: b}
-	l.aToB.dst = b
-	l.bToA.dst = a
+	l.aToB = linkDir{l: l, di: 0, dst: b}
+	l.bToA = linkDir{l: l, di: 1, dst: a}
 	a.link = l
 	b.link = l
 	return l, nil
@@ -345,56 +352,82 @@ func (l *Link) transmit(now sim.Time, d *linkDir, di int, t *TLP) {
 		l.rec.Record(obsv.Event{At: start, Txn: t.Txn, Stage: obsv.StageLinkTx,
 			Where: l.obsName, Port: d.dst.Label, Addr: uint64(t.Addr)})
 	}
-	arrive := start.Add(ser).Add(l.params.Propagation)
-	l.eng.AtAction(l.comp, arrive, l.newDeliver(d, di, t))
+	a := l.newDeliver(d, t)
+	a.at = start.Add(ser).Add(l.params.Propagation)
+	a.seq = l.eng.ReserveSeqs(1)
+	if d.last == nil {
+		d.first = a
+		d.arm()
+	} else {
+		d.last.next = a
+	}
+	d.last = a
 }
 
-// deliverAction is the pooled two-phase delivery event of the lossless fast
-// path: phase one hands the TLP to the receiving device and reschedules
-// itself for the drain delay; phase two returns the flow-control credit and
-// pumps the queue. It replaces the pair of closures that used to make every
-// link hop cost two heap allocations — the same two events now run off one
-// recycled struct.
+// arm schedules the direction's next arrival under the seq transmit
+// reserved for it.
+func (d *linkDir) arm() {
+	d.l.eng.AtActionSeq(d.l.comp, d.first.at, d.first.seq, d)
+}
+
+// RunAction implements sim.Action: the earliest packet on the wire lands.
+// The direction re-arms for the next arrival, hands the TLP to the
+// receiving device, and schedules the packet's deliverAction to return its
+// flow-control credit once the receiver has drained it.
+func (d *linkDir) RunAction(now sim.Time) {
+	a := d.first
+	d.first, a.next = a.next, nil
+	if d.first == nil {
+		d.last = nil
+	} else {
+		d.arm()
+	}
+	t := a.t
+	a.t = nil // the receiver owns (and may release) the packet now
+	drain := d.dst.owner.Accept(now, t, d.dst)
+	if drain < 0 {
+		panic(fmt.Sprintf("pcie: negative drain %v from %s", drain, d.dst.owner.DevName()))
+	}
+	d.l.eng.AfterAction(d.l.comp, drain, a)
+}
+
+// deliverAction is one packet's trip over the lossless fast path. On the
+// wire it waits in its direction's arrival list under the (at, seq) key
+// transmit reserved; after delivery it is the drain event that returns the
+// flow-control credit and pumps the queue. Pooled per link, so a hop
+// allocates nothing in steady state.
 type deliverAction struct {
-	l        *Link
-	d        *linkDir
-	di       int
-	t        *TLP
-	draining bool
+	d    *linkDir
+	t    *TLP
+	at   sim.Time
+	seq  uint64
+	next *deliverAction
 }
 
-func (l *Link) newDeliver(d *linkDir, di int, t *TLP) *deliverAction {
+func (l *Link) newDeliver(d *linkDir, t *TLP) *deliverAction {
 	if n := len(l.deliverFree) - 1; n >= 0 {
 		a := l.deliverFree[n]
 		l.deliverFree[n] = nil
 		l.deliverFree = l.deliverFree[:n]
-		a.l, a.d, a.di, a.t = l, d, di, t
+		a.d, a.t = d, t
 		return a
 	}
-	return &deliverAction{l: l, d: d, di: di, t: t}
+	return &deliverAction{d: d, t: t}
 }
 
-// RunAction implements sim.Action.
-func (a *deliverAction) RunAction(now sim.Time) {
-	if !a.draining {
-		t := a.t
-		a.t = nil // the receiver owns (and may release) the packet now
-		drain := a.d.dst.owner.Accept(now, t, a.d.dst)
-		if drain < 0 {
-			panic(fmt.Sprintf("pcie: negative drain %v from %s", drain, a.d.dst.owner.DevName()))
-		}
-		a.draining = true
-		a.l.eng.AfterAction(a.l.comp, drain, a)
-		return
-	}
-	l, d, di := a.l, a.d, a.di
+// RunAction implements sim.Action: the drain phase.
+func (a *deliverAction) RunAction(now sim.Time) { a.d.drained(now, a) }
+
+// drained recycles a, whose packet the receiver has drained, and returns
+// the packet's flow-control credit.
+func (d *linkDir) drained(now sim.Time, a *deliverAction) {
 	*a = deliverAction{}
-	l.deliverFree = append(l.deliverFree, a)
+	d.l.deliverFree = append(d.l.deliverFree, a)
 	d.inFlight--
 	if d.inFlight < 0 {
 		panic("pcie: credit underflow")
 	}
-	l.pump(now, d, di)
+	d.l.pump(now, d, d.di)
 }
 
 // pump moves queued TLPs onto the wire as capacity frees up. Without a

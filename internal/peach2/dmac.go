@@ -125,6 +125,10 @@ type DMAC struct {
 	// in a pipeline manner" (§IV-B2).
 	issue     sim.Serializer
 	readIssue sim.Serializer
+	// issueQ holds the write TLPs whose issue slots are reserved, run by
+	// run in slot order; issueAct is the one event that issues them.
+	issueQ   fifo.Queue[issueRun]
+	issueAct issueAction
 
 	state dmacState
 
@@ -230,7 +234,9 @@ type readReq struct {
 }
 
 func newDMAC(c *Chip) *DMAC {
-	return &DMAC{chip: c, tags: pcie.NewTagTable(c.params.DMA.OutstandingReads)}
+	d := &DMAC{chip: c, tags: pcie.NewTagTable(c.params.DMA.OutstandingReads)}
+	d.issueAct.d = d
+	return d
 }
 
 // Busy reports whether a chain is in flight.
@@ -360,17 +366,8 @@ func (d *DMAC) parseAndRun(table []byte, count int) {
 // without materializing them.
 func splitCount(addr pcie.Addr, n units.ByteSize, maxPayload units.ByteSize) int {
 	count := 0
-	for n > 0 {
-		l := maxPayload
-		if l > n {
-			l = n
-		}
-		if room := units.ByteSize(4096 - uint64(addr)%4096); l > room {
-			l = room
-		}
-		count++
-		addr += pcie.Addr(l)
-		n -= l
+	for r := (issueRun{addr: addr, left: n, maxPayload: maxPayload}); r.left > 0; count++ {
+		r.advance(r.next())
 	}
 	return count
 }
@@ -469,26 +466,16 @@ func (d *DMAC) classOfGlobal(a pcie.Addr) BlockClass {
 	return ClassHost
 }
 
-// generateWrite schedules a DescWrite's TLPs: data flows from internal
-// memory to the destination.
+// generateWrite queues a DescWrite's TLPs: data flows from internal memory
+// to the destination, read at issue time.
 func (d *DMAC) generateWrite(desc Descriptor, maxPayload units.ByteSize) {
-	relaxed := d.classOfGlobal(pcie.Addr(desc.Dst)) == ClassGPU
-	addr := pcie.Addr(desc.Dst)
-	srcOff := desc.Src
-	n := desc.Len
-	for n > 0 {
-		l := maxPayload
-		if l > n {
-			l = n
-		}
-		if room := units.ByteSize(4096 - uint64(addr)%4096); l > room {
-			l = room
-		}
-		d.issueWrite(addr, srcOff, l, relaxed)
-		addr += pcie.Addr(l)
-		srcOff += uint64(l)
-		n -= l
-	}
+	d.queueIssue(issueRun{
+		addr:       pcie.Addr(desc.Dst),
+		src:        desc.Src,
+		left:       desc.Len,
+		maxPayload: maxPayload,
+		relaxed:    d.classOfGlobal(pcie.Addr(desc.Dst)) == ClassGPU,
+	})
 }
 
 // issueSlotDur is the pipeline occupancy of one write TLP: the DMAC issues
@@ -504,40 +491,125 @@ func (d *DMAC) issueSlotDur(payload units.ByteSize) units.Duration {
 	return dur
 }
 
-// issueWrite reserves an issue slot for one write TLP reading its payload
-// from internal memory at send time.
-func (d *DMAC) issueWrite(addr pcie.Addr, srcOff uint64, n units.ByteSize, relaxed bool) {
-	d.issuesPending++
-	dur := d.issueSlotDur(n)
-	reservedAt := d.chip.eng.Now()
-	slot := d.issue.Reserve(reservedAt, dur)
-	gen := d.chainGen
-	d.chip.eng.AtComp(d.comp, slot.Add(dur), func() {
-		if gen != d.chainGen {
-			return // chain aborted since this slot was reserved
+// issueRun is a stretch of write TLPs generated together — one DescWrite,
+// or one read completion of a DescPipelined — that issue back to back. The
+// fields describe the run's next TLP; advance moves them to the one after.
+type issueRun struct {
+	addr       pcie.Addr      // destination of the next TLP
+	src        uint64         // internal-memory offset of its payload (DescWrite)
+	data       []byte         // payload still in hand (DescPipelined), else nil
+	left       units.ByteSize // bytes not yet issued
+	maxPayload units.ByteSize
+	relaxed    bool
+	// gen is chainGen when the run was generated: a run of an aborted
+	// chain keeps its slots but issues nothing.
+	gen        uint64
+	reservedAt sim.Time
+	slot       sim.Time // start of the next TLP's issue slot
+	seq        uint64   // tie-break seq of the next TLP's issue event
+}
+
+// next returns the payload length of the run's next write TLP: at most
+// maxPayload of the bytes left, never crossing a 4 KiB boundary — the
+// splitting rule of pcie.SplitWrite.
+func (r *issueRun) next() units.ByteSize {
+	l := min(r.maxPayload, r.left)
+	if room := units.ByteSize(4096 - uint64(r.addr)%4096); l > room {
+		l = room
+	}
+	return l
+}
+
+// advance moves the run past a TLP of n bytes.
+func (r *issueRun) advance(n units.ByteSize) {
+	r.addr += pcie.Addr(n)
+	r.src += uint64(n)
+	r.left -= n
+	if r.data != nil {
+		r.data = r.data[n:]
+	}
+}
+
+// queueIssue reserves an issue slot and a tie-break seq for every write
+// TLP of r, back to back and in TLP order — the reservations one event per
+// TLP would have made — and queues the run for issueAct. Slots and seqs
+// both only grow, so the queue is in (at, seq) order and only its head TLP
+// needs an event on the engine heap.
+func (d *DMAC) queueIssue(r issueRun) {
+	r.gen = d.chainGen
+	r.reservedAt = d.chip.eng.Now()
+	n := 0
+	for w := r; w.left > 0; n++ {
+		l := w.next()
+		slot := d.issue.Reserve(r.reservedAt, d.issueSlotDur(l))
+		if n == 0 {
+			r.slot = slot
 		}
-		data, err := d.chip.intMem.ReadBytes(srcOff, n)
-		if err != nil {
+		w.advance(l)
+	}
+	d.issuesPending += n
+	r.seq = d.chip.eng.ReserveSeqs(n)
+	d.issueQ.Push(r)
+	if d.issueQ.Len() == 1 {
+		d.armIssue()
+	}
+}
+
+// armIssue schedules issueAct for the head run's next TLP, at the end of
+// its issue slot.
+func (d *DMAC) armIssue() {
+	r := d.issueQ.At(0)
+	d.chip.eng.AtActionSeq(d.comp, r.slot.Add(d.issueSlotDur(r.next())), r.seq, &d.issueAct)
+}
+
+// issueAction is the DMAC's one issue event. Each run issues the head TLP
+// of the issue queue and re-arms for the next.
+type issueAction struct{ d *DMAC }
+
+// RunAction implements sim.Action.
+func (a *issueAction) RunAction(now sim.Time) {
+	d := a.d
+	r := d.issueQ.At(0)
+	cur := *r
+	n := cur.next()
+	r.advance(n)
+	r.slot = now // the next TLP's slot opens as this one's closes
+	r.seq++
+	if r.left == 0 {
+		d.issueQ.Pop()
+	}
+	if d.issueQ.Len() > 0 {
+		d.armIssue()
+	}
+	if cur.gen != d.chainGen {
+		return // chain aborted since this slot was reserved
+	}
+	var data []byte
+	if cur.data != nil {
+		data = cur.data[:n:n]
+	} else {
+		var err error
+		if data, err = d.chip.intMem.ReadBytes(cur.src, n); err != nil {
 			panic(fmt.Sprintf("peach2 %s: DMA write source: %v", d.chip.name, err))
 		}
-		d.writeTLPsIssued++
-		d.issuesPending--
-		d.mTLPs.Inc()
-		final := d.writeTLPsIssued == d.totalWriteTLPs
-		d.recordIssueWait(final, reservedAt, slot)
-		tlp := d.chip.pool.Get()
-		tlp.Kind = pcie.MWr
-		tlp.Addr = addr
-		tlp.Data = data
-		tlp.Requester = d.chip.id
-		tlp.Relaxed = relaxed
-		tlp.Last = final
-		tlp.Flush = final && d.waitAck
-		tlp.Txn = d.txn
-		d.recordIssue(tlp, final)
-		d.sendFromDMAC(tlp)
-		d.maybeComplete()
-	})
+	}
+	d.writeTLPsIssued++
+	d.issuesPending--
+	d.mTLPs.Inc()
+	final := d.writeTLPsIssued == d.totalWriteTLPs
+	d.recordIssueWait(final, cur.reservedAt, cur.slot)
+	tlp := d.chip.pool.Get()
+	tlp.Kind = pcie.MWr
+	tlp.Addr = cur.addr
+	tlp.Data = data
+	tlp.Requester = d.chip.id
+	tlp.Relaxed = cur.relaxed
+	tlp.Last = final
+	tlp.Flush = final && d.waitAck
+	tlp.Txn = d.txn
+	d.recordIssue(tlp, final)
+	d.sendFromDMAC(tlp)
+	d.maybeComplete()
 }
 
 // recordIssueWait spans the issue-pipeline wait of a traced chain's final
@@ -565,38 +637,6 @@ func (d *DMAC) recordIssue(t *pcie.TLP, final bool) {
 	d.chip.rec.Record(obsv.Event{At: d.chip.eng.Now(), Txn: d.txn,
 		Stage: obsv.StageDMAIssue, Where: d.chip.name, Addr: uint64(t.Addr),
 		Note: fmt.Sprintf("tlp %d/%d", d.writeTLPsIssued, d.totalWriteTLPs)})
-}
-
-// issueWriteData is issueWrite for payloads already in hand (the pipelined
-// DMAC forwarding read completions).
-func (d *DMAC) issueWriteData(addr pcie.Addr, data []byte, relaxed bool) {
-	d.issuesPending++
-	dur := d.issueSlotDur(units.ByteSize(len(data)))
-	reservedAt := d.chip.eng.Now()
-	slot := d.issue.Reserve(reservedAt, dur)
-	gen := d.chainGen
-	d.chip.eng.AtComp(d.comp, slot.Add(dur), func() {
-		if gen != d.chainGen {
-			return // chain aborted since this slot was reserved
-		}
-		d.writeTLPsIssued++
-		d.issuesPending--
-		d.mTLPs.Inc()
-		final := d.writeTLPsIssued == d.totalWriteTLPs
-		d.recordIssueWait(final, reservedAt, slot)
-		tlp := d.chip.pool.Get()
-		tlp.Kind = pcie.MWr
-		tlp.Addr = addr
-		tlp.Data = data
-		tlp.Requester = d.chip.id
-		tlp.Relaxed = relaxed
-		tlp.Last = final
-		tlp.Flush = final && d.waitAck
-		tlp.Txn = d.txn
-		d.recordIssue(tlp, final)
-		d.sendFromDMAC(tlp)
-		d.maybeComplete()
-	})
 }
 
 // sendFromDMAC routes a DMAC-originated packet out of the chip.
@@ -658,9 +698,8 @@ func (d *DMAC) generatePipelined(desc Descriptor, maxPayload units.ByteSize) {
 		delta := uint64(ch.Addr) - desc.Src
 		dst := pcie.Addr(desc.Dst + delta)
 		d.enqueueRead(ch, func(data []byte) {
-			for _, w := range pcie.SplitWrite(dst, data, maxPayload, relaxed) {
-				d.issueWriteData(w.Addr, w.Data, relaxed)
-			}
+			d.queueIssue(issueRun{addr: dst, data: data, left: units.ByteSize(len(data)),
+				maxPayload: maxPayload, relaxed: relaxed})
 		})
 	}
 }

@@ -124,13 +124,29 @@ func (e *BudgetError) Unwrap() error { return ErrBudgetExceeded }
 // while still bounding overshoot to a few microseconds of simulation work.
 const hostBudgetCheckInterval = 1024
 
-// event is a scheduled callback. seq breaks timestamp ties so that events
-// scheduled earlier run earlier — the property that makes runs deterministic.
-// Exactly one of fn and act is set.
+// event is one heap key: the (at, seq) total order plus the slab slot that
+// holds the event's callback. seq breaks timestamp ties so that events
+// scheduled earlier run earlier — the property that makes runs
+// deterministic. The key holds no pointers, so sifting it through the heap
+// costs no GC write barriers.
 type event struct {
 	at   Time
 	seq  uint64
+	slot uint32
+}
+
+// before reports whether a runs before b in the (at, seq) order that
+// defines the simulation.
+func (a event) before(b event) bool {
+	return a.at < b.at || a.at == b.at && a.seq < b.seq
+}
+
+// callback is a pending event's payload, parked in the engine's slab while
+// its key is on the heap. Exactly one of fn and act is set on a live
+// entry; a free entry links to the next free one through next.
+type callback struct {
 	comp CompID
+	next uint32 // 1 + index of the next free entry; 0 ends the free list
 	fn   func()
 	act  Action
 }
@@ -138,16 +154,27 @@ type event struct {
 // Engine is a single-threaded discrete-event simulator. The zero value is
 // ready to use at time zero.
 //
-// The pending queue is a hand-rolled binary min-heap on a plain []event
+// The pending queue is a hand-rolled binary min-heap of 24-byte event keys
 // rather than container/heap: the stdlib interface boxes every pushed
 // element into an `any`, costing one allocation per scheduled event, and
-// the queue is the hottest structure in the simulator. Pop order is fully
-// determined by the (at, seq) total order, so the heap's internal layout
-// can never affect simulation results.
+// the queue is the hottest structure in the simulator. Callbacks live in a
+// slab with a free list, so a sift moves only the pointer-free keys. Pop
+// order is fully determined by the (at, seq) total order, so the heap's
+// internal layout can never affect simulation results.
+//
+// A component whose events form a stream with strictly increasing (at, seq)
+// keys — a DMA engine's issue slots, a link direction's arrivals — keeps
+// only the stream's next event on the heap: it takes the stream's seqs up
+// front with ReserveSeqs and re-arms one action per event with
+// AtActionSeq, so the heap stays O(components) deep while the event order
+// stays exactly what scheduling every event eagerly would have given.
 type Engine struct {
-	now      Time
-	seq      uint64
-	queue    []event
+	now   Time
+	seq   uint64
+	queue []event
+	slab  []callback
+	// freeSlot is 1 + the index of the first free slab entry (0: none).
+	freeSlot uint32
 	executed uint64
 	// hiWater is the queue-depth high-water mark since the last
 	// ResetQueueHighWater — a capacity-planning signal for the profiler.
@@ -242,79 +269,121 @@ func (e *Engine) AfterAction(comp CompID, d units.Duration, a Action) {
 	e.scheduleAction(comp, e.now.Add(d), a)
 }
 
+// ReserveSeqs takes n consecutive tie-break seqs without scheduling
+// anything and returns the first. An event later scheduled under one of
+// them with AtActionSeq sorts exactly where it would have if it had been
+// scheduled now: before every same-timestamp event scheduled after this
+// call. n must be positive.
+func (e *Engine) ReserveSeqs(n int) uint64 {
+	if n <= 0 {
+		panic(fmt.Sprintf("sim: ReserveSeqs(%d)", n))
+	}
+	first := e.seq + 1
+	e.seq += uint64(n)
+	return first
+}
+
+// AtActionSeq schedules a at absolute time t under component comp and the
+// tie-break seq, which an earlier ReserveSeqs must have handed out. A seq
+// the engine has not handed out yet, a time in the past and a nil action
+// are model bugs and panic.
+func (e *Engine) AtActionSeq(comp CompID, t Time, seq uint64, a Action) {
+	if a == nil {
+		panic("sim: AtActionSeq called with nil action")
+	}
+	if seq == 0 || seq > e.seq {
+		panic(fmt.Sprintf("sim: seq %d was never reserved (last handed out: %d)", seq, e.seq))
+	}
+	e.checkTime(t)
+	e.push(t, seq, callback{comp: comp, act: a})
+}
+
 func (e *Engine) schedule(comp CompID, t Time, fn func()) {
 	if fn == nil {
 		panic("sim: At called with nil callback")
 	}
-	if t < e.now {
-		panic(fmt.Sprintf("sim: event scheduled in the past: at=%v now=%v", t, e.now))
-	}
+	e.checkTime(t)
 	e.seq++
-	e.push(event{at: t, seq: e.seq, comp: comp, fn: fn})
-	if len(e.queue) > e.hiWater {
-		e.hiWater = len(e.queue)
-	}
+	e.push(t, e.seq, callback{comp: comp, fn: fn})
 }
 
 func (e *Engine) scheduleAction(comp CompID, t Time, a Action) {
 	if a == nil {
 		panic("sim: AtAction called with nil action")
 	}
+	e.checkTime(t)
+	e.seq++
+	e.push(t, e.seq, callback{comp: comp, act: a})
+}
+
+func (e *Engine) checkTime(t Time) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: event scheduled in the past: at=%v now=%v", t, e.now))
 	}
-	e.seq++
-	e.push(event{at: t, seq: e.seq, comp: comp, act: a})
-	if len(e.queue) > e.hiWater {
-		e.hiWater = len(e.queue)
-	}
 }
 
-// less orders the heap by (at, seq) — the total order that defines the
-// simulation.
-func (e *Engine) less(i, j int) bool {
-	if e.queue[i].at != e.queue[j].at {
-		return e.queue[i].at < e.queue[j].at
+// push parks cb in the slab and sifts its key up from the tail, moving the
+// hole rather than swapping keys.
+func (e *Engine) push(t Time, seq uint64, cb callback) {
+	var slot uint32
+	if f := e.freeSlot; f != 0 {
+		slot = f - 1
+		e.freeSlot = e.slab[slot].next
+		e.slab[slot] = cb
+	} else {
+		slot = uint32(len(e.slab))
+		e.slab = append(e.slab, cb)
 	}
-	return e.queue[i].seq < e.queue[j].seq
-}
-
-func (e *Engine) push(ev event) {
-	e.queue = append(e.queue, ev)
-	i := len(e.queue) - 1
+	ev := event{at: t, seq: seq, slot: slot}
+	q := append(e.queue, ev)
+	i := len(q) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !e.less(i, parent) {
+		if !ev.before(q[parent]) {
 			break
 		}
-		e.queue[i], e.queue[parent] = e.queue[parent], e.queue[i]
+		q[i] = q[parent]
 		i = parent
+	}
+	q[i] = ev
+	e.queue = q
+	if len(q) > e.hiWater {
+		e.hiWater = len(q)
 	}
 }
 
-func (e *Engine) pop() event {
-	root := e.queue[0]
-	n := len(e.queue) - 1
-	e.queue[0] = e.queue[n]
-	e.queue[n] = event{}
-	e.queue = e.queue[:n]
-	i := 0
-	for {
-		left := 2*i + 1
-		if left >= n {
-			break
+// pop removes the earliest key, sifting the tail key down from the root
+// into the hole, and returns the key with its callback, whose slab entry
+// it frees.
+func (e *Engine) pop() (event, callback) {
+	q := e.queue
+	root := q[0]
+	n := len(q) - 1
+	last := q[n]
+	q = q[:n]
+	if n > 0 {
+		i := 0
+		for {
+			child := 2*i + 1
+			if child >= n {
+				break
+			}
+			if right := child + 1; right < n && q[right].before(q[child]) {
+				child = right
+			}
+			if !q[child].before(last) {
+				break
+			}
+			q[i] = q[child]
+			i = child
 		}
-		least := left
-		if right := left + 1; right < n && e.less(right, left) {
-			least = right
-		}
-		if !e.less(least, i) {
-			break
-		}
-		e.queue[i], e.queue[least] = e.queue[least], e.queue[i]
-		i = least
+		q[i] = last
 	}
-	return root
+	e.queue = q
+	cb := e.slab[root.slot]
+	e.slab[root.slot] = callback{next: e.freeSlot}
+	e.freeSlot = root.slot + 1
+	return root, cb
 }
 
 // Step runs the single earliest pending event and reports whether one ran.
@@ -322,25 +391,25 @@ func (e *Engine) Step() bool {
 	if len(e.queue) == 0 {
 		return false
 	}
-	ev := e.pop()
+	ev, cb := e.pop()
 	e.now = ev.at
 	e.executed++
 	e.inHandler = true
-	e.curComp = ev.comp
+	e.curComp = cb.comp
 	switch {
-	case e.exec == nil && ev.act != nil:
-		ev.act.RunAction(e.now)
+	case e.exec == nil && cb.act != nil:
+		cb.act.RunAction(e.now)
 	case e.exec == nil:
-		ev.fn()
-	case ev.act != nil:
+		cb.fn()
+	case cb.act != nil:
 		// Profiled runs wrap the action in an adapter closure. That
 		// allocation is acceptable: the allocs/event baseline is collected
 		// with the executor detached, and attaching a profiler never
 		// changes simulation results, only host-side cost.
-		act := ev.act
-		e.exec.ExecEvent(ev.comp, func() { act.RunAction(e.now) })
+		act := cb.act
+		e.exec.ExecEvent(cb.comp, func() { act.RunAction(e.now) })
 	default:
-		e.exec.ExecEvent(ev.comp, ev.fn)
+		e.exec.ExecEvent(cb.comp, cb.fn)
 	}
 	e.curComp = 0
 	e.inHandler = false

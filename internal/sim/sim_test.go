@@ -390,16 +390,36 @@ func TestDisabledProfilerPathZeroAllocs(t *testing.T) {
 	}
 }
 
+// appendID is an Action that records its id when it runs.
+type appendID struct {
+	got *[]int
+	id  int
+}
+
+func (a *appendID) RunAction(Time) { *a.got = append(*a.got, a.id) }
+
 func TestHeapPopOrderMatchesSort(t *testing.T) {
 	// The hand-rolled heap must pop in exactly (at, seq) order for any
-	// insertion sequence: stable-sorting the schedule order by timestamp
-	// predicts the execution order, duplicates included.
-	f := func(raw []uint8) bool {
+	// insertion sequence: stable-sorting the seq order by timestamp
+	// predicts the execution order, duplicates included. Events whose
+	// reserve bit is set take their seq with ReserveSeqs when their turn
+	// comes but are only scheduled, with AtActionSeq and in reverse, after
+	// every eager one — they must still sort as if scheduled in turn.
+	f := func(raw []uint8, reserve []bool) bool {
 		e := NewEngine()
 		var got []int
+		var deferred []func()
 		for i, r := range raw {
-			i := i
-			e.At(Time(r), func() { got = append(got, i) })
+			i, at := i, Time(r)
+			if i < len(reserve) && reserve[i] {
+				seq := e.ReserveSeqs(1)
+				deferred = append(deferred, func() { e.AtActionSeq(0, at, seq, &appendID{got: &got, id: i}) })
+				continue
+			}
+			e.At(at, func() { got = append(got, i) })
+		}
+		for i := len(deferred) - 1; i >= 0; i-- {
+			deferred[i]()
 		}
 		e.Run()
 		if len(got) != len(raw) {
@@ -419,6 +439,45 @@ func TestHeapPopOrderMatchesSort(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestReservedSeqRunsBeforeLaterSameTimeEvent(t *testing.T) {
+	e := NewEngine()
+	var got []int
+	seq := e.ReserveSeqs(2)
+	e.At(100, func() { got = append(got, 3) })
+	e.AtActionSeq(0, 100, seq+1, &appendID{got: &got, id: 2})
+	e.AtActionSeq(0, 100, seq, &appendID{got: &got, id: 1})
+	e.Run()
+	if len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
+		t.Fatalf("run order %v, want [1 2 3]: reserved seqs sort before the later eager event", got)
+	}
+}
+
+func TestAtActionSeqPanics(t *testing.T) {
+	act := &appendID{got: new([]int)}
+	cases := []struct {
+		name string
+		call func(e *Engine, seq uint64)
+	}{
+		{"seq never reserved", func(e *Engine, seq uint64) { e.AtActionSeq(0, 10, seq+1, act) }},
+		{"time in the past", func(e *Engine, seq uint64) { e.AtActionSeq(0, 5, seq, act) }},
+		{"nil action", func(e *Engine, seq uint64) { e.AtActionSeq(0, 10, seq, nil) }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			e := NewEngine()
+			e.At(7, func() {})
+			e.Run()
+			seq := e.ReserveSeqs(1)
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("AtActionSeq with a %s did not panic", tc.name)
+				}
+			}()
+			tc.call(e, seq)
+		})
 	}
 }
 
