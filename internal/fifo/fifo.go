@@ -1,6 +1,6 @@
 // Package fifo provides the simulator's one first-in, first-out queue type.
-// Link credit queues, DLL replay buffers, the DMAC read queue, the driver
-// chain queue, the NIOS log and the tcad admission lanes all use it.
+// Link credit queues, DLL replay buffers, the DMAC write-issue and read
+// queues, the driver chain queue and the tcad admission lanes all use it.
 package fifo
 
 import "fmt"

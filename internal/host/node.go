@@ -10,6 +10,7 @@ import (
 	"fmt"
 
 	"tca/internal/fault"
+	"tca/internal/freelist"
 	"tca/internal/gpu"
 	"tca/internal/obsv"
 	"tca/internal/pcie"
@@ -102,8 +103,8 @@ type Node struct {
 	// storeFree and pollFree recycle the store-issue and poll-detect
 	// actions. All single-threaded, owned by the engine's event loop.
 	pool      pcie.TLPPool
-	storeFree []*storeAction
-	pollFree  []*pollAction
+	storeFree freelist.List[storeAction]
+	pollFree  freelist.List[pollAction]
 
 	// Observability (nil when disabled).
 	rec *obsv.Recorder
@@ -306,21 +307,15 @@ type storeAction struct {
 }
 
 func (n *Node) newStore(t *pcie.TLP) *storeAction {
-	if i := len(n.storeFree) - 1; i >= 0 {
-		a := n.storeFree[i]
-		n.storeFree[i] = nil
-		n.storeFree = n.storeFree[:i]
-		a.n, a.t = n, t
-		return a
-	}
-	return &storeAction{n: n, t: t}
+	a := n.storeFree.Get()
+	a.n, a.t = n, t
+	return a
 }
 
 // RunAction implements sim.Action.
 func (a *storeAction) RunAction(now sim.Time) {
 	n, t := a.n, a.t
-	*a = storeAction{}
-	n.storeFree = append(n.storeFree, a)
+	n.storeFree.Put(a)
 	n.rc.routeFromCPU(now, t)
 }
 
@@ -329,7 +324,9 @@ func (a *storeAction) RunAction(now sim.Time) {
 // §IV-B1 step 6.
 func (n *Node) Poll(r pcie.Range, fn func(now sim.Time)) {
 	n.rc.watch(r, func(at sim.Time, txn uint64) {
-		n.eng.AfterAction(n.comp, n.params.PollDetectLatency, n.newPoll(fn, txn, r.Base))
+		a := n.pollFree.Get()
+		a.n, a.fn, a.txn, a.base = n, fn, txn, r.Base
+		n.eng.AfterAction(n.comp, n.params.PollDetectLatency, a)
 	})
 }
 
@@ -343,22 +340,10 @@ type pollAction struct {
 	base pcie.Addr
 }
 
-func (n *Node) newPoll(fn func(now sim.Time), txn uint64, base pcie.Addr) *pollAction {
-	if i := len(n.pollFree) - 1; i >= 0 {
-		a := n.pollFree[i]
-		n.pollFree[i] = nil
-		n.pollFree = n.pollFree[:i]
-		a.n, a.fn, a.txn, a.base = n, fn, txn, base
-		return a
-	}
-	return &pollAction{n: n, fn: fn, txn: txn, base: base}
-}
-
 // RunAction implements sim.Action.
 func (a *pollAction) RunAction(now sim.Time) {
 	n, fn, txn, base := a.n, a.fn, a.txn, a.base
-	*a = pollAction{}
-	n.pollFree = append(n.pollFree, a)
+	n.pollFree.Put(a)
 	if txn != 0 && n.rec != nil {
 		n.rec.Record(obsv.Event{At: now, Txn: txn,
 			Stage: obsv.StagePollSeen, Where: n.name, Addr: uint64(base)})

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"tca/internal/fifo"
+	"tca/internal/freelist"
 	"tca/internal/obsv"
 	"tca/internal/prof"
 	"tca/internal/sim"
@@ -133,7 +134,7 @@ type Link struct {
 	// deliverFree recycles the delivery actions of the lossless fast
 	// path, so steady-state traffic schedules arrival and drain without
 	// allocating.
-	deliverFree []*deliverAction
+	deliverFree freelist.List[deliverAction]
 
 	// Observability (nil when disabled — all updates are no-ops then).
 	obsName  string
@@ -352,7 +353,8 @@ func (l *Link) transmit(now sim.Time, d *linkDir, di int, t *TLP) {
 		l.rec.Record(obsv.Event{At: start, Txn: t.Txn, Stage: obsv.StageLinkTx,
 			Where: l.obsName, Port: d.dst.Label, Addr: uint64(t.Addr)})
 	}
-	a := l.newDeliver(d, t)
+	a := l.deliverFree.Get()
+	a.d, a.t = d, t
 	a.at = start.Add(ser).Add(l.params.Propagation)
 	a.seq = l.eng.ReserveSeqs(1)
 	if d.last == nil {
@@ -404,25 +406,13 @@ type deliverAction struct {
 	next *deliverAction
 }
 
-func (l *Link) newDeliver(d *linkDir, t *TLP) *deliverAction {
-	if n := len(l.deliverFree) - 1; n >= 0 {
-		a := l.deliverFree[n]
-		l.deliverFree[n] = nil
-		l.deliverFree = l.deliverFree[:n]
-		a.d, a.t = d, t
-		return a
-	}
-	return &deliverAction{d: d, t: t}
-}
-
 // RunAction implements sim.Action: the drain phase.
 func (a *deliverAction) RunAction(now sim.Time) { a.d.drained(now, a) }
 
 // drained recycles a, whose packet the receiver has drained, and returns
 // the packet's flow-control credit.
 func (d *linkDir) drained(now sim.Time, a *deliverAction) {
-	*a = deliverAction{}
-	d.l.deliverFree = append(d.l.deliverFree, a)
+	d.l.deliverFree.Put(a)
 	d.inFlight--
 	if d.inFlight < 0 {
 		panic("pcie: credit underflow")

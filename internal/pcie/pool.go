@@ -20,13 +20,15 @@ package pcie
 // literals (SplitWrite, SplitCompletion, tests) have no pool and both calls
 // are no-ops, so sinks can release unconditionally.
 
+import "tca/internal/freelist"
+
 // TLPPool is a LIFO free list of TLP values. It is not safe for concurrent
 // use: a pool belongs to one engine's single-threaded event loop, and every
 // model entity that produces packets (host node, PEACH2 chip) owns its own.
 // Recycling is cross-entity within an engine — a packet released at its
 // sink returns to the pool of the entity that produced it.
 type TLPPool struct {
-	free []*TLP
+	free freelist.List[TLP]
 }
 
 // Get returns a zeroed TLP owned by the pool. The caller fills the public
@@ -34,14 +36,9 @@ type TLPPool struct {
 // by assigning Data directly when the bytes already have an owner) and
 // hands the packet into the fabric; the sink releases it.
 func (p *TLPPool) Get() *TLP {
-	if n := len(p.free) - 1; n >= 0 {
-		t := p.free[n]
-		p.free[n] = nil
-		p.free = p.free[:n]
-		t.pool = p
-		return t
-	}
-	return &TLP{pool: p}
+	t := p.free.Get()
+	t.pool = p
+	return t
 }
 
 // SetPayload copies data into the TLP's retained scratch buffer and points
@@ -69,11 +66,9 @@ func (t *TLP) Release() {
 	if p == nil {
 		return
 	}
-	t.pool = nil
-	sc := t.scratch
-	*t = TLP{}
-	t.scratch = sc[:0]
-	p.free = append(p.free, t)
+	sc := t.scratch[:0]
+	p.free.Put(t)
+	t.scratch = sc
 }
 
 // Pin detaches t from its pool: a later Release becomes a no-op and the

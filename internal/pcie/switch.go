@@ -3,6 +3,7 @@ package pcie
 import (
 	"fmt"
 
+	"tca/internal/freelist"
 	"tca/internal/obsv"
 	"tca/internal/prof"
 	"tca/internal/sim"
@@ -45,7 +46,7 @@ type Switch struct {
 
 	// fwdFree recycles crossbar-forward actions so steady-state forwarding
 	// allocates nothing.
-	fwdFree []*switchFwdAction
+	fwdFree freelist.List[switchFwdAction]
 
 	// rec records crossbar-arrival span events for traced packets (nil
 	// when uninstrumented).
@@ -117,7 +118,9 @@ func (s *Switch) Accept(now sim.Time, t *TLP, in *Port) units.Duration {
 		s.rec.Record(obsv.Event{At: now, Txn: t.Txn, Stage: obsv.StageSwitch,
 			Where: s.name, Port: in.Label, Addr: uint64(t.Addr), Note: "egress " + out.Label})
 	}
-	s.eng.AfterAction(s.comp, s.params.ForwardLatency, s.newFwd(out, t))
+	a := s.fwdFree.Get()
+	a.s, a.out, a.t = s, out, t
+	s.eng.AfterAction(s.comp, s.params.ForwardLatency, a)
 	return s.params.IngressDrain
 }
 
@@ -130,22 +133,10 @@ type switchFwdAction struct {
 	t   *TLP
 }
 
-func (s *Switch) newFwd(out *Port, t *TLP) *switchFwdAction {
-	if n := len(s.fwdFree) - 1; n >= 0 {
-		a := s.fwdFree[n]
-		s.fwdFree[n] = nil
-		s.fwdFree = s.fwdFree[:n]
-		a.s, a.out, a.t = s, out, t
-		return a
-	}
-	return &switchFwdAction{s: s, out: out, t: t}
-}
-
 // RunAction implements sim.Action.
 func (a *switchFwdAction) RunAction(now sim.Time) {
 	s, out, t := a.s, a.out, a.t
-	*a = switchFwdAction{}
-	s.fwdFree = append(s.fwdFree, a)
+	s.fwdFree.Put(a)
 	out.Send(now, t)
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"tca/internal/fault"
+	"tca/internal/freelist"
 	"tca/internal/memory"
 	"tca/internal/obsv"
 	"tca/internal/pcie"
@@ -49,8 +50,8 @@ type Chip struct {
 	// router's forward actions. All single-threaded, owned by the engine's
 	// event loop.
 	pool     pcie.TLPPool
-	ringFree []*ringFwdAction
-	nFree    []*nFwdAction
+	ringFree freelist.List[ringFwdAction]
+	nFree    freelist.List[nFwdAction]
 
 	// Observability (all handles nil when uninstrumented — every update
 	// below is then a single-branch no-op).
@@ -237,7 +238,12 @@ func (c *Chip) parkTLP(now sim.Time, t *pcie.TLP) {
 	// the parked list still aliases them.
 	t.Pin()
 	c.parked = append(c.parked, t)
-	if c.led != nil && t.LID != 0 {
+	if c.led != nil {
+		if t.LID == 0 {
+			// A DMAC write routed at an already-dead port parks before any
+			// link has born it; it enters the ledger here.
+			t.LID = c.led.Born(now, t.Kind.String(), uint64(t.Addr), t.Data, c.name)
+		}
 		c.led.Parked(now, t.LID, c.name)
 	}
 	if c.rec != nil && t.Txn != 0 {
@@ -416,7 +422,9 @@ func (c *Chip) forwardRing(now sim.Time, t *pcie.TLP, out PortID) {
 		c.rec.Record(obsv.Event{At: now, Txn: t.Txn, Stage: obsv.StageRoute,
 			Where: c.name, Port: out.String(), Addr: uint64(t.Addr)})
 	}
-	c.eng.AfterAction(c.comp, c.params.RouterLatency, c.newRingFwd(t, out))
+	a := c.ringFree.Get()
+	a.c, a.t, a.out = c, t, out
+	c.eng.AfterAction(c.comp, c.params.RouterLatency, a)
 }
 
 // ringFwdAction is the pooled router-pipeline event of a ring forward:
@@ -428,22 +436,10 @@ type ringFwdAction struct {
 	out PortID
 }
 
-func (c *Chip) newRingFwd(t *pcie.TLP, out PortID) *ringFwdAction {
-	if n := len(c.ringFree) - 1; n >= 0 {
-		a := c.ringFree[n]
-		c.ringFree[n] = nil
-		c.ringFree = c.ringFree[:n]
-		a.c, a.t, a.out = c, t, out
-		return a
-	}
-	return &ringFwdAction{c: c, t: t, out: out}
-}
-
 // RunAction implements sim.Action.
 func (a *ringFwdAction) RunAction(now sim.Time) {
 	c, t, out := a.c, a.t, a.out
-	*a = ringFwdAction{}
-	c.ringFree = append(c.ringFree, a)
+	c.ringFree.Put(a)
 	if c.rec != nil && t.Txn != 0 {
 		c.rec.Record(obsv.Event{At: now, Txn: t.Txn, Stage: obsv.StagePortOut,
 			Where: c.name, Port: out.String(), Addr: uint64(t.Addr)})
@@ -514,22 +510,16 @@ type nFwdAction struct {
 }
 
 func (c *Chip) newNFwd(t *pcie.TLP, local pcie.Addr, flush bool, class BlockClass, req pcie.DeviceID, txn uint64) *nFwdAction {
-	if n := len(c.nFree) - 1; n >= 0 {
-		a := c.nFree[n]
-		c.nFree[n] = nil
-		c.nFree = c.nFree[:n]
-		a.c, a.t, a.local, a.flush, a.class, a.req, a.txn = c, t, local, flush, class, req, txn
-		return a
-	}
-	return &nFwdAction{c: c, t: t, local: local, flush: flush, class: class, req: req, txn: txn}
+	a := c.nFree.Get()
+	a.c, a.t, a.local, a.flush, a.class, a.req, a.txn = c, t, local, flush, class, req, txn
+	return a
 }
 
 // RunAction implements sim.Action.
 func (a *nFwdAction) RunAction(now sim.Time) {
 	c, t, local := a.c, a.t, a.local
 	flush, class, req, txn := a.flush, a.class, a.req, a.txn
-	*a = nFwdAction{}
-	c.nFree = append(c.nFree, a)
+	c.nFree.Put(a)
 	if c.rec != nil && txn != 0 {
 		c.rec.Record(obsv.Event{At: now, Txn: txn, Stage: obsv.StagePortOut,
 			Where: c.name, Port: "N", Addr: uint64(local)})
