@@ -8,6 +8,9 @@ import (
 	"strconv"
 	"testing"
 
+	"tca/internal/coll"
+	"tca/internal/core"
+	"tca/internal/solver"
 	"tca/internal/tcanet"
 )
 
@@ -115,5 +118,53 @@ func TestAllShiftQueueDepth(t *testing.T) {
 	t.Logf("16-node all-shift peak queue depth %d (%.1f per node)", hw, float64(hw)/nodes)
 	if hw > perNode*nodes {
 		t.Fatalf("16-node all-shift queued %d events at its peak, over %d per node", hw, perNode)
+	}
+}
+
+// TestCGSolveEventsPerIteration is the flag-poll fan-out tripwire. Every
+// halo exchange and every allreduce re-polls the same per-node flag words;
+// each range keeps one poller, so a flag write wakes one poll loop and a
+// solve's event count grows linearly with its iterations. Were re-polls to
+// stack pollers, every write would wake one loop per earlier call: the
+// 8-node, 64-row ExtCGSolve solve then costs 22,825 events per iteration
+// instead of 7,936. The count is deterministic.
+func TestCGSolveEventsPerIteration(t *testing.T) {
+	const nodes, N, maxPerIter = 8, 64, 10000
+	r := newRig(nodes, tcanet.DefaultParams)
+	comm := r.comm()
+	comm.SetMode(core.Pipelined)
+	cc, err := coll.New(comm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cg, err := solver.New(comm, cc, N)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The right-hand side ExtCGSolve uses: b = A·x* for x*[i] = cos(0.29 i).
+	b := make([]float64, N)
+	for i := range b {
+		b[i] = 2 * math.Cos(0.29*float64(i))
+		if i > 0 {
+			b[i] -= math.Cos(0.29 * float64(i-1))
+		}
+		if i < N-1 {
+			b[i] -= math.Cos(0.29 * float64(i+1))
+		}
+	}
+	if err := cg.SetB(b); err != nil {
+		t.Fatal(err)
+	}
+	var st solver.Stats
+	cg.Solve(1e-10, 10*N, func(s solver.Stats) { st = s })
+	r.eng.Run()
+	if st.Iterations == 0 {
+		t.Fatal("CG did not iterate")
+	}
+	perIter := float64(r.eng.Executed()) / float64(st.Iterations)
+	t.Logf("%d-node N=%d solve: %d events over %d iterations, %.0f per iteration",
+		nodes, N, r.eng.Executed(), st.Iterations, perIter)
+	if perIter > maxPerIter {
+		t.Fatalf("%.0f events per CG iteration, over %d: flag pollers are fanning out", perIter, maxPerIter)
 	}
 }

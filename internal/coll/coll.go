@@ -5,9 +5,9 @@
 // result, the overhead of MPI protocol stack can be eliminated", §V).
 //
 // All collectives operate on registered host buffers and complete through
-// a callback, like the rest of the simulated driver world. Each collective
-// owns its mailbox layout, so different collectives (or repeated runs of
-// the same one) never share flags.
+// a callback, like the rest of the simulated driver world. All collectives
+// share one mailbox and one flag word per node, so one collective finishes
+// before the next starts on the same Communicator.
 package coll
 
 import (
@@ -26,7 +26,7 @@ import (
 type Communicator struct {
 	comm  *core.Comm
 	n     int
-	seq   int // distinguishes successive collectives' mailboxes
+	seq   int // generation of the latest collective, in its flag values
 	boxes []mailbox
 
 	// Observability (nil handles when the sub-cluster is uninstrumented).
@@ -35,8 +35,8 @@ type Communicator struct {
 	mSignals    *obsv.Counter
 }
 
-// mailbox is one node's inbox for collective traffic: a staging area and a
-// flag word per collective generation.
+// mailbox is one node's inbox for collective traffic: a staging area and,
+// past it, the node's one flag word.
 type mailbox struct {
 	buf core.HostBuffer
 }
@@ -71,12 +71,12 @@ func (c *Communicator) flagAddr(i int) pcie.Addr {
 	return c.boxes[i].buf.Bus + pcie.Addr(mailboxSize)
 }
 
-// watchFlag registers a handler for writes to node i's flag word and
-// returns a reader for the current value.
+// watchFlag points node i's flag-word poller at fn, replacing the previous
+// collective's handler. fn gets the word's value at detection and drops other
+// generations: late duplicates, such as salvage re-deliveries after failover.
 func (c *Communicator) watchFlag(i int, fn func(now sim.Time, value uint64)) {
-	node := i
-	c.comm.WaitFlag(node, c.flagAddr(node), func(now sim.Time) {
-		raw, err := c.comm.ReadHost(c.boxes[node].buf, mailboxSize, flagBytes)
+	c.comm.WaitFlag(i, c.flagAddr(i), func(now sim.Time) {
+		raw, err := c.comm.ReadHost(c.boxes[i].buf, mailboxSize, flagBytes)
 		if err != nil {
 			panic(fmt.Sprintf("coll: flag read: %v", err))
 		}
@@ -191,7 +191,7 @@ func (c *Communicator) Barrier(done func(now sim.Time)) {
 		i := i
 		c.watchFlag(i, func(now sim.Time, v uint64) {
 			if v>>32 != myGen {
-				return // another collective's generation
+				return // a late duplicate of an earlier collective's signal
 			}
 			states[i].seen[v] = true
 			advance(i, now)
@@ -250,7 +250,7 @@ func (c *Communicator) Allreduce(bufs []core.HostBuffer, count int, done func(no
 		i := i
 		c.watchFlag(i, func(now sim.Time, v uint64) {
 			if v>>32 != myGen {
-				return
+				return // a late duplicate would fail the step check below, or pass it wrongly
 			}
 			step := int(v & 0xffffffff)
 			st := states[i]

@@ -229,7 +229,8 @@ func (c *Comm) WriteFlag(node int, dst pcie.Addr, value uint64) error {
 }
 
 // WaitFlag runs fn when node's local host memory at bus address addr is
-// written by the fabric (the wait half; §IV-B1 step 6's polling).
+// written by the fabric (the wait half; §IV-B1 step 6's polling). Waiting
+// on the same flag again replaces fn: a flag word has one poller.
 func (c *Comm) WaitFlag(node int, addr pcie.Addr, fn func(now sim.Time)) {
 	c.driverOf(node).node.Poll(pcie.Range{Base: addr, Size: 8}, fn)
 }

@@ -321,13 +321,17 @@ func (a *storeAction) RunAction(now sim.Time) {
 
 // Poll arranges fn to run when a device write lands in host memory at range
 // r, plus the poll-loop detection latency — the measurement technique of
-// §IV-B1 step 6.
+// §IV-B1 step 6. A range has one poller: polling an equal range again
+// replaces fn, so re-arming a flag word never stacks pollers. A distinct or
+// merely overlapping range gets a poller of its own.
 func (n *Node) Poll(r pcie.Range, fn func(now sim.Time)) {
-	n.rc.watch(r, func(at sim.Time, txn uint64) {
-		a := n.pollFree.Get()
-		a.n, a.fn, a.txn, a.base = n, fn, txn, r.Base
-		n.eng.AfterAction(n.comp, n.params.PollDetectLatency, a)
-	})
+	for i := range n.rc.watches {
+		if n.rc.watches[i].r == r {
+			n.rc.watches[i].fn = fn
+			return
+		}
+	}
+	n.rc.watches = append(n.rc.watches, rcWatch{r: r, fn: fn})
 }
 
 // pollAction is the pooled poll-detection event: the spinning CPU loop

@@ -315,20 +315,46 @@ func TestRCStatsCount(t *testing.T) {
 	}
 }
 
+// TestMultipleWatchersFireIndependently pins the one-poller-per-range rule:
+// distinct and overlapping ranges keep their own pollers, while polling an
+// equal range again replaces its callback instead of stacking a second one.
 func TestMultipleWatchersFireIndependently(t *testing.T) {
 	eng := sim.NewEngine()
 	n := NewNode(eng, 0, DefaultParams)
 	d := attachSink(t, n, 0, 0x60_0000_0000)
 	buf, _ := n.AllocDMABuffer(4 * units.KiB)
-	hitsA, hitsB := 0, 0
-	n.Poll(pcie.Range{Base: buf, Size: 8}, func(sim.Time) { hitsA++ })
+	flag := pcie.Range{Base: buf, Size: 8}
+	stale := 0
+	for i := 0; i < 100; i++ {
+		n.Poll(flag, func(sim.Time) { stale++ })
+	}
+	if got := len(n.rc.watches); got != 1 {
+		t.Fatalf("100 polls of one range left %d watches, want 1", got)
+	}
+	hitsA, hitsB, hitsC := 0, 0, 0
+	n.Poll(flag, func(sim.Time) { hitsA++ })
 	n.Poll(pcie.Range{Base: buf + 0x100, Size: 8}, func(sim.Time) { hitsB++ })
+	n.Poll(pcie.Range{Base: buf + 4, Size: 8}, func(sim.Time) { hitsC++ }) // overlaps flag
+	d.port.Send(0, &pcie.TLP{Kind: pcie.MWr, Addr: buf, Data: make([]byte, 8)})
 	d.port.Send(0, &pcie.TLP{Kind: pcie.MWr, Addr: buf, Data: make([]byte, 8)})
 	d.port.Send(0, &pcie.TLP{Kind: pcie.MWr, Addr: buf + 0x100, Data: make([]byte, 8)})
 	d.port.Send(0, &pcie.TLP{Kind: pcie.MWr, Addr: buf + 0x200, Data: make([]byte, 8)})
 	eng.Run()
-	if hitsA != 1 || hitsB != 1 {
-		t.Fatalf("watchers fired %d/%d, want 1/1", hitsA, hitsB)
+	if stale != 0 || hitsA != 2 || hitsB != 1 || hitsC != 2 {
+		t.Fatalf("pollers fired stale=%d A=%d B=%d C=%d, want 0/2/1/2", stale, hitsA, hitsB, hitsC)
+	}
+	if got := len(n.rc.watches); got != 3 {
+		t.Fatalf("%d watches for 3 distinct ranges", got)
+	}
+
+	// A write that already landed runs the callback current at landing,
+	// even when the range is re-polled before the loop detects it.
+	landed := eng.Now().Add(DefaultParams.StoreLatency)
+	n.Store(buf, make([]byte, 8))
+	eng.At(landed.Add(units.Nanosecond), func() { n.Poll(flag, func(sim.Time) { hitsA += 100 }) })
+	eng.Run()
+	if hitsA != 3 {
+		t.Fatalf("re-poll between landing and detection: A=%d, want 3", hitsA)
 	}
 }
 

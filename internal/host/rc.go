@@ -46,10 +46,8 @@ type RootComplex struct {
 }
 
 type rcWatch struct {
-	r pcie.Range
-	// fn receives the landing time and the writing TLP's transaction ID so
-	// a traced write's poll detection closes the same span.
-	fn func(at sim.Time, txn uint64)
+	r  pcie.Range
+	fn func(now sim.Time)
 }
 
 // instrument registers the root complex's metrics and span recorder.
@@ -89,10 +87,6 @@ func (rc *RootComplex) socketOf(a pcie.Addr) (int, bool) {
 	return 0, false
 }
 
-func (rc *RootComplex) watch(r pcie.Range, fn func(at sim.Time, txn uint64)) {
-	rc.watches = append(rc.watches, rcWatch{r: r, fn: fn})
-}
-
 func (rc *RootComplex) dramWindow() pcie.Range {
 	return pcie.Range{Base: 0, Size: uint64(rc.node.params.DRAMSize)}
 }
@@ -125,7 +119,10 @@ func (rc *RootComplex) writeDRAM(now sim.Time, t *pcie.TLP) {
 	hit := pcie.Range{Base: t.Addr, Size: uint64(len(t.Data))}
 	for _, w := range rc.watches {
 		if w.r.Overlaps(hit) {
-			w.fn(now, t.Txn)
+			// fn is captured at landing: a later re-poll cannot redirect it.
+			a := rc.node.pollFree.Get()
+			a.n, a.fn, a.txn, a.base = rc.node, w.fn, t.Txn, w.r.Base
+			rc.node.eng.AfterAction(rc.node.comp, rc.node.params.PollDetectLatency, a)
 		}
 	}
 	if rc.led != nil && t.LID != 0 {

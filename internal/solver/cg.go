@@ -36,11 +36,9 @@ type CG struct {
 	x, b, r, p, q []core.HostBuffer
 	halo          []core.HostBuffer
 	scal          []core.HostBuffer
-
-	haloSeq uint64
 }
 
-// haloLayout: [0,8) left ghost, [8,16) right ghost, [16,24) flag counter.
+// haloLayout: [0,8) left ghost, [8,16) right ghost, [16,24) flag word.
 const (
 	haloLeft  = 0
 	haloRight = 8
@@ -141,8 +139,6 @@ func (cg *CG) X() []float64 {
 // completion when every node holds both ghosts. Edge nodes' outer ghosts
 // are zero (Dirichlet boundary), delivered locally.
 func (cg *CG) exchangeHalo(src []core.HostBuffer, done func(now sim.Time)) {
-	cg.haloSeq++
-	gen := cg.haloSeq << 8
 	type nodeState struct{ got int }
 	states := make([]*nodeState, cg.n)
 	expected := make([]int, cg.n)
@@ -179,24 +175,25 @@ func (cg *CG) exchangeHalo(src []core.HostBuffer, done func(now sim.Time)) {
 	for i := 0; i < cg.n; i++ {
 		// Last element of node i -> left ghost of node i+1.
 		if i+1 < cg.n {
-			cg.putCell(src[i], units.ByteSize((cg.m-1)*8), i, i+1, haloLeft, gen)
+			cg.putCell(src[i], units.ByteSize((cg.m-1)*8), i, i+1, haloLeft)
 		}
 		// First element of node i -> right ghost of node i-1.
 		if i > 0 {
-			cg.putCell(src[i], 0, i, i-1, haloRight, gen)
+			cg.putCell(src[i], 0, i, i-1, haloRight)
 		}
 	}
 }
 
 // putCell ships one float64 from a vector buffer to a neighbour's ghost
-// cell, flagging after the flush.
-func (cg *CG) putCell(srcBuf core.HostBuffer, srcOff units.ByteSize, srcNode, dstNode int, ghostOff units.ByteSize, gen uint64) {
+// cell, flagging after the flush. The flag's value is unread: the halo
+// handler counts flag writes.
+func (cg *CG) putCell(srcBuf core.HostBuffer, srcOff units.ByteSize, srcNode, dstNode int, ghostOff units.ByteSize) {
 	flagGlobal, err := cg.comm.GlobalHost(cg.halo[dstNode], haloFlag)
 	if err != nil {
 		panic(err)
 	}
 	err = cg.comm.PutToHost(cg.halo[dstNode], ghostOff, srcNode, srcBuf.Bus+pcie.Addr(srcOff), 8, func(sim.Time) {
-		if err := cg.comm.WriteFlag(srcNode, flagGlobal, gen|uint64(srcNode)); err != nil {
+		if err := cg.comm.WriteFlag(srcNode, flagGlobal, 1); err != nil {
 			panic(err)
 		}
 	})

@@ -190,6 +190,7 @@ func (c *Cluster) WriteFlag(node int, dst Addr, value uint64) error {
 
 // WaitFlag runs fn when the fabric writes into (buffer, offset) on the
 // buffer's node — the wait half (a CPU polling loop, like §IV-B1 step 6).
+// Waiting on the same (buffer, offset) again replaces fn: one poller each.
 func (c *Cluster) WaitFlag(b HostBuffer, off ByteSize, fn func(at Duration)) {
 	c.comm.WaitFlag(b.Node, b.Bus+Addr(off), wrap(fn))
 }
