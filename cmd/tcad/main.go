@@ -1,8 +1,9 @@
 // Command tcad runs the supervised simulation service: an HTTP/JSON
 // daemon that accepts scenario specs and sweep requests, schedules them
 // onto a worker pool (one sim.Engine per worker at a time), and serves
-// results with provenance, retries, backpressure, and a deterministic
-// result cache.
+// results with provenance, backpressure, and a deterministic result
+// cache. Each job runs once; a panicking job is quarantined with its
+// stack and a shrunk reproducer.
 //
 //	tcad -addr :7421 -workers 8 -checkpoint /var/lib/tcad/queue.json
 //
@@ -34,7 +35,12 @@ func main() {
 
 func run(args []string) int {
 	cfg, addr, err := parseFlags(args)
-	if err != nil {
+	switch {
+	case errors.Is(err, flag.ErrHelp):
+		return 0
+	case errors.Is(err, errFlagSyntax):
+		return 2 // the flag package has printed the error and the usage
+	case err != nil:
 		fmt.Fprintf(os.Stderr, "tcad: %v\n", err)
 		return 2
 	}
@@ -85,35 +91,40 @@ func run(args []string) int {
 	return 0
 }
 
+// errFlagSyntax marks a command line the flag package rejected.
+var errFlagSyntax = errors.New("bad flag syntax")
+
 // parseFlags turns the command line into the server config and the listen
-// address. Counts and durations must not be negative. -retries 0 means no
-// retries; tcad.Config spells that as a negative MaxRetries, because its
-// zero value selects the default.
+// address. Counts and durations must not be negative, and a zero would
+// silently select tcad.Config's default, so only -workers (0 = GOMAXPROCS)
+// and -verify-every (0 = off) accept it.
 func parseFlags(args []string) (tcad.Config, string, error) {
-	fs := flag.NewFlagSet(os.Args[0], flag.ExitOnError)
+	fs := flag.NewFlagSet(os.Args[0], flag.ContinueOnError)
 	var (
 		addr        = fs.String("addr", ":7421", "listen address")
 		workers     = fs.Int("workers", 0, "worker goroutines (0 = GOMAXPROCS)")
 		queueCap    = fs.Int("queue", 256, "admission queue capacity per priority lane")
-		retries     = fs.Int("retries", 2, "max retries for panicking/transient jobs before quarantine")
 		maxEvents   = fs.Uint64("max-events", 50_000_000, "default per-job engine event budget")
 		maxHost     = fs.Duration("max-host", 30*time.Second, "default per-job host wall-clock budget")
 		verifyEvery = fs.Int("verify-every", 0, "re-verify every Nth cache hit against a fresh run (0 = off)")
 		checkpoint  = fs.String("checkpoint", "", "path for the drain checkpoint (empty = no checkpointing)")
 		drainGrace  = fs.Duration("drain-grace", 30*time.Second, "how long a drain waits for in-flight jobs")
 	)
-	fs.Parse(args)
-	if *workers < 0 || *queueCap < 0 || *retries < 0 || *verifyEvery < 0 || *drainGrace < 0 {
-		return tcad.Config{}, "", errors.New("-workers, -queue, -retries, -verify-every and -drain-grace must not be negative")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return tcad.Config{}, "", err
+		}
+		return tcad.Config{}, "", errFlagSyntax
 	}
-	maxRetries := *retries
-	if maxRetries == 0 {
-		maxRetries = -1
+	if *workers < 0 || *verifyEvery < 0 {
+		return tcad.Config{}, "", errors.New("-workers and -verify-every must not be negative")
+	}
+	if *queueCap <= 0 || *maxEvents == 0 || *maxHost <= 0 || *drainGrace <= 0 {
+		return tcad.Config{}, "", errors.New("-queue, -max-events, -max-host and -drain-grace must be positive")
 	}
 	return tcad.Config{
 		Workers:          *workers,
 		QueueCap:         *queueCap,
-		MaxRetries:       maxRetries,
 		DefaultMaxEvents: *maxEvents,
 		DefaultMaxHost:   *maxHost,
 		VerifyEvery:      *verifyEvery,

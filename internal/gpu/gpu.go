@@ -30,11 +30,6 @@ type Params struct {
 	MemorySize units.ByteSize
 	// BAR1Size is the window mappable into PCIe space (256 MiB on K20).
 	BAR1Size units.ByteSize
-	// WriteDrain is read by nothing: the GPU returns write credit
-	// immediately (see Accept). It stays only because %+v of the
-	// parameter set feeds tcad's result-cache fingerprint, which the
-	// committed benchmark digests pin.
-	WriteDrain units.Duration
 	// BARReadLatency is the pipeline latency of an inbound read.
 	BARReadLatency units.Duration
 	// BARReadService serializes inbound reads through the BAR address

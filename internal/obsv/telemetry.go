@@ -191,25 +191,18 @@ type Report struct {
 	Notes   []string `json:"notes,omitempty"`
 }
 
-// AttributeConfig tunes the attribution thresholds.
-type AttributeConfig struct {
-	// SaturationPct is the utilization / busy-fraction level treated as
+// Attribution thresholds, matching the PEACH2 defaults.
+const (
+	// saturationPct is the utilization / busy-fraction level treated as
 	// saturated.
-	SaturationPct float64
-	// IdlePct is the level below which a resource counts as idle.
-	IdlePct float64
-	// ReadCeiling is the requester's outstanding-read tag budget (the
+	saturationPct float64 = 90
+	// idlePct is the level below which a resource counts as idle.
+	idlePct float64 = 10
+	// readCeiling is the requester's outstanding-read tag budget (the
 	// PEACH2 DMAC exposes 16 tags); sustained occupancy near it means
 	// progress is read-latency-bound.
-	ReadCeiling float64
-}
-
-// DefaultAttributeConfig matches the PEACH2 defaults.
-var DefaultAttributeConfig = AttributeConfig{
-	SaturationPct: 90,
-	IdlePct:       10,
-	ReadCeiling:   16,
-}
+	readCeiling float64 = 16
+)
 
 // Attribute names the saturated resource of a sampled run: a ≥90%-utilized
 // link direction wins (link-bound), else a dominant DMAC busy fraction
@@ -218,18 +211,13 @@ var DefaultAttributeConfig = AttributeConfig{
 // supplies cumulative context (credit stalls); the timeline supplies the
 // per-interval evidence rows.
 func Attribute(snap *Snapshot, tl *Timeline) *Report {
-	return AttributeWith(DefaultAttributeConfig, snap, tl)
-}
-
-// AttributeWith is Attribute with explicit thresholds.
-func AttributeWith(cfg AttributeConfig, snap *Snapshot, tl *Timeline) *Report {
 	r := &Report{}
 	linkTop := hottest(tl.Select("link_util"))
 	dmaTop := hottest(tl.Select("dma_busy"))
 	readTop := hottestMax(tl.Select("rc_outstanding_reads"))
 
 	switch {
-	case linkTop != nil && linkTop.ActiveMean() >= cfg.SaturationPct:
+	case linkTop != nil && linkTop.ActiveMean() >= saturationPct:
 		r.Primary = Finding{
 			Verdict:  VerdictLinkBound,
 			Resource: linkTop.Component + "[" + linkTop.Label + "]",
@@ -243,17 +231,17 @@ func AttributeWith(cfg AttributeConfig, snap *Snapshot, tl *Timeline) *Report {
 		}
 		for _, d := range tl.Select("dma_busy") {
 			am := d.ActiveMean()
-			if d.Max() == 0 || am < cfg.IdlePct {
+			if d.Max() == 0 || am < idlePct {
 				r.Notes = append(r.Notes, fmt.Sprintf("downstream %s idles (%.1f%% busy) while the link saturates", d.Component, am))
 				r.Primary.Evidence = append(r.Primary.Evidence,
 					EvidenceRow{Series: d.ID(), Stat: "active-mean", Value: am, Unit: d.Unit})
 			}
 		}
-		if dmaTop != nil && dmaTop.ActiveMean() >= cfg.SaturationPct {
+		if dmaTop != nil && dmaTop.ActiveMean() >= saturationPct {
 			r.Notes = append(r.Notes, fmt.Sprintf("%s is %.1f%% busy but wire-paced: its issue slots stretch to the serializer, so the link is the binding constraint",
 				dmaTop.Component, dmaTop.ActiveMean()))
 		}
-	case dmaTop != nil && dmaTop.ActiveMean() >= cfg.SaturationPct:
+	case dmaTop != nil && dmaTop.ActiveMean() >= saturationPct:
 		r.Primary = Finding{
 			Verdict:  VerdictEngineBound,
 			Resource: dmaTop.Component,
@@ -265,14 +253,14 @@ func AttributeWith(cfg AttributeConfig, snap *Snapshot, tl *Timeline) *Report {
 			r.Primary.Evidence = append(r.Primary.Evidence,
 				EvidenceRow{Series: linkTop.ID(), Stat: "active-mean", Value: linkTop.ActiveMean(), Unit: linkTop.Unit})
 		}
-	case readTop != nil && readTop.Max() >= 0.9*cfg.ReadCeiling:
+	case readTop != nil && readTop.Max() >= 0.9*readCeiling:
 		r.Primary = Finding{
 			Verdict:  VerdictReadLatencyBound,
 			Resource: readTop.Component,
 			Detail: fmt.Sprintf("%s holds up to %.0f outstanding reads against a ceiling of %.0f tags — completion latency gates progress",
-				readTop.ID(), readTop.Max(), cfg.ReadCeiling),
+				readTop.ID(), readTop.Max(), readCeiling),
 			Evidence: append(seriesEvidence(readTop),
-				EvidenceRow{Series: readTop.ID(), Stat: "ceiling", Value: cfg.ReadCeiling, Unit: readTop.Unit}),
+				EvidenceRow{Series: readTop.ID(), Stat: "ceiling", Value: readCeiling, Unit: readTop.Unit}),
 		}
 	default:
 		r.Primary = Finding{

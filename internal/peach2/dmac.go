@@ -788,12 +788,12 @@ func (d *DMAC) armReadTimeout(mrd *pcie.TLP, st *readState, attempt int, gen uin
 	if !d.chip.faults.Enabled() {
 		return
 	}
-	timeout := d.chip.params.DMA.cplTimeout() << uint(attempt)
+	timeout := DefaultCplTimeout << uint(attempt)
 	d.chip.eng.AfterComp(d.comp, timeout, func() {
 		if st.done || gen != d.chainGen || d.state == dmacIdle {
 			return
 		}
-		if attempt >= d.chip.params.DMA.cplRetries() {
+		if attempt >= DefaultCplRetries {
 			d.failChain(fmt.Errorf("read %v (tag %d) lost: no completion after %d retries", mrd.Addr, mrd.Tag, attempt))
 			return
 		}

@@ -78,9 +78,6 @@ const (
 // Params tunes one chip. Defaults reproduce the paper's measurements; see
 // DESIGN.md §4 for the derivations.
 type Params struct {
-	// ClockMHz is the FPGA fabric clock ("the greater part of the PEACH2
-	// chip operates at 250 MHz", §III-G).
-	ClockMHz int
 	// RouterLatency is the ingress-to-egress pipeline delay for a
 	// forwarded packet.
 	RouterLatency units.Duration
@@ -119,14 +116,6 @@ type DMAParams struct {
 	// acknowledging a flushed chain aimed at strictly-ordered host
 	// memory.
 	HostFlushDelay units.Duration
-	// CplTimeout is how long the DMAC waits for a read completion before
-	// retransmitting the request; each retry doubles it. Zero means
-	// DefaultCplTimeout. Only armed when fault injection is attached —
-	// the paper's perfect fabric never loses a completion.
-	CplTimeout units.Duration
-	// CplRetries bounds read retransmissions before the chain is aborted
-	// with an error. Zero means DefaultCplRetries.
-	CplRetries int
 	// ChainTimeout is the whole-chain watchdog: a chain that has not
 	// completed after this long is aborted and its error surfaced through
 	// the status register instead of hanging the DMAC forever. Zero means
@@ -134,30 +123,18 @@ type DMAParams struct {
 	ChainTimeout units.Duration
 }
 
-// Recovery-timer defaults: a completion timeout far above any healthy read
-// round trip, the conventional handful of retries, and a chain watchdog
-// generous enough for multi-megabyte chains.
+// Recovery timers, armed only when fault injection is attached — the
+// paper's perfect fabric never loses a completion. DefaultCplTimeout is
+// how long the DMAC waits for a read completion before retransmitting
+// the request, far above any healthy read round trip; each retry doubles
+// it. DefaultCplRetries bounds the retransmissions before the chain is
+// aborted with an error. DefaultChainTimeout is the chain watchdog's
+// default, generous enough for multi-megabyte chains.
 const (
 	DefaultCplTimeout   = 20 * units.Microsecond
 	DefaultCplRetries   = 3
 	DefaultChainTimeout = 2 * units.Millisecond
 )
-
-// cplTimeout returns the configured or default completion timeout.
-func (p DMAParams) cplTimeout() units.Duration {
-	if p.CplTimeout > 0 {
-		return p.CplTimeout
-	}
-	return DefaultCplTimeout
-}
-
-// cplRetries returns the configured or default retry budget.
-func (p DMAParams) cplRetries() int {
-	if p.CplRetries > 0 {
-		return p.CplRetries
-	}
-	return DefaultCplRetries
-}
 
 // chainTimeout returns the configured or default chain watchdog.
 func (p DMAParams) chainTimeout() units.Duration {
@@ -169,7 +146,6 @@ func (p DMAParams) chainTimeout() units.Duration {
 
 // DefaultParams reproduces the paper's PEACH2 (logic version 20121112).
 var DefaultParams = Params{
-	ClockMHz:        250,
 	RouterLatency:   100 * units.Nanosecond, // 25 cycles
 	NConvLatency:    8 * units.Nanosecond,   // 2 cycles
 	InternalMemSize: 256 * units.MiB,

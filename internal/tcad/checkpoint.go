@@ -54,8 +54,7 @@ func (s *Server) checkpoint(includeRunning bool) error {
 	cp := checkpointFile{Version: checkpointVersion, NextID: s.nextID}
 	for _, id := range s.order {
 		j := s.jobs[id]
-		pending := j.State == StateQueued || j.State == StateRetryWait ||
-			(includeRunning && j.State == StateRunning)
+		pending := j.State == StateQueued || (includeRunning && j.State == StateRunning)
 		if !pending {
 			continue
 		}

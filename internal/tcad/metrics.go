@@ -27,7 +27,6 @@ type metrics struct {
 	started     *obsv.Counter
 	succeeded   *obsv.Counter
 	failed      *obsv.Counter
-	retried     *obsv.Counter
 	quarantined *obsv.Counter
 
 	shedFull     *obsv.Counter
@@ -51,7 +50,6 @@ func newMetrics(reg *obsv.Registry) *metrics {
 		started:     reg.Counter("tcad_jobs_started", comp),
 		succeeded:   reg.Counter("tcad_jobs_succeeded", comp),
 		failed:      reg.Counter("tcad_jobs_failed", comp),
-		retried:     reg.Counter("tcad_jobs_retried", comp),
 		quarantined: reg.Counter("tcad_jobs_quarantined", comp),
 
 		shedFull:     reg.Counter("tcad_jobs_shed", comp, obsv.Label{Key: "reason", Value: "queue-full"}),

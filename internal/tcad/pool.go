@@ -33,7 +33,8 @@ func (s *Server) worker() {
 	}
 }
 
-// runJob executes one attempt of a job and applies the retry policy.
+// runJob runs a job once and records its verdict. There is no retry:
+// engine runs are deterministic, so a failed run would fail again.
 func (s *Server) runJob(j *Job) {
 	s.mu.Lock()
 	j.State = StateRunning
@@ -67,21 +68,10 @@ func (s *Server) runJob(j *Job) {
 		return
 	}
 
-	failure.Attempts = attempt
-	retryable := failure.Class == FailPanic || failure.Class == FailTransient
-	if retryable && attempt <= s.cfg.MaxRetries {
-		s.met.retried.Inc()
-		s.mu.Lock()
-		j.State = StateRetryWait
-		j.Failure = failure
-		s.mu.Unlock()
-		s.spawnRetry(j, attempt)
-		return
-	}
-
-	// Terminal. A panicking job is quarantined as poison; its cache slot
-	// is released either way so a corrected resubmission is not stuck
+	// A panicking job is quarantined as poison; its cache slot is
+	// released either way so a corrected resubmission is not stuck
 	// behind a failed key.
+	failure.Attempts = attempt
 	terminal := StateFailed
 	if failure.Class == FailPanic {
 		terminal = StateQuarantined
@@ -99,46 +89,14 @@ func (s *Server) runJob(j *Job) {
 	s.mu.Unlock()
 	if terminal == StateQuarantined {
 		s.met.quarantined.Inc()
-		s.cfg.Logf("tcad: job %d quarantined after %d attempts: %s", j.ID, attempt, failure.Message)
+		s.cfg.Logf("tcad: job %d quarantined: %s", j.ID, failure.Message)
 	} else {
 		s.met.failed.Inc()
 	}
 	s.met.jobLatency.Observe(hostDur(now - j.StartedNS))
 }
 
-// spawnRetry schedules the next attempt after an exponential backoff,
-// aborting (job left in retry-wait, checkpointable) if a drain begins.
-// Caller must not hold s.mu.
-func (s *Server) spawnRetry(j *Job, attempt int) {
-	backoff := s.cfg.RetryBackoff << (attempt - 1)
-	s.mu.Lock()
-	if s.draining {
-		s.mu.Unlock()
-		return
-	}
-	s.wg.Add(1)
-	s.mu.Unlock()
-	go func() {
-		defer s.wg.Done()
-		t := time.NewTimer(backoff)
-		defer t.Stop()
-		select {
-		case <-t.C:
-		case <-s.drainCh:
-			return
-		}
-		s.mu.Lock()
-		if s.draining {
-			s.mu.Unlock()
-			return
-		}
-		j.State = StateQueued
-		s.mu.Unlock()
-		s.q.pushUnbounded(j)
-	}()
-}
-
-// executeSupervised runs one attempt under recover() and returns the
+// executeSupervised runs the job under recover() and returns the
 // marshaled result payload, the check transcript (scenario jobs), and a
 // structured failure classification. A panic anywhere inside the
 // simulator becomes a FailPanic failure with the stack — never a daemon
@@ -212,8 +170,7 @@ func (s *Server) runSweepJob(j *Job) ([]byte, []byte, *Failure) {
 }
 
 // classifyError maps a returned (not panicked) error onto a failure
-// class: budget exhaustion is terminal and typed, transient errors
-// retry, everything else is internal.
+// class: budget exhaustion is typed, everything else is internal.
 func classifyError(err error) *Failure {
 	var be *sim.BudgetError
 	if errors.As(err, &be) {
@@ -222,10 +179,6 @@ func classifyError(err error) *Failure {
 			Message: fmt.Sprintf("%v (reason %s, %d events, %v host)",
 				err, be.Reason, be.Events, be.Host.Round(time.Millisecond)),
 		}
-	}
-	var te *TransientError
-	if errors.As(err, &te) {
-		return &Failure{Class: FailTransient, Message: err.Error()}
 	}
 	return &Failure{Class: FailInternal, Message: err.Error()}
 }

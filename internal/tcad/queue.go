@@ -8,9 +8,9 @@ import (
 
 // queue is the bounded two-lane admission queue. Interactive jobs always
 // dispatch before sweep jobs; within a lane, FIFO. push sheds when the
-// lane is at capacity; pushUnbounded bypasses the cap for retries and
-// checkpoint restores (those jobs were already admitted once — shedding
-// them would lose accepted work).
+// lane is at capacity; pushUnbounded bypasses the cap for checkpoint
+// restores (those jobs were already admitted once — shedding them would
+// lose accepted work).
 //
 // Lock order: Server.mu may be held while taking q.mu (admission pushes
 // under Server.mu); the reverse never happens — pop releases q.mu before
@@ -44,7 +44,7 @@ func (q *queue) push(j *Job) error {
 	return nil
 }
 
-// pushUnbounded enqueues past the cap (retries, checkpoint restore).
+// pushUnbounded enqueues past the cap (checkpoint restore).
 // After close it silently drops: the drain checkpoint picks the job up
 // from its table state instead.
 func (q *queue) pushUnbounded(j *Job) {

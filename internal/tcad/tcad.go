@@ -18,8 +18,9 @@
 //     sim.Engine budget (max events plus a host wall-clock allowance
 //     checked every few hundred events through prof.HostNanos). A job
 //     that exhausts its budget fails with the typed sim.BudgetError.
-//     Transient failures retry with exponential backoff; poison jobs are
-//     quarantined after MaxRetries.
+//     A job runs once: engine runs are deterministic, so a panicking
+//     job would only panic again, and it is quarantined on its first
+//     occurrence.
 //   - Backpressure: a bounded two-lane admission queue (interactive
 //     ahead of sweep) sheds load with 503 + Retry-After when full, and a
 //     SIGTERM-initiated drain finishes in-flight jobs, checkpoints the
@@ -33,9 +34,9 @@
 //     bit-identical.
 //
 // The wall clock is legal here — this package is controlplane code, and
-// host time (timeouts, backoff, latency metrics) never feeds simulated
-// state — which is why the simdeterminism analyzer exempts exactly this
-// package alongside internal/prof.
+// host time (timeouts, latency metrics) never feeds simulated state —
+// which is why the simdeterminism analyzer exempts exactly this package
+// alongside internal/prof.
 package tcad
 
 import (
@@ -62,17 +63,6 @@ var (
 	ErrDraining = errors.New("tcad: draining")
 )
 
-// TransientError marks a job failure as retryable: the scheduler re-runs
-// the job with exponential backoff instead of failing it outright.
-// Deterministic simulation errors are never transient; the type exists
-// for host-side conditions (and for tests of the retry machinery).
-type TransientError struct{ Err error }
-
-func (e *TransientError) Error() string { return "tcad: transient: " + e.Err.Error() }
-
-// Unwrap exposes the underlying cause to errors.Is/As.
-func (e *TransientError) Unwrap() error { return e.Err }
-
 // Config tunes a Server. The zero value of every field selects a sane
 // default in New.
 type Config struct {
@@ -82,12 +72,6 @@ type Config struct {
 	// QueueCap bounds each priority lane of the admission queue; a full
 	// lane sheds new submissions. Default 256.
 	QueueCap int
-	// MaxRetries bounds re-runs of a retryable (panicking or transient)
-	// job before it is quarantined. Default 2.
-	MaxRetries int
-	// RetryBackoff is the first retry delay; it doubles per attempt.
-	// Default 100ms.
-	RetryBackoff time.Duration
 	// DefaultMaxEvents / DefaultMaxHost are the per-job engine-run
 	// budgets applied when a submission does not set its own. Defaults:
 	// 50M events, 30s host time.
@@ -104,7 +88,7 @@ type Config struct {
 	// checkpointing them as pending and giving up. Default 30s.
 	DrainGrace time.Duration
 	// Runner executes job bodies; nil selects DefaultRunner. Tests
-	// inject deliberate panics and transient failures here.
+	// inject deliberate panics and budget failures here.
 	Runner Runner
 	// Registry receives the daemon's self-metrics; nil creates a fresh
 	// one.
@@ -120,14 +104,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.QueueCap <= 0 {
 		c.QueueCap = 256
-	}
-	if c.MaxRetries < 0 {
-		c.MaxRetries = 0
-	} else if c.MaxRetries == 0 {
-		c.MaxRetries = 2
-	}
-	if c.RetryBackoff <= 0 {
-		c.RetryBackoff = 100 * time.Millisecond
 	}
 	if c.DefaultMaxEvents == 0 {
 		c.DefaultMaxEvents = 50_000_000
@@ -168,10 +144,7 @@ type Server struct {
 	nextID   uint64
 	draining bool
 
-	// drainCh closes when a drain begins; retry sleepers abort on it so
-	// their jobs are checkpointed instead of requeued.
-	drainCh chan struct{}
-	// wg counts workers, retry sleepers, and background verify runs.
+	// wg counts workers and background verify runs.
 	wg sync.WaitGroup
 }
 
@@ -180,12 +153,11 @@ type Server struct {
 func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 	s := &Server{
-		cfg:     cfg,
-		met:     newMetrics(cfg.Registry),
-		runner:  cfg.Runner,
-		jobs:    make(map[uint64]*Job),
-		cache:   make(map[string]*cacheEntry),
-		drainCh: make(chan struct{}),
+		cfg:    cfg,
+		met:    newMetrics(cfg.Registry),
+		runner: cfg.Runner,
+		jobs:   make(map[uint64]*Job),
+		cache:  make(map[string]*cacheEntry),
 	}
 	s.q = newQueue(cfg.QueueCap, s.met)
 	if err := s.restore(); err != nil {
@@ -289,7 +261,6 @@ func (s *Server) Drain() error {
 		return errors.New("tcad: already draining")
 	}
 	s.draining = true
-	close(s.drainCh)
 	s.mu.Unlock()
 	s.q.close()
 
@@ -317,10 +288,7 @@ func (s *Server) Drain() error {
 // Tests use it; the daemon path is Drain.
 func (s *Server) Close() {
 	s.mu.Lock()
-	if !s.draining {
-		s.draining = true
-		close(s.drainCh)
-	}
+	s.draining = true
 	s.mu.Unlock()
 	s.q.close()
 	s.wg.Wait()

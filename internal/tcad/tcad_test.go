@@ -29,16 +29,16 @@ func spec(t *testing.T, seed int64) string {
 // which keeps results deterministic without running the simulator.
 type fakeRunner struct {
 	mu sync.Mutex
-	// panicSpecs / transientFailures / budgetSpecs key on the canonical
-	// spec; transientFailures counts down (fail while > 0).
-	panicSpecs        map[string]bool
-	transientFailures map[string]int
-	budgetSpecs       map[string]bool
+	// panicSpecs / budgetSpecs key on the canonical spec.
+	panicSpecs  map[string]bool
+	budgetSpecs map[string]bool
 	// delay stalls every run, for drain/backpressure tests.
 	delay time.Duration
 	// transcriptSalt perturbs transcripts, for cache-verify tests.
 	transcriptSalt string
 	runs           int
+	// specRuns counts runs per canonical spec.
+	specRuns map[string]int
 }
 
 func (f *fakeRunner) runCount() int {
@@ -47,18 +47,20 @@ func (f *fakeRunner) runCount() int {
 	return f.runs
 }
 
+func (f *fakeRunner) specRunCount(canon string) int {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.specRuns[canon]
+}
+
 func (f *fakeRunner) RunScenario(s scenariogen.Spec, opt check.Options) (*check.DiffResult, error) {
 	canon := scenariogen.Format(s)
 	f.mu.Lock()
 	f.runs++
+	f.specRuns[canon]++
 	delay := f.delay
 	doPanic := f.panicSpecs[canon]
 	budget := f.budgetSpecs[canon]
-	transient := false
-	if n := f.transientFailures[canon]; n > 0 {
-		f.transientFailures[canon] = n - 1
-		transient = true
-	}
 	salt := f.transcriptSalt
 	f.mu.Unlock()
 	if delay > 0 {
@@ -69,9 +71,6 @@ func (f *fakeRunner) RunScenario(s scenariogen.Spec, opt check.Options) (*check.
 	}
 	if budget {
 		return nil, &sim.BudgetError{Reason: sim.StopMaxEvents, Events: opt.MaxEvents}
-	}
-	if transient {
-		return nil, &TransientError{Err: errors.New("scripted transient failure")}
 	}
 	transcript := []byte("transcript(" + canon + ")" + salt)
 	return &check.DiffResult{
@@ -91,9 +90,9 @@ func (f *fakeRunner) RunSweep(name string) (*bench.Table, error) {
 
 func newFake() *fakeRunner {
 	return &fakeRunner{
-		panicSpecs:        map[string]bool{},
-		transientFailures: map[string]int{},
-		budgetSpecs:       map[string]bool{},
+		panicSpecs:  map[string]bool{},
+		budgetSpecs: map[string]bool{},
+		specRuns:    map[string]int{},
 	}
 }
 
@@ -105,9 +104,6 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *fakeRunner) {
 	}
 	if cfg.Workers == 0 {
 		cfg.Workers = 2
-	}
-	if cfg.RetryBackoff == 0 {
-		cfg.RetryBackoff = time.Millisecond
 	}
 	s, err := New(cfg)
 	if err != nil {
@@ -234,7 +230,7 @@ func TestConcurrentDuplicatesRunOnce(t *testing.T) {
 }
 
 func TestPanicQuarantineWithReproducerDaemonSurvives(t *testing.T) {
-	s, fake := newTestServer(t, Config{MaxRetries: 1})
+	s, fake := newTestServer(t, Config{})
 	// The fake panics only on this exact canonical spec; no shrink
 	// candidate reproduces, so Shrink falls back to the original — the
 	// reproducer is then the offending spec itself, still valid.
@@ -257,8 +253,14 @@ func TestPanicQuarantineWithReproducerDaemonSurvives(t *testing.T) {
 	if !strings.Contains(st.Failure.Stack, "tcad") {
 		t.Fatalf("stack not captured")
 	}
-	if st.Failure.Attempts != 2 { // first run + 1 retry
-		t.Fatalf("attempts = %d, want 2", st.Failure.Attempts)
+	// A deterministic panic is not retried: one run, then quarantine.
+	if st.Attempts != 1 || st.Failure.Attempts != 1 {
+		t.Fatalf("attempts = %d (failure %d), want 1", st.Attempts, st.Failure.Attempts)
+	}
+	// The shrinker re-runs only smaller candidates: the original spec
+	// itself ran exactly once.
+	if n := fake.specRunCount(text); n != 1 {
+		t.Fatalf("original spec ran %d times, want 1", n)
 	}
 	if st.Failure.Reproducer == "" {
 		t.Fatalf("no reproducer recorded")
@@ -296,47 +298,11 @@ func TestBudgetExceededIsTypedTerminalFailure(t *testing.T) {
 	if fake.runCount() != 1 {
 		t.Fatalf("runs = %d, want 1", fake.runCount())
 	}
-}
 
-func TestTransientFailureRetriesThenSucceeds(t *testing.T) {
-	s, fake := newTestServer(t, Config{MaxRetries: 2})
-	text := spec(t, 23)
-	fake.mu.Lock()
-	fake.transientFailures[text] = 2
-	fake.mu.Unlock()
-
-	resp, err := s.Submit(Request{Spec: text})
-	if err != nil {
-		t.Fatalf("Submit: %v", err)
-	}
-	st := waitState(t, s, resp.ID, StateSucceeded)
-	if st.Attempts != 3 {
-		t.Fatalf("attempts = %d, want 3 (two transient failures, then success)", st.Attempts)
-	}
-}
-
-func TestTransientFailureExhaustsRetries(t *testing.T) {
-	s, fake := newTestServer(t, Config{MaxRetries: 1})
-	text := spec(t, 29)
-	fake.mu.Lock()
-	fake.transientFailures[text] = 100
-	fake.mu.Unlock()
-
-	resp, err := s.Submit(Request{Spec: text})
-	if err != nil {
-		t.Fatalf("Submit: %v", err)
-	}
-	st := waitState(t, s, resp.ID, StateFailed)
-	if st.Failure == nil || st.Failure.Class != FailTransient {
-		t.Fatalf("failure = %+v, want class transient", st.Failure)
-	}
-	if st.Failure.Attempts != 2 {
-		t.Fatalf("attempts = %d, want 2", st.Failure.Attempts)
-	}
 	// A terminal failure releases the cache slot: resubmission runs again
 	// rather than being pinned to the failed job.
 	fake.mu.Lock()
-	fake.transientFailures[text] = 0
+	fake.budgetSpecs[text] = false
 	fake.mu.Unlock()
 	resp2, err := s.Submit(Request{Spec: text})
 	if err != nil {
@@ -516,7 +482,6 @@ func TestDrainCheckpointRestartCompletesRemainder(t *testing.T) {
 		CheckpointPath: cpPath,
 		DrainGrace:     5 * time.Second,
 		Runner:         fake,
-		RetryBackoff:   time.Millisecond,
 	})
 	if err != nil {
 		t.Fatalf("New: %v", err)
@@ -540,7 +505,7 @@ func TestDrainCheckpointRestartCompletesRemainder(t *testing.T) {
 		switch State(st.State) {
 		case StateSucceeded:
 			doneFirst++
-		case StateQueued, StateRetryWait:
+		case StateQueued:
 			pendingFirst++
 		}
 	}
@@ -558,7 +523,6 @@ func TestDrainCheckpointRestartCompletesRemainder(t *testing.T) {
 		QueueCap:       128,
 		CheckpointPath: cpPath,
 		Runner:         fake2,
-		RetryBackoff:   time.Millisecond,
 	})
 	if err != nil {
 		t.Fatalf("restart New: %v", err)
