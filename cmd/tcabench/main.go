@@ -17,7 +17,9 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -37,6 +39,20 @@ func main() {
 	os.Exit(run())
 }
 
+// writeFile creates path and fills it with write, returning the first
+// error of the create, the write or the close.
+func writeFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	werr := write(f)
+	if cerr := f.Close(); werr == nil {
+		werr = cerr
+	}
+	return werr
+}
+
 // run carries the whole command so pprof outputs flush on every exit path
 // (os.Exit would skip the CPU-profile stop and heap snapshot).
 func run() int {
@@ -46,7 +62,6 @@ func run() int {
 		csv      = flag.Bool("csv", false, "emit CSV instead of aligned tables")
 		check    = flag.Bool("check", false, "apply each experiment's paper-shape check")
 		cable    = flag.Duration("cable", 0, "override the external-cable latency (e.g. 150ns)")
-		parallel = flag.Bool("parallel", false, "run experiments concurrently (identical results; each owns its engine)")
 		metrics  = flag.String("metrics", "", "run an instrumented demo workload and dump its metrics snapshot (table | json | prom)")
 		benchOut = flag.String("bench-json", "", "measure the headline figures and write the JSON baseline to this path")
 		perfOut  = flag.String("perf-json", "", "measure the engine-performance scenarios on a bare engine and write the JSON baseline to this path")
@@ -86,17 +101,10 @@ func run() int {
 	}
 
 	if *benchOut != "" {
-		f, err := os.Create(*benchOut)
-		if err != nil {
+		if err := writeFile(*benchOut, func(w io.Writer) error {
+			return bench.CollectBaseline(tcanet.DefaultParams).WriteJSON(w)
+		}); err != nil {
 			fmt.Fprintln(os.Stderr, "tcabench:", err)
-			return 1
-		}
-		werr := bench.CollectBaseline(tcanet.DefaultParams).WriteJSON(f)
-		if cerr := f.Close(); werr == nil {
-			werr = cerr
-		}
-		if werr != nil {
-			fmt.Fprintln(os.Stderr, "tcabench:", werr)
 			return 1
 		}
 		fmt.Printf("baseline written: %s\n", *benchOut)
@@ -104,17 +112,10 @@ func run() int {
 	}
 
 	if *perfOut != "" {
-		f, err := os.Create(*perfOut)
-		if err != nil {
+		if err := writeFile(*perfOut, func(w io.Writer) error {
+			return bench.CollectPerfBaseline(tcanet.DefaultParams).WriteJSON(w)
+		}); err != nil {
 			fmt.Fprintln(os.Stderr, "tcabench:", err)
-			return 1
-		}
-		werr := bench.CollectPerfBaseline(tcanet.DefaultParams).WriteJSON(f)
-		if cerr := f.Close(); werr == nil {
-			werr = cerr
-		}
-		if werr != nil {
-			fmt.Fprintln(os.Stderr, "tcabench:", werr)
 			return 1
 		}
 		fmt.Printf("perf baseline written: %s\n", *perfOut)
@@ -127,11 +128,7 @@ func run() int {
 			names = bench.PerfScenarioNames
 		}
 		for i, name := range names {
-			known := false
-			for _, n := range bench.PerfScenarioNames {
-				known = known || n == name
-			}
-			if !known {
+			if !slices.Contains(bench.PerfScenarioNames, name) {
 				fmt.Fprintf(os.Stderr, "tcabench: unknown -prof scenario %q (have %s, all)\n",
 					name, strings.Join(bench.PerfScenarioNames, ", "))
 				return 2
@@ -152,29 +149,21 @@ func run() int {
 	if *perfetto != "" {
 		// Run profiled so the trace carries the engine's cumulative
 		// host-time counter track next to the fabric telemetry.
-		r, err := bench.NewRig(4, tcanet.DefaultParams, bench.Attach{Obsv: true,
+		sc := bench.Scenario{Kernel: bench.KernelChainDMA, Nodes: 4, Src: 0, Dst: 2, Size: 4096, Count: 64, Chains: 1}
+		r, _, err := sc.Run(tcanet.DefaultParams, bench.Attach{Obsv: true,
 			Prof: prof.New(prof.Options{}), Label: "telemetry-forward", Interval: units.Microsecond})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "tcabench:", err)
 			return 1
 		}
-		c := bench.Chain{Dst: 2, Size: 4096, Count: 64}
-		r.ChainDMA(c)
-		f, err := os.Create(*perfetto)
-		if err != nil {
+		if err := writeFile(*perfetto, func(w io.Writer) error {
+			return obsv.WritePerfetto(w, r.Set.Recorder().Events(), r.Set.Sampler().Timeline())
+		}); err != nil {
 			fmt.Fprintln(os.Stderr, "tcabench:", err)
 			return 1
 		}
-		werr := obsv.WritePerfetto(f, r.Set.Recorder().Events(), r.Set.Sampler().Timeline())
-		if cerr := f.Close(); werr == nil {
-			werr = cerr
-		}
-		if werr != nil {
-			fmt.Fprintln(os.Stderr, "tcabench:", werr)
-			return 1
-		}
 		fmt.Printf("scenario: forward DMA %d×%v node%d->node%d (4-node ring), sampled every %v\nperfetto trace: %s (open in ui.perfetto.dev)\n",
-			c.Count, c.Size, c.Src, c.Dst, units.Microsecond, *perfetto)
+			sc.Count, sc.Size, sc.Src, sc.Dst, units.Microsecond, *perfetto)
 		return 0
 	}
 
@@ -207,17 +196,15 @@ func run() int {
 	}
 
 	if *faultStr != "" {
-		r, err := bench.NewRig(4, tcanet.DefaultParams, bench.Attach{Obsv: true, Fault: *faultStr, Seed: *seed})
-		var res *bench.Result
-		if err == nil {
-			res, err = r.PingPong(0, 2, 10)
-		}
+		sc := bench.Scenario{Kernel: bench.KernelPingPong, Nodes: 4, Src: 0, Dst: 2, Rounds: 10}
+		r, res, err := sc.Run(tcanet.DefaultParams, bench.Attach{Obsv: true, Fault: *faultStr, Seed: *seed})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "tcabench:", err)
 			return 1
 		}
-		fmt.Printf("scenario: fault ping-pong node0<->node2 ×10 (4-node ring, %s, seed %d)\nend-to-end: %v\n"+
-			"spans: %d (all payloads verified byte-identical)\n\nmetrics:\n", *faultStr, *seed, res.EndToEnd, len(res.Txns))
+		fmt.Printf("scenario: fault ping-pong node%d<->node%d ×%d (%d-node ring, %s, seed %d)\nend-to-end: %v\n"+
+			"spans: %d (all payloads verified byte-identical)\n\nmetrics:\n",
+			sc.Src, sc.Dst, sc.Rounds, sc.Nodes, *faultStr, *seed, res.EndToEnd, len(res.Txns))
 		r.Snapshot().WriteTable(os.Stdout)
 		return 0
 	}
@@ -243,19 +230,12 @@ func run() int {
 		}
 	}
 
-	var tables []*bench.Table
-	if *parallel {
-		tables = bench.RunParallel(prm, selected)
-	}
-
+	// Every experiment owns its engine, so running them concurrently
+	// prints exactly what a serial run prints.
+	tables := bench.RunParallel(prm, selected)
 	failed := 0
 	for i, e := range selected {
-		var tab *bench.Table
-		if *parallel {
-			tab = tables[i]
-		} else {
-			tab = e.Run(prm)
-		}
+		tab := tables[i]
 		if *csv {
 			if err := tab.CSV(os.Stdout); err != nil {
 				fmt.Fprintf(os.Stderr, "tcabench: %s: rendering: %v\n", e.ID, err)

@@ -49,8 +49,7 @@ type BenchBaseline struct {
 func CollectBaseline(prm tcanet.Params) BenchBaseline {
 	round := func(v float64) float64 { return float64(int64(v*1000+0.5)) / 1000 }
 	hop := MeasurePIOLatency(prm, 4, 0, 2).Nanoseconds() - MeasurePIOLatency(prm, 4, 0, 1).Nanoseconds()
-	r := mustRig(4, prm, Attach{Obsv: true})
-	res, err := r.PingPong(0, 2, 4)
+	r, res, err := Scenario{Kernel: KernelPingPong, Nodes: 4, Src: 0, Dst: 2, Rounds: 4}.Run(prm, Attach{Obsv: true})
 	if err != nil {
 		panic(err)
 	}

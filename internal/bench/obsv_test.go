@@ -165,8 +165,11 @@ func TestSnapshotDuringParallelRuns(t *testing.T) {
 			case <-stop:
 				return
 			default:
-				r := mustRig(4, prm, Attach{Obsv: true})
-				r.StoreStream(0, 2, 1, pioFlag)
+				r, _, err := Scenario{Kernel: KernelStoreStream, Nodes: 4, Src: 0, Dst: 2, Rounds: 1}.Run(prm, Attach{Obsv: true})
+				if err != nil {
+					t.Error(err)
+					return
+				}
 				if snap := r.Set.Registry().Snapshot(0); len(snap.Counters) == 0 {
 					t.Error("empty snapshot from instrumented rig")
 					return

@@ -28,7 +28,7 @@ const (
 	perfChainDescs     = 64
 )
 
-// RunPerfScenario runs one named scenario and returns its run statistics:
+// perfScenarios are the profiled scenarios:
 //
 //   - pingpong: perfPingPongRounds round trips over a 2-node ring, which
 //     exercise the store, link, switch, chip-forward and poll paths on
@@ -37,24 +37,25 @@ const (
 //     of an 8-node ring, each paying the full multi-hop forwarding path;
 //   - chain_dma: one remote chained-DMA write of perfChainDescs × 4 KiB,
 //     dominated by TLP issue and link drain events.
-//
-// Panics on an unknown name (the set is fixed by PerfScenarioNames).
+var perfScenarios = map[string]Scenario{
+	"pingpong":  {Kernel: KernelPingPong, Nodes: 2, Src: 0, Dst: 1, Rounds: perfPingPongRounds},
+	"forward":   {Kernel: KernelStoreStream, Nodes: 8, Src: 0, Dst: 4, Rounds: perfForwardStores},
+	"chain_dma": {Kernel: KernelChainDMA, Nodes: 2, Src: 0, Dst: 1, Size: 4096, Count: perfChainDescs, Chains: 1},
+}
+
+// RunPerfScenario runs one named scenario (see perfScenarios) and returns
+// its run statistics. Panics on an unknown name (the set is fixed by
+// PerfScenarioNames).
 func RunPerfScenario(name string, prm tcanet.Params, p *prof.Profiler) prof.RunStats {
-	a := Attach{Prof: p, Label: name}
-	switch name {
-	case "pingpong":
-		res, err := mustRig(2, prm, a).PingPong(0, 1, perfPingPongRounds)
-		if err != nil {
-			panic(err)
-		}
-		return res.Stats
-	case "forward":
-		return mustRig(8, prm, a).StoreStream(0, 4, perfForwardStores, pioFlag).Stats
-	case "chain_dma":
-		return mustRig(2, prm, a).ChainDMA(Chain{Dst: 1, Size: 4096, Count: perfChainDescs}).Stats
-	default:
+	s, ok := perfScenarios[name]
+	if !ok {
 		panic(fmt.Sprintf("bench: unknown perf scenario %q", name))
 	}
+	_, res, err := s.Run(prm, Attach{Prof: p, Label: name})
+	if err != nil {
+		panic(err)
+	}
+	return res.Stats
 }
 
 // PerfBaselineSchema versions the BENCH_PERF.json layout.

@@ -134,17 +134,11 @@ func NewRig(n int, prm tcanet.Params, a Attach) (*Rig, error) {
 	return r, nil
 }
 
-// mustRig is NewRig for attachments that cannot fail (no fault spec).
-func mustRig(n int, prm tcanet.Params, a Attach) *Rig {
-	r, err := NewRig(n, prm, a)
-	if err != nil {
-		panic(fmt.Sprintf("bench: %v", err))
-	}
+// newRig is a bare rig; without a fault spec NewRig cannot fail.
+func newRig(n int, prm tcanet.Params) *Rig {
+	r, _ := NewRig(n, prm, Attach{})
 	return r
 }
-
-// newRig is a bare rig.
-func newRig(n int, prm tcanet.Params) *Rig { return mustRig(n, prm, Attach{}) }
 
 // pioFlag is the 8-byte PIO flag the one-way stores carry.
 var pioFlag = []byte{1, 0, 0, 0, 0, 0, 0, 0}

@@ -1,0 +1,96 @@
+package bench
+
+import (
+	"errors"
+	"fmt"
+
+	"tca/internal/tcanet"
+	"tca/internal/units"
+)
+
+// Kernel selects which Rig kernel a Scenario runs.
+type Kernel int
+
+// Kernels: the §IV-B1 PIO flag ping-pong (Rig.PingPong), the poll-paced
+// PIO store stream (Rig.StoreStream), and the §IV-A chained DMA timed to
+// its completion interrupt (Rig.ChainDMA).
+const (
+	KernelPingPong Kernel = iota
+	KernelStoreStream
+	KernelChainDMA
+)
+
+// Scenario is one kernel run on a fresh ring, declared as data. The
+// scenario CLIs (tcatrace, tcapath, tcatop), tcabench's -fault and
+// -perfetto demos and the profiled perf scenarios each map their scenario
+// names to Scenario values, check them with Validate and run them with
+// Run; what they print stays their own.
+type Scenario struct {
+	Kernel Kernel
+	// Nodes is the ring size. Src and Dst are the kernel's endpoints: the
+	// pinging and answering nodes, the storing and polling nodes, or the
+	// DMA's chip and the node holding the far-end buffer.
+	Nodes, Src, Dst int
+	// Rounds counts ping-pong round trips or store-stream stores.
+	Rounds int
+	// Size, Count, Stride and Chains shape the chained DMA as in Chain,
+	// except that Chains must be set.
+	Size   units.ByteSize
+	Count  int
+	Stride units.ByteSize
+	Chains int
+	// Title names the run in a CLI's report; Run ignores it.
+	Title string
+}
+
+// Validate reports the first field the kernel uses that is out of range.
+// Its messages name the CLI flags the scenario CLIs fill those fields
+// from, so a CLI prints them after its own prefix and exits 2.
+func (s Scenario) Validate() error {
+	if s.Nodes < 2 || s.Nodes > 16 {
+		return errors.New("-nodes must be in [2, 16]")
+	}
+	if s.Src == s.Dst || s.Src < 0 || s.Dst < 0 || s.Src >= s.Nodes || s.Dst >= s.Nodes {
+		return errors.New("need distinct -src/-dst inside the ring")
+	}
+	switch s.Kernel {
+	case KernelPingPong, KernelStoreStream:
+		if s.Rounds < 1 {
+			return errors.New("-rounds must be positive")
+		}
+	case KernelChainDMA:
+		if s.Size < 1 || s.Count < 1 {
+			return errors.New("-size and -count must be positive")
+		}
+		if s.Chains < 1 {
+			return errors.New("-chains must be positive")
+		}
+	default:
+		return fmt.Errorf("bench: unknown kernel %d", s.Kernel)
+	}
+	return nil
+}
+
+// Run validates s, builds its ring with attachments a and runs its kernel
+// once. The rig is returned for the caller's view of the run: spans,
+// metrics, telemetry. The errors are Validate's, a malformed fault spec,
+// and a ping-pong that stalled or lost a payload.
+func (s Scenario) Run(prm tcanet.Params, a Attach) (*Rig, *Result, error) {
+	if err := s.Validate(); err != nil {
+		return nil, nil, err
+	}
+	r, err := NewRig(s.Nodes, prm, a)
+	if err != nil {
+		return nil, nil, err
+	}
+	var res *Result
+	switch s.Kernel {
+	case KernelPingPong:
+		res, err = r.PingPong(s.Src, s.Dst, s.Rounds)
+	case KernelStoreStream:
+		res = r.StoreStream(s.Src, s.Dst, s.Rounds, pioFlag)
+	case KernelChainDMA:
+		res = r.ChainDMA(Chain{Src: s.Src, Dst: s.Dst, Size: s.Size, Count: s.Count, Stride: s.Stride, Chains: s.Chains})
+	}
+	return r, res, err
+}

@@ -328,35 +328,26 @@ func Run(spec scenariogen.Spec, opt Options) (*Result, error) {
 func (r *Result) auditFabric(sc *tcanet.SubCluster, set *obsv.Set, led *Ledger) {
 	reg := set.Registry()
 	parked := 0
-	seen := make(map[*pcie.Link]bool)
-	for i := 0; i < sc.Nodes(); i++ {
-		chip := sc.Chip(i)
+	sc.WalkChipLinks(func(chip *peach2.Chip) {
 		if out := chip.DMAC().OutstandingReads(); out != 0 {
 			r.Violations = append(r.Violations, Violation{
 				At: r.End, Rule: "tags-outstanding", Where: chip.DevName(),
 				Detail: fmt.Sprintf("%d reads still hold completion tags at quiesce", out)})
 		}
 		parked += chip.Parked()
-		for _, id := range []peach2.PortID{peach2.PortN, peach2.PortE, peach2.PortW, peach2.PortS} {
-			p := chip.Port(id)
-			if !p.Connected() || seen[p.Link()] {
-				continue
-			}
-			seen[p.Link()] = true
-			name := fmt.Sprintf("link:%s.%s", chip.DevName(), p.Label)
-			_, bytes := p.Link().Stats()
-			for di, dir := range [2]string{"ab", "ba"} {
-				counted, _ := reg.CounterValue("link_bytes_tx", name, obsv.Label{Key: "dir", Value: dir})
-				ledger := led.LinkTotal(name, dir)
-				if uint64(bytes[di]) != counted || counted != ledger {
-					r.Violations = append(r.Violations, Violation{
-						At: r.End, Rule: "byte-conservation", Where: name,
-						Detail: fmt.Sprintf("dir %s: link says %d B, registry says %d B, ledger says %d B",
-							dir, uint64(bytes[di]), counted, ledger)})
-				}
+	}, func(l *pcie.Link, name string) {
+		_, bytes := l.Stats()
+		for di, dir := range [2]string{"ab", "ba"} {
+			counted, _ := reg.CounterValue("link_bytes_tx", name, obsv.Label{Key: "dir", Value: dir})
+			ledger := led.LinkTotal(name, dir)
+			if uint64(bytes[di]) != counted || counted != ledger {
+				r.Violations = append(r.Violations, Violation{
+					At: r.End, Rule: "byte-conservation", Where: name,
+					Detail: fmt.Sprintf("dir %s: link says %d B, registry says %d B, ledger says %d B",
+						dir, uint64(bytes[di]), counted, ledger)})
 			}
 		}
-	}
+	})
 	if parked != r.Summary.ParkedAtQuiesce {
 		r.Violations = append(r.Violations, Violation{
 			At: r.End, Rule: "parked-accounting", Where: "fabric",

@@ -44,15 +44,11 @@ func (q *queue) push(j *Job) error {
 	return nil
 }
 
-// pushUnbounded enqueues past the cap (checkpoint restore).
-// After close it silently drops: the drain checkpoint picks the job up
-// from its table state instead.
+// pushUnbounded enqueues past the cap. Its only caller is checkpoint
+// restore inside New, which runs before the queue can close.
 func (q *queue) pushUnbounded(j *Job) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if q.closed {
-		return
-	}
 	q.enqueueLocked(j)
 }
 

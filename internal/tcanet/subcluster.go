@@ -2,6 +2,7 @@ package tcanet
 
 import (
 	"fmt"
+	"slices"
 
 	"tca/internal/fault"
 	"tca/internal/host"
@@ -75,7 +76,8 @@ func (sc *SubCluster) Instrument(set *obsv.Set) {
 	for _, n := range sc.nodes {
 		n.Instrument(set)
 	}
-	instrumentChips(set, sc.chips...)
+	sc.WalkChipLinks(func(c *peach2.Chip) { c.Instrument(set) },
+		func(l *pcie.Link, name string) { l.Instrument(set, name) })
 }
 
 // Observability returns the attached set, or nil when uninstrumented.
@@ -89,7 +91,8 @@ func (sc *SubCluster) Profile(p *prof.Profiler) {
 	for _, n := range sc.nodes {
 		n.Profile(p)
 	}
-	profileChips(p, sc.chips...)
+	sc.WalkChipLinks(func(c *peach2.Chip) { c.Profile(p) },
+		func(l *pcie.Link, name string) { l.Profile(p, name) })
 }
 
 // StartTelemetry begins periodic sampling of every probe the instrumented
@@ -104,38 +107,25 @@ func (sc *SubCluster) StartTelemetry(interval units.Duration) {
 	sc.obs.Sampler().Start(sc.eng, interval)
 }
 
-// instrumentChips wires chips and their connected links into a set, naming
-// each link after the first chip-side port that reaches it
-// ("link:peach2-0.E").
-func instrumentChips(set *obsv.Set, chips ...*peach2.Chip) {
-	seen := make(map[*pcie.Link]bool)
-	for _, c := range chips {
-		c.Instrument(set)
+// WalkChipLinks visits every chip in node order and, right after each
+// chip, each connected link of its N, E, W and S ports that no earlier
+// port reached, named after that first chip-side port ("link:peach2-0.E").
+// Metric labels, profiler rows and audits all use this one walk and name,
+// and registration order follows it.
+func (sc *SubCluster) WalkChipLinks(chip func(*peach2.Chip), link func(l *pcie.Link, name string)) {
+	// n chips have at most 5n/2 distinct links (n Port-N, n ring and n/2
+	// Port-S cables), so this backing array keeps the dedup off the heap
+	// up to 25 chips.
+	seen := make([]*pcie.Link, 0, 64)
+	for _, c := range sc.chips {
+		chip(c)
 		for _, id := range []peach2.PortID{peach2.PortN, peach2.PortE, peach2.PortW, peach2.PortS} {
 			p := c.Port(id)
-			if !p.Connected() || seen[p.Link()] {
+			if !p.Connected() || slices.Contains(seen, p.Link()) {
 				continue
 			}
-			seen[p.Link()] = true
-			p.Link().Instrument(set, fmt.Sprintf("link:%s.%s", c.DevName(), p.Label))
-		}
-	}
-}
-
-// profileChips registers chips and their connected links with a profiler,
-// using the same link-naming rule as instrumentChips so profiler rows line
-// up with metric labels ("link:peach2-0.E").
-func profileChips(p *prof.Profiler, chips ...*peach2.Chip) {
-	seen := make(map[*pcie.Link]bool)
-	for _, c := range chips {
-		c.Profile(p)
-		for _, id := range []peach2.PortID{peach2.PortN, peach2.PortE, peach2.PortW, peach2.PortS} {
-			pt := c.Port(id)
-			if !pt.Connected() || seen[pt.Link()] {
-				continue
-			}
-			seen[pt.Link()] = true
-			pt.Link().Profile(p, fmt.Sprintf("link:%s.%s", c.DevName(), pt.Label))
+			seen = append(seen, p.Link())
+			link(p.Link(), "link:"+c.DevName()+"."+p.Label)
 		}
 	}
 }
