@@ -54,12 +54,12 @@ func run() int {
 		fmt.Fprintf(os.Stderr, "tcapath: unknown scenario %q\n", *scenario)
 		return 2
 	}
-	if err := sc.Validate(); err != nil {
+	prm := tcanet.DefaultParams
+	if err := sc.Validate(prm); err != nil {
 		fmt.Fprintln(os.Stderr, "tcapath:", err)
 		return 2
 	}
 
-	prm := tcanet.DefaultParams
 	r, res, err := sc.Run(prm, bench.Attach{Obsv: true})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "tcapath:", err)

@@ -52,7 +52,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "tcatop: unknown scenario %q\n", *scenario)
 		os.Exit(2)
 	}
-	if err := sc.Validate(); err != nil {
+	if err := sc.Validate(tcanet.DefaultParams); err != nil {
 		fmt.Fprintln(os.Stderr, "tcatop:", err)
 		os.Exit(2)
 	}

@@ -131,7 +131,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "tcatrace: unknown scenario %q\n", *scenario)
 		os.Exit(2)
 	}
-	if err := sc.Validate(); err != nil {
+	if err := sc.Validate(tcanet.DefaultParams); err != nil {
 		fmt.Fprintln(os.Stderr, "tcatrace:", err)
 		os.Exit(2)
 	}

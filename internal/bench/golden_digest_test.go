@@ -208,9 +208,10 @@ func buildCLIs(t *testing.T, names ...string) string {
 }
 
 // TestCLIRejectsNonPositiveCounts checks that sizes, counts and rounds
-// below one, rings outside [2, 16], equal or out-of-ring endpoints and
-// unknown scenarios are usage errors: exit status 2 and one line on
-// stderr, never a panic from the rig or an empty run.
+// below one, rings outside [2, 16], equal or out-of-ring endpoints,
+// chains the modelled hardware cannot hold and unknown scenarios are
+// usage errors: exit status 2 and one line on stderr, never a panic from
+// the rig or an empty run.
 func TestCLIRejectsNonPositiveCounts(t *testing.T) {
 	bin := buildCLIs(t, "tcatrace", "tcapath", "tcatop", "tcafuzz")
 	cases := []struct {
@@ -236,6 +237,13 @@ func TestCLIRejectsNonPositiveCounts(t *testing.T) {
 		{[]string{"tcatop", "-interval", "0"}, "tcatop: -interval must be positive"},
 		{[]string{"tcatop", "-nodes", "17"}, "tcatop: -nodes must be in [2, 16]"},
 		{[]string{"tcatop", "-scenario", "bogus"}, `tcatop: unknown scenario "bogus"`},
+		{[]string{"tcatop", "-count", "100000"}, "tcatop: -count must be at most 256 (the driver's descriptor table)"},
+		{[]string{"tcatop", "-nodes", "16", "-size", "268435456", "-count", "256"},
+			"tcatop: -size and -count span more than the 8GiB host block of a 16-node ring"},
+		{[]string{"tcatrace", "-scenario", "dma", "-size", "1000000000"},
+			"tcatrace: -size must be at most 256MiB (the PEACH2 internal memory)"},
+		{[]string{"tcapath", "-scenario", "chain-dma", "-count", "257"},
+			"tcapath: -count must be at most 256 (the driver's descriptor table)"},
 		{[]string{"tcafuzz", "-corpus", "0"}, "tcafuzz: -corpus must be positive"},
 		{[]string{"tcafuzz", "-corpus", "-5"}, "tcafuzz: -corpus must be positive"},
 	}

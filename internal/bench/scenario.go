@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 
+	"tca/internal/core"
 	"tca/internal/tcanet"
 	"tca/internal/units"
 )
@@ -43,10 +44,11 @@ type Scenario struct {
 	Title string
 }
 
-// Validate reports the first field the kernel uses that is out of range.
-// Its messages name the CLI flags the scenario CLIs fill those fields
-// from, so a CLI prints them after its own prefix and exits 2.
-func (s Scenario) Validate() error {
+// Validate reports the first field the kernel uses that is out of range
+// for a ring built with prm. Its messages name the CLI flags the scenario
+// CLIs fill those fields from, so a CLI prints them after its own prefix
+// and exits 2.
+func (s Scenario) Validate(prm tcanet.Params) error {
 	if s.Nodes < 2 || s.Nodes > 16 {
 		return errors.New("-nodes must be in [2, 16]")
 	}
@@ -65,6 +67,27 @@ func (s Scenario) Validate() error {
 		if s.Chains < 1 {
 			return errors.New("-chains must be positive")
 		}
+		if s.Count > core.MaxChain {
+			return fmt.Errorf("-count must be at most %d (the driver's descriptor table)", core.MaxChain)
+		}
+		// The source chip stages one block in its internal memory.
+		if s.Size > prm.Chip.InternalMemSize {
+			return fmt.Errorf("-size must be at most %v (the PEACH2 internal memory)", prm.Chip.InternalMemSize)
+		}
+		// The far-end buffer must stay inside the destination's host block
+		// of the global map (a block is smaller than host DRAM), or its
+		// tail would land in the next block.
+		stride := s.Stride
+		if stride == 0 {
+			stride = s.Size
+		}
+		plan, err := tcanet.NewPlan(s.Nodes)
+		if err != nil {
+			return err
+		}
+		if block := plan.BlockSize(); stride > block/units.ByteSize(s.Count) {
+			return fmt.Errorf("-size and -count span more than the %v host block of a %d-node ring", block, s.Nodes)
+		}
 	default:
 		return fmt.Errorf("bench: unknown kernel %d", s.Kernel)
 	}
@@ -76,7 +99,7 @@ func (s Scenario) Validate() error {
 // metrics, telemetry. The errors are Validate's, a malformed fault spec,
 // and a ping-pong that stalled or lost a payload.
 func (s Scenario) Run(prm tcanet.Params, a Attach) (*Rig, *Result, error) {
-	if err := s.Validate(); err != nil {
+	if err := s.Validate(prm); err != nil {
 		return nil, nil, err
 	}
 	r, err := NewRig(s.Nodes, prm, a)

@@ -7,8 +7,9 @@
 package check
 
 import (
+	"encoding/binary"
 	"fmt"
-	"hash/fnv"
+	"math/bits"
 	"sort"
 
 	"tca/internal/sim"
@@ -52,16 +53,16 @@ const (
 )
 
 type entry struct {
-	kind       string
-	addr       uint64
-	hash       uint64
-	hasPayload bool
-	bytes      int
-	bornWhere  string
-	born       sim.Time
-
-	state     tlpState
+	kind      string
+	bornWhere string
+	addr      uint64
+	hash      uint64
+	born      sim.Time
+	bytes     int
 	delivered int
+
+	state      tlpState
+	hasPayload bool
 	// parkedSinceDelivery marks the one legal route to a duplicate
 	// delivery: the packet landed, its ACK was lost, and the dying link
 	// salvaged (parked) the unacknowledged copy for re-injection.
@@ -86,13 +87,20 @@ type Summary struct {
 	ParkedAtQuiesce int
 }
 
+// blockLen is the number of entries in one ledger block.
+const blockLen = 1024
+
 // Ledger implements obsv.Ledger: components report packet births, sink
 // deliveries, attributed drops, and park/unpark transitions; Audit then
 // proves conservation at quiesce. The zero LID is never issued, so
 // instrumentation hooks can use it as "untracked".
+//
+// LIDs are dense, 1 to nextLID, so the entry of LID n is entry n-1 of a
+// list of fixed-size blocks. A block never moves once allocated, and a
+// birth allocates only when it opens a new block.
 type Ledger struct {
 	nextLID    uint64
-	entries    map[uint64]*entry
+	blocks     []*[blockLen]entry
 	linkBytes  map[linkKey]uint64 // wire bytes per link direction
 	violations []Violation
 	sum        Summary
@@ -100,16 +108,37 @@ type Ledger struct {
 
 // NewLedger builds an empty ledger.
 func NewLedger() *Ledger {
-	return &Ledger{
-		entries:   make(map[uint64]*entry),
-		linkBytes: make(map[linkKey]uint64),
-	}
+	return &Ledger{linkBytes: make(map[linkKey]uint64)}
 }
 
+// entry returns the entry of a born LID, or nil for LID 0 and for any LID
+// past the last one born.
+func (l *Ledger) entry(lid uint64) *entry {
+	if lid == 0 || lid > l.nextLID {
+		return nil
+	}
+	i := lid - 1
+	return &l.blocks[i/blockLen][i%blockLen]
+}
+
+// payloadHash digests a payload for the birth-to-delivery compare. It
+// folds 8 bytes at a time, then the tail byte by byte. Each step XORs
+// the input into the state, multiplies by an odd constant and (for a
+// word) rotates: a bijection on the state, so two payloads of one length
+// that differ in any single byte always hash differently. The hash is
+// never printed in a transcript; only a payload-corrupted violation shows
+// it.
 func payloadHash(p []byte) uint64 {
-	h := fnv.New64a()
-	h.Write(p)
-	return h.Sum64()
+	const prime = 0x100000001b3
+	h := uint64(0xcbf29ce484222325) ^ uint64(len(p))
+	for ; len(p) >= 8; p = p[8:] {
+		h = (h ^ binary.LittleEndian.Uint64(p)) * prime
+		h = bits.RotateLeft64(h, 31)
+	}
+	for _, b := range p {
+		h = (h ^ uint64(b)) * prime
+	}
+	return h
 }
 
 func (l *Ledger) violate(at sim.Time, lid uint64, rule, where, detail string) {
@@ -119,8 +148,11 @@ func (l *Ledger) violate(at sim.Time, lid uint64, rule, where, detail string) {
 // Born implements obsv.Ledger: mint an identity for a packet crossing its
 // first instrumented link.
 func (l *Ledger) Born(now sim.Time, kind string, addr uint64, payload []byte, where string) uint64 {
+	if l.nextLID%blockLen == 0 {
+		l.blocks = append(l.blocks, new([blockLen]entry))
+	}
 	l.nextLID++
-	l.entries[l.nextLID] = &entry{
+	*l.entry(l.nextLID) = entry{
 		kind:       kind,
 		addr:       addr,
 		hash:       payloadHash(payload),
@@ -137,8 +169,8 @@ func (l *Ledger) Born(now sim.Time, kind string, addr uint64, payload []byte, wh
 // nil payload means the sink consumed a request without data to compare
 // (an MRd); a non-nil payload is checked against the bytes at birth.
 func (l *Ledger) Delivered(now sim.Time, lid uint64, addr uint64, payload []byte, where string) {
-	e, ok := l.entries[lid]
-	if !ok {
+	e := l.entry(lid)
+	if e == nil {
 		l.violate(now, lid, "unknown-lid", where, "delivered a packet the ledger never saw born")
 		return
 	}
@@ -186,8 +218,8 @@ func (l *Ledger) Delivered(now sim.Time, lid uint64, addr uint64, payload []byte
 // that could not be re-routed) loses nothing; dropping an undelivered one
 // is attributed data loss.
 func (l *Ledger) Dropped(now sim.Time, lid uint64, where, cause string) {
-	e, ok := l.entries[lid]
-	if !ok {
+	e := l.entry(lid)
+	if e == nil {
 		l.violate(now, lid, "unknown-lid", where, "dropped a packet the ledger never saw born")
 		return
 	}
@@ -218,8 +250,8 @@ func benignCause(cause string) bool {
 // Parked implements obsv.Ledger: a chip pinned the packet while waiting
 // for a route (link death salvage, dead egress port).
 func (l *Ledger) Parked(now sim.Time, lid uint64, where string) {
-	e, ok := l.entries[lid]
-	if !ok {
+	e := l.entry(lid)
+	if e == nil {
 		l.violate(now, lid, "unknown-lid", where, "parked a packet the ledger never saw born")
 		return
 	}
@@ -240,8 +272,8 @@ func (l *Ledger) Parked(now sim.Time, lid uint64, where string) {
 
 // Unparked implements obsv.Ledger: a failover re-injected the packet.
 func (l *Ledger) Unparked(now sim.Time, lid uint64, where string) {
-	e, ok := l.entries[lid]
-	if !ok {
+	e := l.entry(lid)
+	if e == nil {
 		l.violate(now, lid, "unknown-lid", where, "unparked a packet the ledger never saw born")
 		return
 	}
@@ -292,13 +324,8 @@ func (l *Ledger) linkKeys() []linkKey {
 // list and returns the final summary; call it once, after the engine
 // drains.
 func (l *Ledger) Audit(end sim.Time) Summary {
-	lids := make([]uint64, 0, len(l.entries))
-	for lid := range l.entries {
-		lids = append(lids, lid)
-	}
-	sort.Slice(lids, func(i, j int) bool { return lids[i] < lids[j] })
-	for _, lid := range lids {
-		e := l.entries[lid]
+	for lid := uint64(1); lid <= l.nextLID; lid++ {
+		e := l.entry(lid)
 		switch e.state {
 		case stParked:
 			l.sum.ParkedAtQuiesce++

@@ -1,6 +1,7 @@
 package check
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -190,5 +191,140 @@ func TestViolationString(t *testing.T) {
 	v := Violation{At: sim.Time(5), LID: 3, Rule: "double-drop", Where: "peach2-0", Detail: "x"}
 	if !strings.Contains(v.String(), "double-drop") || !strings.Contains(v.String(), "peach2-0") {
 		t.Fatalf("unhelpful violation string %q", v)
+	}
+}
+
+// bornLedger returns a ledger that has born n packets, so LIDs 1..n are
+// issued and LID n+1 is not.
+func bornLedger(n int) *Ledger {
+	l := NewLedger()
+	for i := 0; i < n; i++ {
+		l.Born(0, "MWr", 0x100, []byte{byte(i)}, "link:a")
+	}
+	return l
+}
+
+// TestLedgerLIDBounds: every lookup treats LID 0 and the LID after the
+// last birth as unknown, and the two LIDs that straddle the first block
+// boundary (1024 in block 0, 1025 in block 1) as the packets they are.
+func TestLedgerLIDBounds(t *testing.T) {
+	const born = blockLen + 1
+	hooks := []struct {
+		name string
+		call func(l *Ledger, lid uint64)
+		want tlpState
+	}{
+		{"Delivered", func(l *Ledger, lid uint64) { l.Delivered(1, lid, 0x100, nil, "sink") }, stDelivered},
+		{"Dropped", func(l *Ledger, lid uint64) { l.Dropped(1, lid, "sink", "no route") }, stDropped},
+		{"Parked", func(l *Ledger, lid uint64) { l.Parked(1, lid, "chip") }, stParked},
+		{"Unparked", func(l *Ledger, lid uint64) {
+			if e := l.entry(lid); e != nil {
+				e.state = stParked
+			}
+			l.Unparked(1, lid, "chip")
+		}, stInFlight},
+	}
+	for _, h := range hooks {
+		t.Run(h.name, func(t *testing.T) {
+			l := bornLedger(born)
+			for _, lid := range []uint64{0, born + 1} {
+				h.call(l, lid)
+			}
+			vs := l.Violations()
+			if len(vs) != 2 || vs[0].Rule != "unknown-lid" || vs[0].LID != 0 ||
+				vs[1].Rule != "unknown-lid" || vs[1].LID != born+1 {
+				t.Fatalf("out-of-range LIDs: %v", vs)
+			}
+			for _, lid := range []uint64{blockLen, blockLen + 1} {
+				h.call(l, lid)
+				if e := l.entry(lid); e.state != h.want {
+					t.Errorf("LID %d state %d, want %d", lid, e.state, h.want)
+				}
+			}
+			if len(l.Violations()) != 2 {
+				t.Fatalf("in-range LIDs flagged: %v", l.Violations()[2:])
+			}
+		})
+	}
+}
+
+// TestLedgerAuditOrderAcrossBlocks: Audit reports lost packets in LID
+// order, across block boundaries.
+func TestLedgerAuditOrderAcrossBlocks(t *testing.T) {
+	l := bornLedger(2*blockLen + 100)
+	lost := []uint64{3, blockLen, blockLen + 1, 2 * blockLen, 2*blockLen + 2}
+	for lid := uint64(1); lid <= 2*blockLen+100; lid++ {
+		if !slices.Contains(lost, lid) {
+			l.Delivered(1, lid, 0x100, nil, "sink")
+		}
+	}
+	l.Audit(2)
+	var got []uint64
+	for _, v := range l.Violations() {
+		if v.Rule != "lost-without-attribution" {
+			t.Fatalf("unexpected violation %v", v)
+		}
+		got = append(got, v.LID)
+	}
+	if !slices.Equal(got, lost) {
+		t.Fatalf("lost LIDs %v, want %v", got, lost)
+	}
+}
+
+// TestLedgerCatchesEveryByteFlip: changing any one byte of a payload is
+// payload-corrupted, for a payload of whole words and for one with a
+// tail shorter than a word.
+func TestLedgerCatchesEveryByteFlip(t *testing.T) {
+	for _, n := range []int{4096, 4093} {
+		payload := fillBytes(1, 0, n)
+		l := NewLedger()
+		bad := make([]byte, n)
+		for i := range payload {
+			copy(bad, payload)
+			bad[i] ^= byte(i%255 + 1)
+			l.Delivered(1, l.Born(0, "MWr", 0x100, payload, "link:a"), 0x100, bad, "sink")
+		}
+		corrupted := 0
+		for _, v := range l.Violations() {
+			if v.Rule == "payload-corrupted" {
+				corrupted++
+			}
+		}
+		if corrupted != n {
+			t.Errorf("%d-byte payload: %d of %d single-byte flips caught", n, corrupted, n)
+		}
+	}
+}
+
+// TestLedgerBornAmortizedAllocs: a birth allocates only when it opens a
+// new block, so 1024 births cost one allocation (plus the rare growth
+// of the block list, which the integer average absorbs).
+func TestLedgerBornAmortizedAllocs(t *testing.T) {
+	l := NewLedger()
+	payload := make([]byte, 256)
+	allocs := testing.AllocsPerRun(64, func() {
+		for i := 0; i < blockLen; i++ {
+			l.Born(0, "MWr", 0x100, payload, "link:a")
+		}
+	})
+	if allocs > 1 {
+		t.Fatalf("Born allocates %.0f times per %d births, want at most 1", allocs, blockLen)
+	}
+}
+
+// TestLedgerDeliveredZeroAlloc: a clean delivery allocates nothing.
+func TestLedgerDeliveredZeroAlloc(t *testing.T) {
+	l := NewLedger()
+	payload := make([]byte, 256)
+	for i := 0; i < 101; i++ { // AllocsPerRun calls once more to warm up
+		l.Born(0, "MWr", 0x100, payload, "link:a")
+	}
+	lid := uint64(0)
+	allocs := testing.AllocsPerRun(100, func() {
+		lid++
+		l.Delivered(1, lid, 0x100, payload, "sink")
+	})
+	if allocs != 0 || len(l.Violations()) != 0 {
+		t.Fatalf("Delivered allocates %.1f per call (violations %v)", allocs, l.Violations())
 	}
 }

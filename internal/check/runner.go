@@ -87,19 +87,34 @@ func srcOff(op int) units.ByteSize {
 	return units.ByteSize((scenariogen.MaxOps + op) * scenariogen.SlotBytes)
 }
 
-// fillBytes derives op i's payload pattern from the spec seed — plain
-// arithmetic, no shared RNG, so sources are reproducible anywhere.
-func fillBytes(seed int64, op, n int) []byte {
-	b := make([]byte, n)
+// fillStream is the xorshift generator behind op i's payload pattern,
+// seeded from the spec seed — plain arithmetic, no shared RNG, so sources
+// are reproducible anywhere. Each step yields one pattern byte.
+type fillStream uint64
+
+func newFillStream(seed int64, op int) fillStream {
 	x := uint64(seed)*0x9E3779B97F4A7C15 + uint64(op+1)*0xBF58476D1CE4E5B9
 	if x == 0 {
 		x = 1
 	}
+	return fillStream(x)
+}
+
+func (f *fillStream) next() byte {
+	x := uint64(*f)
+	x ^= x << 13
+	x ^= x >> 7
+	x ^= x << 17
+	*f = fillStream(x)
+	return byte(x)
+}
+
+// fillBytes returns the first n bytes of op i's payload pattern.
+func fillBytes(seed int64, op, n int) []byte {
+	b := make([]byte, n)
+	f := newFillStream(seed, op)
 	for j := range b {
-		x ^= x << 13
-		x ^= x >> 7
-		x ^= x << 17
-		b[j] = byte(x)
+		b[j] = f.next()
 	}
 	return b
 }
@@ -372,32 +387,37 @@ func (r *Result) auditFabric(sc *tcanet.SubCluster, set *obsv.Set, led *Ledger) 
 
 // checkEndToEnd verifies payload integrity op by op: on a fully recovered
 // run every destination region must hold exactly the source pattern —
-// faults may change timing, never contents.
+// faults may change timing, never contents. Each op's pattern stream is
+// regenerated and compared in place; a strided op's gaps between blocks
+// must read zero.
 func (r *Result) checkEndToEnd() {
 	off := 0
 	for i, o := range r.Spec.Ops {
-		var want []byte
+		n, block, stride := o.Bytes, o.Bytes, o.Bytes
 		switch o.Kind {
 		case scenariogen.OpBarrier:
 			continue
 		case scenariogen.OpStride:
-			span := o.Stride*(o.Count-1) + o.BlockLen
-			src := fillBytes(r.Spec.Seed, i, span)
-			want = make([]byte, span)
-			for k := 0; k < o.Count; k++ {
-				copy(want[k*o.Stride:k*o.Stride+o.BlockLen], src[k*o.Stride:k*o.Stride+o.BlockLen])
-			}
-		default:
-			want = fillBytes(r.Spec.Seed, i, o.Bytes)
+			n = o.Stride*(o.Count-1) + o.BlockLen
+			block, stride = o.BlockLen, o.Stride
 		}
-		got := r.FinalMem[off : off+len(want)]
-		off += len(want)
-		for j := range want {
-			if got[j] != want[j] {
+		got := r.FinalMem[off : off+n]
+		off += n
+		f := newFillStream(r.Spec.Seed, i)
+		col := 0 // offset of byte j within its stride
+		for j, g := range got {
+			want := f.next()
+			if col >= block {
+				want = 0
+			}
+			if col++; col == stride {
+				col = 0
+			}
+			if g != want {
 				r.Violations = append(r.Violations, Violation{
 					At: r.End, Rule: "end-to-end-payload", Where: fmt.Sprintf("op %d", i),
 					Detail: fmt.Sprintf("destination byte %d is %#02x, want %#02x (first mismatch)",
-						j, got[j], want[j])})
+						j, g, want)})
 				break
 			}
 		}

@@ -2,6 +2,8 @@ package check
 
 import (
 	"bytes"
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -221,5 +223,89 @@ func TestRunGeneratedCorpus(t *testing.T) {
 			t.Fatalf("seed %d failed:\n%s\nspec:\n%s", seed,
 				strings.Join(d.Failures, "\n"), scenariogen.Format(spec))
 		}
+	}
+}
+
+// endToEndSpec covers every op kind checkEndToEnd compares, including a
+// strided op with gaps between its blocks.
+var endToEndSpec = scenariogen.Spec{
+	Seed: 11, K: 4,
+	Ops: []scenariogen.Op{
+		{Kind: scenariogen.OpPIO, Src: 0, Dst: 2, Bytes: 64},
+		{Kind: scenariogen.OpBarrier, Rounds: 1},
+		{Kind: scenariogen.OpHostPut, Src: 1, Dst: 3, Bytes: 4093},
+		{Kind: scenariogen.OpStride, Src: 2, Dst: 0, BlockLen: 100, Count: 5, Stride: 256},
+		{Kind: scenariogen.OpDMA, Src: 0, SrcGPU: 0, Dst: 1, DstGPU: 1, Bytes: 8192},
+	},
+}
+
+// referenceEndToEnd is the buffer-building compare checkEndToEnd
+// replaced: it materializes each op's expected region and reports the
+// first mismatching byte in the same words.
+func referenceEndToEnd(r *Result) []Violation {
+	var vs []Violation
+	off := 0
+	for i, o := range r.Spec.Ops {
+		var want []byte
+		switch o.Kind {
+		case scenariogen.OpBarrier:
+			continue
+		case scenariogen.OpStride:
+			span := o.Stride*(o.Count-1) + o.BlockLen
+			src := fillBytes(r.Spec.Seed, i, span)
+			want = make([]byte, span)
+			for k := 0; k < o.Count; k++ {
+				copy(want[k*o.Stride:k*o.Stride+o.BlockLen], src[k*o.Stride:k*o.Stride+o.BlockLen])
+			}
+		default:
+			want = fillBytes(r.Spec.Seed, i, o.Bytes)
+		}
+		got := r.FinalMem[off : off+len(want)]
+		off += len(want)
+		for j := range want {
+			if got[j] != want[j] {
+				vs = append(vs, Violation{
+					At: r.End, Rule: "end-to-end-payload", Where: fmt.Sprintf("op %d", i),
+					Detail: fmt.Sprintf("destination byte %d is %#02x, want %#02x (first mismatch)",
+						j, got[j], want[j])})
+				break
+			}
+		}
+	}
+	return vs
+}
+
+// TestCheckEndToEndMatchesReference: on the landed memory of a clean run,
+// and after corrupting one byte of it (every seventh byte, gap bytes
+// included), checkEndToEnd reports exactly what the buffer-building
+// compare did.
+func TestCheckEndToEndMatchesReference(t *testing.T) {
+	r := mustRun(t, endToEndSpec, Options{})
+	assertClean(t, r)
+	mem := append([]byte(nil), r.FinalMem...)
+	for i := -1; i < len(mem); i += 7 {
+		r.FinalMem = append(r.FinalMem[:0], mem...)
+		if i >= 0 {
+			r.FinalMem[i] ^= 0x5a
+		}
+		r.Violations = nil
+		r.checkEndToEnd()
+		want := referenceEndToEnd(r)
+		if !slices.Equal(r.Violations, want) {
+			t.Fatalf("byte %d flipped: got %v, want %v", i, r.Violations, want)
+		}
+		if i >= 0 && len(want) != 1 {
+			t.Fatalf("byte %d flipped: reference reports %v", i, want)
+		}
+	}
+}
+
+// TestCheckEndToEndZeroAlloc: comparing a clean run's landed memory
+// allocates nothing.
+func TestCheckEndToEndZeroAlloc(t *testing.T) {
+	r := mustRun(t, endToEndSpec, Options{})
+	assertClean(t, r)
+	if allocs := testing.AllocsPerRun(20, r.checkEndToEnd); allocs != 0 || len(r.Violations) != 0 {
+		t.Fatalf("checkEndToEnd allocates %.1f per call (violations %v)", allocs, r.Violations)
 	}
 }

@@ -45,9 +45,9 @@ func (m DMAMode) String() string {
 // scratchSize bounds a staged (two-phase) transfer.
 const scratchSize = 64 * units.MiB
 
-// maxChain is the descriptor-table capacity the driver allocates — the 255
+// MaxChain is the descriptor-table capacity the driver allocates — the 255
 // of the paper's burst experiments plus one.
-const maxChain = 256
+const MaxChain = 256
 
 // Comm is a TCA communicator spanning one sub-cluster.
 type Comm struct {
@@ -94,7 +94,7 @@ func NewComm(sc *tcanet.SubCluster) (*Comm, error) {
 	c := &Comm{sc: sc, mode: TwoPhase}
 	obs := sc.Observability()
 	for i := 0; i < sc.Nodes(); i++ {
-		buf, err := sc.Node(i).AllocDMABuffer(maxChain * peach2.DescriptorBytes)
+		buf, err := sc.Node(i).AllocDMABuffer(MaxChain * peach2.DescriptorBytes)
 		if err != nil {
 			return nil, fmt.Errorf("core: node %d table buffer: %w", i, err)
 		}
@@ -139,8 +139,8 @@ func (c *Comm) StartChain(node int, descs []peach2.Descriptor, done func(now sim
 	if len(descs) == 0 {
 		return fmt.Errorf("core: empty descriptor chain")
 	}
-	if len(descs) > maxChain {
-		return fmt.Errorf("core: chain of %d exceeds the %d-entry table", len(descs), maxChain)
+	if len(descs) > MaxChain {
+		return fmt.Errorf("core: chain of %d exceeds the %d-entry table", len(descs), MaxChain)
 	}
 	d := c.driverOf(node)
 	d.submit(chainReq{descs: descs, done: done})

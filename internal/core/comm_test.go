@@ -350,7 +350,7 @@ func TestValidationErrors(t *testing.T) {
 	if err := c.StartChain(0, nil, nil); err == nil {
 		t.Fatal("empty chain accepted")
 	}
-	if err := c.StartChain(0, make([]peach2.Descriptor, maxChain+1), nil); err == nil {
+	if err := c.StartChain(0, make([]peach2.Descriptor, MaxChain+1), nil); err == nil {
 		t.Fatal("oversized chain accepted")
 	}
 	bad := BlockStride{BlockLen: 1024, Count: 4, SrcStride: 512, DstStride: 2048}

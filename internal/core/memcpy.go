@@ -121,8 +121,8 @@ func (bs BlockStride) Validate() error {
 	if bs.SrcStride < bs.BlockLen || bs.DstStride < bs.BlockLen {
 		return fmt.Errorf("core: strides (%v/%v) smaller than block %v overlap", bs.SrcStride, bs.DstStride, bs.BlockLen)
 	}
-	if bs.Count > maxChain {
-		return fmt.Errorf("core: %d blocks exceed the %d-descriptor table", bs.Count, maxChain)
+	if bs.Count > MaxChain {
+		return fmt.Errorf("core: %d blocks exceed the %d-descriptor table", bs.Count, MaxChain)
 	}
 	return nil
 }

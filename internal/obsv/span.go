@@ -2,7 +2,6 @@ package obsv
 
 import (
 	"fmt"
-	"sync"
 
 	"tca/internal/sim"
 )
@@ -225,8 +224,13 @@ func (e Event) String() string {
 // when full, and allocates transaction IDs. The nil recorder is a valid
 // disabled recorder: Record is a no-op and NextTxn returns 0, the "not
 // traced" transaction ID.
+//
+// A Recorder has a single writer and no lock: the goroutine that runs the
+// engine it instruments calls Record and NextTxn, and every reader
+// (Events, TxnEvents, Total, Evicted) runs on that goroutine after Run
+// returns, or on another goroutine that received the finished run over a
+// channel or another happens-before edge.
 type Recorder struct {
-	mu      sync.Mutex
 	events  []Event
 	next    int
 	full    bool
@@ -253,11 +257,8 @@ func (r *Recorder) NextTxn() uint64 {
 	if r == nil {
 		return 0
 	}
-	r.mu.Lock()
 	r.txn++
-	id := r.txn
-	r.mu.Unlock()
-	return id
+	return r.txn
 }
 
 // Record appends one event. Events with Txn 0 are dropped: an instrumented
@@ -266,7 +267,6 @@ func (r *Recorder) Record(ev Event) {
 	if r == nil || ev.Txn == 0 {
 		return
 	}
-	r.mu.Lock()
 	if r.full {
 		// Overwriting the oldest retained event: count the eviction so
 		// breakdown consumers can tell a truncated span from a short one.
@@ -280,7 +280,6 @@ func (r *Recorder) Record(ev Event) {
 		r.next = 0
 		r.full = true
 	}
-	r.mu.Unlock()
 }
 
 // Evicted reports how many events the ring has silently dropped to make
@@ -290,8 +289,6 @@ func (r *Recorder) Evicted() uint64 {
 	if r == nil {
 		return 0
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	return r.evicted
 }
 
@@ -309,8 +306,6 @@ func (r *Recorder) Total() uint64 {
 	if r == nil {
 		return 0
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	return r.total
 }
 
@@ -319,8 +314,6 @@ func (r *Recorder) Events() []Event {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	if !r.full {
 		return append([]Event(nil), r.events[:r.next]...)
 	}

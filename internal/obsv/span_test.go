@@ -125,6 +125,14 @@ func TestWriteBreakdown(t *testing.T) {
 	}
 }
 
+// TestNextTxnZeroAlloc: allocating a transaction ID is a counter bump.
+func TestNextTxnZeroAlloc(t *testing.T) {
+	r := NewRecorder(1)
+	if n := testing.AllocsPerRun(100, func() { r.NextTxn() }); n != 0 {
+		t.Fatalf("NextTxn allocates %.1f per call", n)
+	}
+}
+
 func TestRecordDisabledZeroAlloc(t *testing.T) {
 	var r *Recorder
 	ev := Event{At: 1, Txn: 1, Stage: StagePortIn}
