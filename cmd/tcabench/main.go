@@ -5,13 +5,10 @@
 //	tcabench -exp all            # run the full evaluation (§IV + ablations)
 //	tcabench -exp fig12 -csv     # machine-readable output
 //	tcabench -exp all -check     # also apply the shape checks
-//	tcabench -metrics table      # dump an instrumented run's metrics snapshot
 //	tcabench -bench-json BENCH_PR2.json   # write the headline-number baseline
 //	tcabench -perf-json BENCH_PERF.json   # write the engine-performance baseline
 //	tcabench -prof pingpong               # events/sec headline + top components by host time
 //	tcabench -prof pingpong -cpuprofile cpu.pprof -memprofile heap.pprof
-//	tcabench -perfetto trace.json         # spans + telemetry counters for ui.perfetto.dev
-//	tcabench -fault linkdown:1e:12us -seed 7   # fault ping-pong + injector counters
 package main
 
 import (
@@ -24,7 +21,6 @@ import (
 	"time"
 
 	"tca/internal/bench"
-	"tca/internal/obsv"
 	"tca/internal/prof"
 	"tca/internal/tcanet"
 	"tca/internal/units"
@@ -62,16 +58,12 @@ func run() int {
 		csv      = flag.Bool("csv", false, "emit CSV instead of aligned tables")
 		check    = flag.Bool("check", false, "apply each experiment's paper-shape check")
 		cable    = flag.Duration("cable", 0, "override the external-cable latency (e.g. 150ns)")
-		metrics  = flag.String("metrics", "", "run an instrumented demo workload and dump its metrics snapshot (table | json | prom)")
 		benchOut = flag.String("bench-json", "", "measure the headline figures and write the JSON baseline to this path")
 		perfOut  = flag.String("perf-json", "", "measure the engine-performance scenarios on a bare engine and write the JSON baseline to this path")
 		profSc   = flag.String("prof", "", "profile an engine scenario (pingpong | forward | chain_dma | all): events/sec headline plus the top components by host time")
 		profTop  = flag.Int("prof-top", 12, "component rows shown by -prof")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU pprof profile covering the run to this path")
 		memProf  = flag.String("memprofile", "", "write an allocs pprof profile taken after the run to this path")
-		perfetto = flag.String("perfetto", "", "run the sampled forward-DMA demo and write a Chrome trace_event file to this path")
-		faultStr = flag.String("fault", "", "run the fault ping-pong (4-node ring, 0<->2, 10 rounds) under this scenario spec and dump the injector counters")
-		seed     = flag.Int64("seed", 1, "fault injector seed (with -fault)")
 	)
 	flag.Parse()
 
@@ -143,69 +135,6 @@ func run() int {
 			fmt.Println(st.Headline())
 			p.WriteTable(os.Stdout, *profTop)
 		}
-		return 0
-	}
-
-	if *perfetto != "" {
-		// Run profiled so the trace carries the engine's cumulative
-		// host-time counter track next to the fabric telemetry.
-		sc := bench.Scenario{Kernel: bench.KernelChainDMA, Nodes: 4, Src: 0, Dst: 2, Size: 4096, Count: 64, Chains: 1}
-		r, _, err := sc.Run(tcanet.DefaultParams, bench.Attach{Obsv: true,
-			Prof: prof.New(prof.Options{}), Label: "telemetry-forward", Interval: units.Microsecond})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "tcabench:", err)
-			return 1
-		}
-		if err := writeFile(*perfetto, func(w io.Writer) error {
-			return obsv.WritePerfetto(w, r.Set.Recorder().Events(), r.Set.Sampler().Timeline())
-		}); err != nil {
-			fmt.Fprintln(os.Stderr, "tcabench:", err)
-			return 1
-		}
-		fmt.Printf("scenario: forward DMA %d×%v node%d->node%d (4-node ring), sampled every %v\nperfetto trace: %s (open in ui.perfetto.dev)\n",
-			sc.Count, sc.Size, sc.Src, sc.Dst, units.Microsecond, *perfetto)
-		return 0
-	}
-
-	if *metrics != "" {
-		// A short representative workload on one observed 4-node ring: a
-		// 2-hop PIO forward, then a chained DMA to the adjacent node.
-		r, err := bench.NewRig(4, tcanet.DefaultParams, bench.Attach{Obsv: true})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "tcabench:", err)
-			return 1
-		}
-		r.StoreStream(0, 2, 1, []byte{1, 0, 0, 0, 0, 0, 0, 0})
-		r.ChainDMA(bench.Chain{Dst: 1, Size: 4096, Count: 16})
-		snap := r.Snapshot()
-		switch *metrics {
-		case "table":
-			snap.WriteTable(os.Stdout)
-		case "json":
-			if err := snap.WriteJSON(os.Stdout); err != nil {
-				fmt.Fprintln(os.Stderr, "tcabench:", err)
-				return 1
-			}
-		case "prom":
-			snap.WritePrometheus(os.Stdout)
-		default:
-			fmt.Fprintf(os.Stderr, "tcabench: unknown -metrics format %q\n", *metrics)
-			return 2
-		}
-		return 0
-	}
-
-	if *faultStr != "" {
-		sc := bench.Scenario{Kernel: bench.KernelPingPong, Nodes: 4, Src: 0, Dst: 2, Rounds: 10}
-		r, res, err := sc.Run(tcanet.DefaultParams, bench.Attach{Obsv: true, Fault: *faultStr, Seed: *seed})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "tcabench:", err)
-			return 1
-		}
-		fmt.Printf("scenario: fault ping-pong node%d<->node%d ×%d (%d-node ring, %s, seed %d)\nend-to-end: %v\n"+
-			"spans: %d (all payloads verified byte-identical)\n\nmetrics:\n",
-			sc.Src, sc.Dst, sc.Rounds, sc.Nodes, *faultStr, *seed, res.EndToEnd, len(res.Txns))
-		r.Snapshot().WriteTable(os.Stdout)
 		return 0
 	}
 

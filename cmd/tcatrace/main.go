@@ -1,211 +1,244 @@
-// Command tcatrace inspects the fabric with the observability layer: it
-// runs a small scenario with transaction tracing on and prints each traced
-// span's hop-by-hop latency breakdown (the Fig. 9–10 decomposition view)
-// plus a metrics snapshot.
+// Command tcatrace is the scenario command: it runs one observed kernel on
+// a fresh ring (a bench.Scenario) and prints one view of it.
+//
+//   - -view trace (default): each traced span's hop-by-hop latency
+//     breakdown, the Fig. 9–10 decomposition.
+//   - -view path: the latency anatomy of every transaction — the
+//     per-bucket budget table (software, wire, switch, DMA engine and
+//     blocked-on waits), the percentile ladder, the slowest transactions,
+//     and for ping-pong the analytical-model comparison.
+//   - -view top: the fabric sampled every -interval, the hottest series
+//     interval by interval, and the bottleneck-attribution verdict.
+//
+// Every view takes the same scenario flags, the same -fault, and the same
+// outputs: the -json budget report, the -check partition gate, a -prof
+// host-time table, a -perfetto trace (with counter tracks when the view
+// samples) and a -metrics snapshot.
 //
 //	tcatrace -scenario pingpong -nodes 4 -src 0 -dst 2
-//	tcatrace -scenario forward -nodes 8 -dst 3 -events
+//	tcatrace -scenario stream -nodes 8 -dst 3 -events
 //	tcatrace -scenario dma -size 4096 -count 8 -metrics json
-//	tcatrace -scenario pingpong -critpath            # per-span latency budgets
-//	tcatrace -scenario dma -json                     # machine-readable output
-//	tcatrace -scenario pingpong -perfetto trace.json # open in ui.perfetto.dev
-//	tcatrace -scenario pingpong -fault linkdown:1e:12us -seed 7 -rounds 10
+//	tcatrace -view path -nodes 4 -dst 2 -rounds 8 -check -json budget.json
+//	tcatrace -view top -scenario dma -nodes 4 -dst 2 -count 255
+//	tcatrace -view top -prof -perfetto trace.json  # open in ui.perfetto.dev
+//	tcatrace -nodes 4 -dst 2 -fault linkdown:1e:12us -seed 7 -rounds 10
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"tca/internal/bench"
 	"tca/internal/obsv"
 	"tca/internal/obsv/critpath"
+	"tca/internal/prof"
 	"tca/internal/tcanet"
 	"tca/internal/units"
 )
 
-// jsonSpan is one span in tcatrace's machine-readable output.
-type jsonSpan struct {
-	Txn    uint64       `json:"txn"`
-	Events []obsv.Event `json:"events"`
-	Hops   []jsonHop    `json:"hops"`
-	// Budget is the span's critical-path latency anatomy in nanoseconds
-	// per bucket; it sums to total_ns exactly.
-	Budget  map[string]float64 `json:"budget_ns"`
-	TotalNS float64            `json:"total_ns"`
-}
-
-// jsonHop is one breakdown hop in machine-readable form.
-type jsonHop struct {
-	From   string  `json:"from"`
-	To     string  `json:"to"`
-	Bucket string  `json:"bucket"`
-	DurNS  float64 `json:"dur_ns"`
-}
-
-// jsonTrace is the -json document.
-type jsonTrace struct {
-	Schema     string     `json:"schema"`
-	Scenario   string     `json:"scenario"`
-	EndToEndNS float64    `json:"end_to_end_ns"`
-	Evicted    uint64     `json:"spans_evicted"`
-	Spans      []jsonSpan `json:"spans"`
-}
-
-// traceJSON freezes a traced run into its -json document.
-func traceJSON(scenario string, r *bench.Rig, res *bench.Result, spans []bench.Span) jsonTrace {
-	out := jsonTrace{
-		Schema:     "tca-trace/1",
-		Scenario:   scenario,
-		EndToEndNS: res.EndToEnd.Nanoseconds(),
-		Evicted:    r.Set.Recorder().Evicted(),
-	}
-	for _, sp := range spans {
-		b := critpath.BudgetOf(sp.Events)
-		js := jsonSpan{Txn: sp.Txn, Events: sp.Events, TotalNS: sp.Total.Nanoseconds(),
-			Budget: map[string]float64{}}
-		for i := critpath.Bucket(0); i < critpath.NumBuckets; i++ {
-			if d := b.Buckets[i]; d != 0 {
-				js.Budget[i.String()] = d.Nanoseconds()
-			}
-		}
-		for _, h := range sp.Hops {
-			js.Hops = append(js.Hops, jsonHop{
-				From:   h.From.Where + ":" + h.From.Stage.String(),
-				To:     h.To.Where + ":" + h.To.Stage.String(),
-				Bucket: critpath.Classify(h).String(),
-				DurNS:  h.Dur.Nanoseconds(),
-			})
-		}
-		out.Spans = append(out.Spans, js)
-	}
-	return out
-}
-
 func main() {
+	os.Exit(run())
+}
+
+// usage reports a bad flag value and returns the usage-error status.
+func usage(format string, args ...any) int {
+	fmt.Fprintf(os.Stderr, "tcatrace: "+format+"\n", args...)
+	return 2
+}
+
+// writeFile creates path and fills it with write, returning the first
+// error of the create, the write or the close.
+func writeFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	werr := write(f)
+	if cerr := f.Close(); werr == nil {
+		werr = cerr
+	}
+	return werr
+}
+
+func run() int {
 	var (
-		scenario = flag.String("scenario", "pingpong", "scenario: pingpong | forward | dma")
-		nodes    = flag.Int("nodes", 4, "ring size (pingpong/forward)")
+		view     = flag.String("view", "trace", "view: trace | path | top")
+		kernel   = flag.String("scenario", "pingpong", "kernel: pingpong | stream | dma")
+		nodes    = flag.Int("nodes", 4, "ring size")
 		src      = flag.Int("src", 0, "source node")
 		dst      = flag.Int("dst", 1, "destination node")
-		size     = flag.Int("size", 4096, "DMA block size in bytes (dma)")
-		count    = flag.Int("count", 8, "DMA descriptor count (dma)")
-		metrics  = flag.String("metrics", "table", "metrics snapshot format: table | json | prom | none")
-		events   = flag.Bool("events", false, "also dump each span's raw events")
-		perfetto = flag.String("perfetto", "", "write the spans as a Chrome trace_event file to this path")
+		rounds   = flag.Int("rounds", 1, "ping-pong round trips or stream stores")
+		size     = flag.Int("size", 4096, "DMA block size in bytes")
+		count    = flag.Int("count", 8, "DMA descriptors per chain")
+		stride   = flag.Int("stride", 0, "far-end DMA block stride in bytes (0 = -size)")
+		chains   = flag.Int("chains", 1, "back-to-back DMA chains")
 		faultStr = flag.String("fault", "", "fault scenario spec, e.g. linkdown:1e:12us or ber:1e-7,drop:0.01 (pingpong only)")
 		seed     = flag.Int64("seed", 1, "fault injector seed (with -fault)")
-		rounds   = flag.Int("rounds", 10, "ping-pong rounds (with -fault)")
-		asJSON   = flag.Bool("json", false, "emit the spans, hops, and budgets as one JSON document instead of tables")
-		crit     = flag.Bool("critpath", false, "also print each span's critical-path latency budget")
+		top      = flag.Int("top", 5, "rows of each ranking: slowest transactions, hottest series, host-time components (0 = all)")
+		events   = flag.Bool("events", false, "trace view: also dump each span's raw events")
+		interval = flag.Float64("interval", 1, "top view: sampling interval in simulated µs")
+		rows     = flag.Int("rows", 20, "top view: maximum table rows, sampling ticks strided to fit (0 = all)")
+		profile  = flag.Bool("prof", false, "attach the engine self-profiler: close with the events/sec headline and the components ranked by host time")
+		jsonPath = flag.String("json", "", "write the latency-budget report to this path (\"-\" = stdout)")
+		check    = flag.Bool("check", false, "exit 1 if any transaction has unattributed or unbalanced time")
+		perfetto = flag.String("perfetto", "", "write the spans (and the top view's samples) as a Chrome trace_event file to this path")
+		metrics  = flag.String("metrics", "none", "metrics snapshot format: table | json | prom | none")
 	)
 	flag.Parse()
 
+	switch *view {
+	case "trace", "path", "top":
+	default:
+		return usage("unknown view %q", *view)
+	}
+	k, ok := bench.KernelByName(*kernel)
+	if !ok {
+		return usage("unknown scenario %q", *kernel)
+	}
 	switch *metrics {
 	case "table", "json", "prom", "none":
 	default:
-		fmt.Fprintf(os.Stderr, "tcatrace: unknown metrics format %q\n", *metrics)
-		os.Exit(2)
+		return usage("unknown metrics format %q", *metrics)
+	}
+	sc := bench.Scenario{Kernel: k, Nodes: *nodes, Src: *src, Dst: *dst, Rounds: *rounds,
+		Size: units.ByteSize(*size), Count: *count, Stride: units.ByteSize(*stride), Chains: *chains}
+	prm := tcanet.DefaultParams
+	if err := sc.Validate(prm); err != nil {
+		return usage("%v", err)
+	}
+	if *faultStr != "" && k != bench.KernelPingPong {
+		return usage("-fault is only supported for -scenario pingpong (got %q)", *kernel)
+	}
+	if *top < 0 {
+		return usage("-top must not be negative")
+	}
+	// The check is on the simulated tick: a positive -interval that rounds
+	// to 0ps would disable sampling.
+	iv := units.Duration(*interval * float64(units.Microsecond))
+	if iv <= 0 {
+		return usage("-interval must be positive")
 	}
 
-	// Only a faulted ping-pong runs more than one round.
-	pingRounds := 1
-	pingTitle := fmt.Sprintf("ping-pong node%d<->node%d (%d-node ring)", *src, *dst, *nodes)
-	if *faultStr != "" {
-		pingRounds = *rounds
-		pingTitle = fmt.Sprintf("fault ping-pong node%d<->node%d ×%d (%d-node ring, %s, seed %d)",
-			*src, *dst, *rounds, *nodes, *faultStr, *seed)
+	a := bench.Attach{Obsv: true, Fault: *faultStr, Seed: *seed, Label: *kernel}
+	if *view == "top" {
+		a.Interval = iv
 	}
-	blk := units.ByteSize(*size)
-	scenarios := map[string]bench.Scenario{
-		"pingpong": {Kernel: bench.KernelPingPong, Nodes: *nodes, Src: *src, Dst: *dst, Rounds: pingRounds,
-			Title: pingTitle},
-		"forward": {Kernel: bench.KernelStoreStream, Nodes: *nodes, Src: *src, Dst: *dst, Rounds: 1,
-			Title: fmt.Sprintf("forward node%d->node%d (%d-node ring)", *src, *dst, *nodes)},
-		"dma": {Kernel: bench.KernelChainDMA, Nodes: 2, Src: 0, Dst: 1, Size: blk, Count: *count, Stride: 2 * blk, Chains: 1,
-			Title: fmt.Sprintf("block-stride DMA %d×%v (stride %v) node0->node1", *count, blk, 2*blk)},
+	if *profile {
+		a.Prof = prof.New(prof.Options{})
 	}
-	sc, ok := scenarios[*scenario]
-	if !ok {
-		fmt.Fprintf(os.Stderr, "tcatrace: unknown scenario %q\n", *scenario)
-		os.Exit(2)
-	}
-	if err := sc.Validate(tcanet.DefaultParams); err != nil {
-		fmt.Fprintln(os.Stderr, "tcatrace:", err)
-		os.Exit(2)
-	}
-	if *faultStr != "" && sc.Kernel != bench.KernelPingPong {
-		fmt.Fprintf(os.Stderr, "tcatrace: -fault is only supported for -scenario pingpong (got %q)\n", *scenario)
-		os.Exit(2)
-	}
-
-	r, res, err := sc.Run(tcanet.DefaultParams, bench.Attach{Obsv: true, Fault: *faultStr, Seed: *seed})
+	r, res, err := sc.Run(prm, a)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "tcatrace:", err)
-		os.Exit(1)
+		return 1
 	}
-	spans := r.Spans(res.Txns)
-
-	if evicted := r.Set.Recorder().Evicted(); evicted > 0 {
-		fmt.Fprintf(os.Stderr, "tcatrace: WARNING: span ring evicted %d events — breakdowns may be truncated\n", evicted)
+	title := sc.String()
+	if *faultStr != "" {
+		title += fmt.Sprintf(", fault %s seed %d", *faultStr, *seed)
+	}
+	fleet := critpath.Analyze(title, r.Set.Recorder(), res.Txns)
+	var model []critpath.ModelDiff
+	if k == bench.KernelPingPong {
+		model = bench.PingPongModel(prm).CompareFleet(fleet, bench.RingForwardHops(sc.Nodes, sc.Src, sc.Dst))
+	}
+	if fleet.Evicted > 0 {
+		fmt.Fprintf(os.Stderr, "tcatrace: WARNING: span ring evicted %d events — breakdowns and budgets may be truncated\n", fleet.Evicted)
+	}
+	var tl *obsv.Timeline
+	if a.Interval > 0 {
+		tl = r.Set.Sampler().Timeline()
 	}
 
-	if *asJSON {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(traceJSON(sc.Title, r, res, spans)); err != nil {
-			fmt.Fprintln(os.Stderr, "tcatrace:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	fmt.Printf("scenario: %s\n\n", sc.Title)
-	for i, sp := range spans {
-		fmt.Printf("span %d (txn %d), %d events, hop sum %v:\n", i, sp.Txn, len(sp.Events), sp.Total)
-		obsv.WriteBreakdown(os.Stdout, sp.Hops)
-		if *crit {
-			b := critpath.BudgetOf(sp.Events)
-			fmt.Println("  latency budget:")
-			for j := critpath.Bucket(0); j < critpath.NumBuckets; j++ {
-				if d := b.Buckets[j]; d != 0 {
-					fmt.Printf("    %-26s %12v\n", j, d)
+	switch *view {
+	case "trace":
+		fmt.Printf("scenario: %s\n\n", title)
+		for i, sp := range r.Spans(res.Txns) {
+			fmt.Printf("span %d (txn %d), %d events, hop sum %v:\n", i, sp.Txn, len(sp.Events), sp.Total)
+			obsv.WriteBreakdown(os.Stdout, sp.Hops)
+			if *events {
+				for _, ev := range sp.Events {
+					fmt.Printf("    %12v  %s\n", units.Duration(ev.At), ev)
 				}
 			}
-			if !b.Consistent() {
-				fmt.Println("    WARNING: budget does not partition the hop sum")
-			}
+			fmt.Println()
 		}
-		if *events {
-			for _, ev := range sp.Events {
-				fmt.Printf("    %12v  %s\n", units.Duration(ev.At), ev)
-			}
+		fmt.Printf("end-to-end: %v\n", res.EndToEnd)
+	case "path":
+		fmt.Printf("scenario: %s\n\n", title)
+		critpath.WriteBudgetTable(os.Stdout, fleet)
+		fmt.Println()
+		critpath.WriteLadder(os.Stdout, fleet)
+		fmt.Println()
+		critpath.WriteTopK(os.Stdout, fleet, *top)
+		if len(model) > 0 {
+			fmt.Println()
+			critpath.WriteModel(os.Stdout, model)
+		}
+	case "top":
+		fmt.Printf("scenario: %s\n", title)
+		if res.Moved > 0 {
+			bw := units.Rate(res.Moved, res.EndToEnd)
+			fmt.Printf("moved %v in %v (%.3f GB/s)\n", res.Moved, res.EndToEnd, bw.GBps())
+		} else {
+			fmt.Printf("elapsed %v\n", res.EndToEnd)
 		}
 		fmt.Println()
+		if hot := obsv.TopSeries(tl.Series(), *top); len(hot) == 0 {
+			fmt.Println("no samples recorded (scenario shorter than one interval?)")
+		} else {
+			obsv.WriteSeriesTable(os.Stdout, hot, *rows)
+			fmt.Println()
+		}
+		obsv.Attribute(r.Snapshot(), tl).WriteReport(os.Stdout)
 	}
-	fmt.Printf("end-to-end: %v\n", res.EndToEnd)
 
+	if a.Prof != nil {
+		fmt.Println()
+		fmt.Println(res.Stats.Headline())
+		a.Prof.WriteTable(os.Stdout, *top)
+	}
 	if *perfetto != "" {
-		f, err := os.Create(*perfetto)
-		if err != nil {
+		if err := writeFile(*perfetto, func(w io.Writer) error {
+			return obsv.WritePerfetto(w, r.Set.Recorder().Events(), tl)
+		}); err != nil {
 			fmt.Fprintln(os.Stderr, "tcatrace:", err)
-			os.Exit(1)
-		}
-		werr := obsv.WritePerfetto(f, r.Set.Recorder().Events(), nil)
-		if cerr := f.Close(); werr == nil {
-			werr = cerr
-		}
-		if werr != nil {
-			fmt.Fprintln(os.Stderr, "tcatrace:", werr)
-			os.Exit(1)
+			return 1
 		}
 		fmt.Printf("perfetto trace: %s (open in ui.perfetto.dev)\n", *perfetto)
+	}
+	if *jsonPath != "" {
+		report := critpath.ExportReport(fleet, model, *top)
+		if *jsonPath == "-" {
+			fmt.Println()
+			err = report.WriteJSON(os.Stdout)
+		} else if err = writeFile(*jsonPath, report.WriteJSON); err == nil {
+			fmt.Printf("\nbudget report: %s\n", *jsonPath)
+		}
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "tcatrace:", err)
+			return 1
+		}
+	}
+	if *check {
+		bad := 0
+		for _, b := range fleet.Budgets {
+			if !b.Consistent() {
+				fmt.Fprintf(os.Stderr, "tcatrace: txn %d: buckets sum to %v, end-to-end %v, unattributed %v\n",
+					b.Txn, b.Sum(), b.Total, b.Buckets[critpath.BucketUnattributed])
+				bad++
+			}
+		}
+		if bad > 0 || fleet.Evicted > 0 {
+			fmt.Fprintf(os.Stderr, "tcatrace: check failed: %d/%d transactions inconsistent, %d span events evicted\n",
+				bad, len(fleet.Budgets), fleet.Evicted)
+			return 1
+		}
+		fmt.Printf("\ncheck: all %d transactions partition exactly, nothing unattributed\n", len(fleet.Budgets))
 	}
 
 	snap := r.Snapshot()
 	switch *metrics {
-	case "none":
 	case "table":
 		fmt.Println("\nmetrics:")
 		snap.WriteTable(os.Stdout)
@@ -213,10 +246,11 @@ func main() {
 		fmt.Println()
 		if err := snap.WriteJSON(os.Stdout); err != nil {
 			fmt.Fprintln(os.Stderr, "tcatrace:", err)
-			os.Exit(1)
+			return 1
 		}
 	case "prom":
 		fmt.Println()
 		snap.WritePrometheus(os.Stdout)
 	}
+	return 0
 }

@@ -238,8 +238,8 @@ func TestDisabledObservabilityAllocs(t *testing.T) {
 	}
 }
 
-// The tcabench -metrics workload — a 2-hop PIO store, then a 16×4 KiB
-// chain — must produce a populated snapshot on one observed rig.
+// Two kernels on one observed rig — a 2-hop PIO store, then a 16×4 KiB
+// chain — must produce a populated snapshot.
 func TestMetricsReport(t *testing.T) {
 	r := observedRig(t, 4, Attach{})
 	r.StoreStream(0, 2, 1, pioFlag)

@@ -54,9 +54,10 @@ func (d Dir) String() string {
 	return "write"
 }
 
-// spanCap bounds an observed rig's event retention; the largest scenario
-// (a 255-descriptor chain) records well under this.
-const spanCap = 8192
+// spanCap bounds an observed rig's event retention. A 255-descriptor
+// chain across two hops records about 45,000 events; a longer run evicts
+// its oldest events, and every report counts them.
+const spanCap = 1 << 16
 
 // hostSeriesCap bounds the profiler's cumulative host-time series; one
 // point lands per timed sample, so the ring must hold a scenario's worth.

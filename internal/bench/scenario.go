@@ -21,11 +21,26 @@ const (
 	KernelChainDMA
 )
 
-// Scenario is one kernel run on a fresh ring, declared as data. The
-// scenario CLIs (tcatrace, tcapath, tcatop), tcabench's -fault and
-// -perfetto demos and the profiled perf scenarios each map their scenario
-// names to Scenario values, check them with Validate and run them with
-// Run; what they print stays their own.
+// kernelNames are the kernels' names, the values tcatrace's -scenario takes.
+var kernelNames = [...]string{KernelPingPong: "pingpong", KernelStoreStream: "stream", KernelChainDMA: "dma"}
+
+// String returns the kernel's name.
+func (k Kernel) String() string { return kernelNames[k] }
+
+// KernelByName returns the kernel whose String is name.
+func KernelByName(name string) (Kernel, bool) {
+	for k, n := range kernelNames {
+		if n == name {
+			return Kernel(k), true
+		}
+	}
+	return 0, false
+}
+
+// Scenario is one kernel run on a fresh ring, declared as data. tcatrace
+// fills one from its flags; the profiled perf scenarios and the
+// BENCH_PR2.json critpath anchors are literals. Each is checked with
+// Validate and run with Run.
 type Scenario struct {
 	Kernel Kernel
 	// Nodes is the ring size. Src and Dst are the kernel's endpoints: the
@@ -40,14 +55,31 @@ type Scenario struct {
 	Count  int
 	Stride units.ByteSize
 	Chains int
-	// Title names the run in a CLI's report; Run ignores it.
-	Title string
+}
+
+// String names the run by its kernel and the fields that kernel uses, as
+// in "pingpong ×8 node0<->node2 (4-node ring)" or
+// "dma 4×(8×4KiB, stride 8KiB) node0->node1 (2-node ring)".
+func (s Scenario) String() string {
+	ring := fmt.Sprintf("(%d-node ring)", s.Nodes)
+	switch s.Kernel {
+	case KernelPingPong:
+		return fmt.Sprintf("%v ×%d node%d<->node%d %s", s.Kernel, s.Rounds, s.Src, s.Dst, ring)
+	case KernelStoreStream:
+		return fmt.Sprintf("%v ×%d node%d->node%d %s", s.Kernel, s.Rounds, s.Src, s.Dst, ring)
+	}
+	stride := s.Stride
+	if stride == 0 {
+		stride = s.Size
+	}
+	return fmt.Sprintf("%v %d×(%d×%v, stride %v) node%d->node%d %s",
+		s.Kernel, s.Chains, s.Count, s.Size, stride, s.Src, s.Dst, ring)
 }
 
 // Validate reports the first field the kernel uses that is out of range
-// for a ring built with prm. Its messages name the CLI flags the scenario
-// CLIs fill those fields from, so a CLI prints them after its own prefix
-// and exits 2.
+// for a ring built with prm. Its messages name the tcatrace flags that
+// fill those fields, so tcatrace prints them after its own prefix and
+// exits 2.
 func (s Scenario) Validate(prm tcanet.Params) error {
 	if s.Nodes < 2 || s.Nodes > 16 {
 		return errors.New("-nodes must be in [2, 16]")
@@ -66,6 +98,9 @@ func (s Scenario) Validate(prm tcanet.Params) error {
 		}
 		if s.Chains < 1 {
 			return errors.New("-chains must be positive")
+		}
+		if s.Stride < 0 {
+			return errors.New("-stride must not be negative")
 		}
 		if s.Count > core.MaxChain {
 			return fmt.Errorf("-count must be at most %d (the driver's descriptor table)", core.MaxChain)

@@ -9,7 +9,8 @@ import (
 
 // TestScenarioValidateChainBounds: a chain at each hardware limit is
 // valid and one step past it is not — 256 descriptors, a block of the
-// whole PEACH2 internal memory, a span of exactly one host block.
+// whole PEACH2 internal memory, a span of exactly one host block — and a
+// negative stride is rejected.
 func TestScenarioValidateChainBounds(t *testing.T) {
 	prm := tcanet.DefaultParams
 	mem := prm.Chip.InternalMemSize
@@ -32,6 +33,7 @@ func TestScenarioValidateChainBounds(t *testing.T) {
 		{dma(16, 4096, 32, block/32), true},
 		{dma(16, 4096, 32, block/32+1), false},
 		{dma(16, mem, 256, 0), false},
+		{dma(2, 4096, 8, -4096), false},
 	} {
 		if err := tc.s.Validate(prm); (err == nil) != tc.ok {
 			t.Errorf("size %v count %d stride %v on %d nodes: Validate = %v, want ok=%v",

@@ -60,10 +60,11 @@ func TestTelemetryPingPongUnderutilized(t *testing.T) {
 	}
 }
 
-// TestForwardPerfettoTraceValid exports the trace tcabench -perfetto
-// writes and validates it against the Chrome trace_event schema: a
-// traceEvents array with duration slices for the DMA span, counter samples
-// for the telemetry series, and nothing malformed.
+// TestForwardPerfettoTraceValid exports a sampled chain's trace, as
+// tcatrace -view top -perfetto writes it, and validates it against the
+// Chrome trace_event schema: a traceEvents array with duration slices for
+// the DMA span, counter samples for the telemetry series, and nothing
+// malformed.
 func TestForwardPerfettoTraceValid(t *testing.T) {
 	r := observedRig(t, 4, Attach{Interval: units.Microsecond})
 	r.ChainDMA(Chain{Dst: 2, Size: 4096, Count: 16})

@@ -357,7 +357,7 @@ func (f *Fleet) Consistent() bool {
 }
 
 // TopK returns the k slowest transactions, slowest first (ties broken by
-// transaction ID for determinism).
+// transaction ID for determinism); k ≤ 0 returns them all.
 func (f *Fleet) TopK(k int) []Budget {
 	out := append([]Budget(nil), f.Budgets...)
 	sort.SliceStable(out, func(i, j int) bool {
@@ -366,7 +366,7 @@ func (f *Fleet) TopK(k int) []Budget {
 		}
 		return out[i].Txn < out[j].Txn
 	})
-	if k < len(out) {
+	if k > 0 && k < len(out) {
 		out = out[:k]
 	}
 	return out

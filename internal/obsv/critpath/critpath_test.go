@@ -204,8 +204,16 @@ func TestExportReportAndRenderers(t *testing.T) {
 	if err := r.WriteJSON(&sb); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(sb.String(), `"schema": "tca-critpath-report/1"`) {
+	if !strings.Contains(sb.String(), `"schema": "`+ReportSchema+`"`) {
 		t.Fatalf("JSON missing schema: %s", sb.String())
+	}
+	if len(r.Txns) != 1 || r.Txns[0].Txn != b.Txn || r.Txns[0].TotalNS != b.Total.Nanoseconds() {
+		t.Fatalf("txn rows = %+v, want the one budget", r.Txns)
+	}
+	for i, d := range b.Buckets {
+		if got, ok := r.Txns[0].BudgetNS[Bucket(i).String()]; ok != (d != 0) || got != d.Nanoseconds() {
+			t.Errorf("txn row bucket %v = %v (present %v), budget holds %v", Bucket(i), got, ok, d)
+		}
 	}
 	sb.Reset()
 	WriteBudgetTable(&sb, f)
@@ -220,6 +228,21 @@ func TestExportReportAndRenderers(t *testing.T) {
 	}
 	if strings.Contains(out, "WARNING") {
 		t.Errorf("consistent fleet rendered a warning:\n%s", out)
+	}
+}
+
+// TestTopKBounds: k limits the list, and k ≤ 0 lists every transaction
+// instead of slicing out of range.
+func TestTopKBounds(t *testing.T) {
+	f := &Fleet{Budgets: []Budget{{Txn: 1, Total: 10}, {Txn: 2, Total: 30}, {Txn: 3, Total: 20}}}
+	for _, tc := range []struct{ k, want int }{{2, 2}, {3, 3}, {5, 3}, {0, 3}, {-1, 3}} {
+		top := f.TopK(tc.k)
+		if len(top) != tc.want {
+			t.Errorf("TopK(%d) lists %d, want %d", tc.k, len(top), tc.want)
+		}
+		if top[0].Txn != 2 {
+			t.Errorf("TopK(%d) starts at txn %d, want the slowest, 2", tc.k, top[0].Txn)
+		}
 	}
 }
 

@@ -8,8 +8,8 @@ import (
 	"tca/internal/units"
 )
 
-// ReportSchema versions the JSON budget report tcapath emits for CI.
-const ReportSchema = "tca-critpath-report/1"
+// ReportSchema versions the JSON budget report tcatrace -json writes.
+const ReportSchema = "tca-critpath-report/2"
 
 // Report is the machine-readable latency-anatomy report.
 type Report struct {
@@ -21,6 +21,7 @@ type Report struct {
 	Recorded     uint64      `json:"spans_recorded"`
 	Buckets      []BucketRow `json:"buckets"`
 	LadderUS     LadderRow   `json:"ladder_us"`
+	Txns         []TxnBudget `json:"txns"`
 	Top          []TxnRow    `json:"top_transactions"`
 	Model        []ModelDiff `json:"model,omitempty"`
 	Inconsistent []uint64    `json:"inconsistent_txns,omitempty"`
@@ -48,6 +49,15 @@ type LadderRow struct {
 	Max  float64 `json:"max"`
 }
 
+// TxnBudget is one transaction's latency budget in issue order: its
+// end-to-end latency and the nonzero buckets it partitions into, both in
+// nanoseconds.
+type TxnBudget struct {
+	Txn      uint64             `json:"txn"`
+	TotalNS  float64            `json:"total_ns"`
+	BudgetNS map[string]float64 `json:"budget_ns"`
+}
+
 // TxnRow is one slow transaction with its blocking cause.
 type TxnRow struct {
 	Txn          uint64  `json:"txn"`
@@ -57,7 +67,8 @@ type TxnRow struct {
 }
 
 // ExportReport freezes the fleet into its JSON report form. model may be
-// nil for scenarios without an analytical prediction.
+// nil for scenarios without an analytical prediction; topK bounds the
+// slowest-transaction list as in Fleet.TopK.
 func ExportReport(f *Fleet, model []ModelDiff, topK int) Report {
 	r := Report{
 		Schema:       ReportSchema,
@@ -84,6 +95,15 @@ func ExportReport(f *Fleet, model []ModelDiff, topK int) Report {
 		N: f.Ladder.N, Min: f.Ladder.Min, P50: f.Ladder.Median,
 		Mean: f.Ladder.Mean, P95: f.Ladder.P95, P99: f.Ladder.P99,
 		P999: f.Ladder.P999, Max: f.Ladder.Max,
+	}
+	for _, b := range f.Budgets {
+		row := TxnBudget{Txn: b.Txn, TotalNS: b.Total.Nanoseconds(), BudgetNS: map[string]float64{}}
+		for i, d := range b.Buckets {
+			if d != 0 {
+				row.BudgetNS[Bucket(i).String()] = d.Nanoseconds()
+			}
+		}
+		r.Txns = append(r.Txns, row)
 	}
 	for _, b := range f.TopK(topK) {
 		row := TxnRow{Txn: b.Txn, TotalUS: b.Total.Microseconds(), WaitUS: b.Wait().Microseconds()}

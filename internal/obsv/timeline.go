@@ -280,7 +280,7 @@ func sampleAt(samples []Sample, at sim.Time) (float64, bool) {
 }
 
 // TopSeries orders series by descending Max (ties by ID) and returns at
-// most n of them — the "most active signals" view tcatop renders.
+// most n of them — the "most active signals" view tcatrace -view top renders.
 func TopSeries(series []*Series, n int) []*Series {
 	out := append([]*Series(nil), series...)
 	sort.Slice(out, func(i, j int) bool {
