@@ -124,6 +124,9 @@ func run() int {
 	a := bench.Attach{Obsv: true, Fault: *faultStr, Seed: *seed, Label: *kernel}
 	if *view == "top" {
 		a.Interval = iv
+		// The top view prints sampled series only; spans would feed
+		// nothing but the budget report, the check and the trace file.
+		a.NoSpans = *jsonPath == "" && !*check && *perfetto == ""
 	}
 	if *profile {
 		a.Prof = prof.New(prof.Options{})
@@ -137,13 +140,16 @@ func run() int {
 	if *faultStr != "" {
 		title += fmt.Sprintf(", fault %s seed %d", *faultStr, *seed)
 	}
-	fleet := critpath.Analyze(title, r.Set.Recorder(), res.Txns)
+	var fleet *critpath.Fleet
 	var model []critpath.ModelDiff
-	if k == bench.KernelPingPong {
-		model = bench.PingPongModel(prm).CompareFleet(fleet, bench.RingForwardHops(sc.Nodes, sc.Src, sc.Dst))
-	}
-	if fleet.Evicted > 0 {
-		fmt.Fprintf(os.Stderr, "tcatrace: WARNING: span ring evicted %d events — breakdowns and budgets may be truncated\n", fleet.Evicted)
+	if !a.NoSpans {
+		fleet = critpath.Analyze(title, r.Set.Recorder(), res.Txns)
+		if k == bench.KernelPingPong {
+			model = bench.PingPongModel(prm).CompareFleet(fleet, bench.RingForwardHops(sc.Nodes, sc.Src, sc.Dst))
+		}
+		if fleet.Evicted > 0 {
+			fmt.Fprintf(os.Stderr, "tcatrace: WARNING: span ring evicted %d events — breakdowns and budgets may be truncated\n", fleet.Evicted)
+		}
 	}
 	var tl *obsv.Timeline
 	if a.Interval > 0 {

@@ -24,6 +24,15 @@
 //   - the pointer must not be stored into a struct field, slice, map or
 //     package-level variable, or be captured by a function literal, unless
 //     Pin() detached it from the pool first.
+//
+// Release also recycles a packet's payload buffer, so the same holds for
+// the bytes of any pooled value, however it was obtained (a Get, a
+// parameter, a field): an exported slice field such as TLP.Data, a slice
+// of it, or a local bound to either must not be stored into a field, a
+// slice, a map, a composite literal or a package-level variable, appended
+// as an element, or captured by a function literal, unless the packet was
+// pinned first. A receiver that keeps the bytes copies them
+// (append(dst, t.Data...), copy).
 package poolsafety
 
 import (
@@ -57,7 +66,9 @@ type whose doc comment carries //tca:pooled) are loans: each must reach
 exactly one Release or be handed off (call argument, return, channel
 send); no use may follow the Release; Release must not run twice; and the
 pointer must not escape into a field, slice, map, package variable or
-closure unless Pin() detached it from the pool first.`,
+closure unless Pin() detached it from the pool first. The same escape rule
+holds for a pooled value's payload (an exported slice field such as
+TLP.Data, or a slice of it), which Release recycles.`,
 	Run:       run,
 	FactTypes: []framework.Fact{(*pooledFact)(nil)},
 }
@@ -75,6 +86,7 @@ func run(pass *framework.Pass) error {
 			// Each function literal is its own scope: a Get inside a
 			// closure is checked against that closure's body alone.
 			checkBody(pass, fd.Body)
+			checkPayloads(pass, fd.Body)
 			ast.Inspect(fd.Body, func(n ast.Node) bool {
 				if lit, okLit := n.(*ast.FuncLit); okLit {
 					checkBody(pass, lit.Body)
@@ -429,3 +441,184 @@ func typeName(pass *framework.Pass, ln *loan) string {
 }
 
 func after(p, q token.Pos) bool { return p > q }
+
+// payloadRoot reports whether e is a pooled value's payload — an exported
+// slice-typed field of a pooled type, possibly sliced — and returns the
+// variable the value was reached from (nil when it is not a plain chain
+// of selectors off one variable).
+func payloadRoot(pass *framework.Pass, e ast.Expr) (root *types.Var, ok bool) {
+	for {
+		switch x := e.(type) {
+		case *ast.ParenExpr:
+			e = x.X
+			continue
+		case *ast.SliceExpr:
+			e = x.X
+			continue
+		}
+		break
+	}
+	sel, isSel := e.(*ast.SelectorExpr)
+	if !isSel || !sel.Sel.IsExported() {
+		return nil, false
+	}
+	selection := pass.TypesInfo.Selections[sel]
+	if selection == nil || selection.Kind() != types.FieldVal {
+		return nil, false
+	}
+	if _, isSlice := selection.Type().Underlying().(*types.Slice); !isSlice {
+		return nil, false
+	}
+	if pooledNamed(pass, selection.Recv()) == nil {
+		return nil, false
+	}
+	return baseVar(pass, sel.X), true
+}
+
+// baseVar returns the variable at the root of a selector, index or
+// dereference chain.
+func baseVar(pass *framework.Pass, e ast.Expr) *types.Var {
+	for {
+		switch x := e.(type) {
+		case *ast.ParenExpr:
+			e = x.X
+		case *ast.SelectorExpr:
+			e = x.X
+		case *ast.IndexExpr:
+			e = x.X
+		case *ast.StarExpr:
+			e = x.X
+		default:
+			return framework.RootVar(pass.TypesInfo, e)
+		}
+	}
+}
+
+// checkPayloads applies the payload escape rule to one function body,
+// nested function literals included.
+func checkPayloads(pass *framework.Pass, body *ast.BlockStmt) {
+	info := pass.TypesInfo
+	// aliases maps a local bound to a payload to the variable the payload
+	// was reached from; pinned holds variables pinned in this body.
+	aliases := make(map[*types.Var]*types.Var)
+	pinned := make(map[*types.Var]token.Pos)
+	ast.Inspect(body, func(n ast.Node) bool {
+		switch x := n.(type) {
+		case *ast.CallExpr:
+			if methodName(x) == "Pin" {
+				if v := baseVar(pass, x.Fun.(*ast.SelectorExpr).X); v != nil {
+					if _, seen := pinned[v]; !seen {
+						pinned[v] = x.Pos()
+					}
+				}
+			}
+		case *ast.AssignStmt:
+			if len(x.Lhs) != len(x.Rhs) {
+				return true
+			}
+			for i, rhs := range x.Rhs {
+				if root, ok := payloadRoot(pass, rhs); ok {
+					if v := framework.RootVar(info, x.Lhs[i]); v != nil && v.Parent() != pass.Pkg.Scope() {
+						aliases[v] = root
+					}
+				}
+			}
+		case *ast.ValueSpec:
+			for i, val := range x.Values {
+				if root, ok := payloadRoot(pass, val); ok && i < len(x.Names) {
+					if v, okV := info.Defs[x.Names[i]].(*types.Var); okV {
+						aliases[v] = root
+					}
+				}
+			}
+		}
+		return true
+	})
+
+	// payload reports whether e carries a payload and which variable it
+	// came from.
+	payload := func(e ast.Expr) (*types.Var, string, bool) {
+		if root, ok := payloadRoot(pass, e); ok {
+			return root, types.ExprString(e), true
+		}
+		if v := framework.RootVar(info, e); v != nil {
+			if root, ok := aliases[v]; ok {
+				return root, v.Name(), true
+			}
+		}
+		return nil, "", false
+	}
+	escapes := func(e ast.Expr, at token.Pos, where string) {
+		root, what, ok := payload(e)
+		if !ok {
+			return
+		}
+		if p, isPinned := pinned[root]; isPinned && p < at {
+			return
+		}
+		pass.Reportf(e.Pos(), "pooled payload %s %s, which may outlive its Release; copy it or Pin() the packet first", what, where)
+	}
+
+	ast.Inspect(body, func(n ast.Node) bool {
+		switch x := n.(type) {
+		case *ast.AssignStmt:
+			if len(x.Lhs) != len(x.Rhs) {
+				return true
+			}
+			for i, rhs := range x.Rhs {
+				root, _, ok := payload(rhs)
+				if !ok {
+					continue
+				}
+				switch lhs := x.Lhs[i].(type) {
+				case *ast.SelectorExpr:
+					if baseVar(pass, lhs.X) == root && root != nil {
+						continue // within the packet itself
+					}
+					escapes(rhs, x.Pos(), "stored in field "+lhs.Sel.Name)
+				case *ast.IndexExpr:
+					escapes(rhs, x.Pos(), "stored in a slice or map")
+				case *ast.Ident:
+					if v := framework.RootVar(info, lhs); v != nil && v.Parent() == pass.Pkg.Scope() {
+						escapes(rhs, x.Pos(), "stored in package-level var "+v.Name())
+					}
+				}
+			}
+		case *ast.CompositeLit:
+			for _, elt := range x.Elts {
+				if kv, ok := elt.(*ast.KeyValueExpr); ok {
+					elt = kv.Value
+				}
+				escapes(elt, x.Pos(), "stored in a composite literal")
+			}
+		case *ast.CallExpr:
+			if isAppend(pass, x) && !x.Ellipsis.IsValid() {
+				for _, arg := range x.Args[1:] {
+					escapes(arg, x.Pos(), "appended to a slice")
+				}
+			}
+		case *ast.FuncLit:
+			reported := false
+			ast.Inspect(x.Body, func(m ast.Node) bool {
+				e, ok := m.(ast.Expr)
+				if !ok || reported {
+					return !reported
+				}
+				root, _, isPayload := payload(e)
+				if !isPayload || root == nil || (root.Pos() >= x.Pos() && root.Pos() < x.End()) {
+					return true
+				}
+				if v := framework.RootVar(info, e); v != nil && v.Pos() >= x.Pos() && v.Pos() < x.End() {
+					return true // an alias declared inside the closure
+				}
+				if p, isPinned := pinned[root]; isPinned && p < x.Pos() {
+					return true
+				}
+				reported = true
+				pass.Reportf(x.Pos(), "pooled payload %s captured by a closure, which may outlive its Release; copy it or Pin() the packet first", types.ExprString(e))
+				return false
+			})
+		}
+		return true
+	})
+}

@@ -92,3 +92,53 @@ func okUntracked(p *pool.Pool) {
 	u := p.GetPlain()
 	u.Addr = 5 // ok: Plain is not a //tca:pooled type
 }
+
+// keeper outlives any one packet.
+type keeper struct {
+	data  []byte
+	datas [][]byte
+}
+
+var lastPayload []byte
+
+func payloadField(t *pool.Packet, k *keeper) {
+	k.data = t.Data // want `pooled payload t.Data stored in field data`
+}
+
+func payloadSliceAlias(t *pool.Packet, k *keeper) {
+	d := t.Data[2:]
+	k.datas = append(k.datas, d) // want `pooled payload d appended to a slice`
+}
+
+func payloadIndex(t *pool.Packet, k *keeper) {
+	k.datas[0] = t.Data[:4] // want `pooled payload t.Data\[:4\] stored in a slice or map`
+}
+
+func payloadGlobal(t *pool.Packet) {
+	lastPayload = t.Data // want `pooled payload t.Data stored in package-level var lastPayload`
+}
+
+func payloadLiteral(t *pool.Packet) keeper {
+	return keeper{data: t.Data} // want `pooled payload t.Data stored in a composite literal`
+}
+
+func payloadClosure(t *pool.Packet, run func(func())) {
+	run(func() { // want `pooled payload t.Data captured by a closure`
+		lastPayload = append(lastPayload[:0], t.Data...)
+	})
+}
+
+func okPayloadCopy(t *pool.Packet, k *keeper) {
+	k.data = append(k.data[:0], t.Data...) // ok: the bytes are copied
+	copy(k.data, t.Data)                   // ok: the bytes are copied
+}
+
+func okPayloadLocal(t *pool.Packet) byte {
+	d := t.Data
+	return d[0] // ok: read while the packet is held
+}
+
+func okPayloadPinned(t *pool.Packet, k *keeper) {
+	t.Pin()
+	k.data = t.Data // ok: a pinned packet is never recycled
+}

@@ -224,6 +224,37 @@ func TestCLIHostTimedRuns(t *testing.T) {
 	}
 }
 
+// TestCLITopViewSkipsSpans runs the top view on a chain long enough to
+// overflow the span ring. The view prints sampled series only, so it
+// records no spans and warns about no eviction; asked for a trace file it
+// records them again, and the overflow warning returns.
+func TestCLITopViewSkipsSpans(t *testing.T) {
+	bin := buildCLIs(t, "tcatrace")
+	args := strings.Fields("-view top -scenario dma -nodes 16 -src 0 -dst 8 -count 255")
+	for _, tc := range []struct {
+		extra []string
+		warn  bool
+	}{
+		{nil, false},
+		{[]string{"-perfetto", "trace.json"}, true},
+	} {
+		cmd := exec.Command(filepath.Join(bin, "tcatrace"), append(args, tc.extra...)...)
+		cmd.Dir = t.TempDir()
+		var stderr strings.Builder
+		cmd.Stderr = &stderr
+		stdout, err := cmd.Output()
+		if err != nil {
+			t.Fatalf("%v: %v\n%s", tc.extra, err, stderr.String())
+		}
+		if !strings.HasPrefix(string(stdout), "scenario: dma 1×(255×4KiB, stride 4KiB) node0->node8 (16-node ring)\n") {
+			t.Fatalf("%v: unexpected stdout:\n%s", tc.extra, stdout)
+		}
+		if warned := strings.Contains(stderr.String(), "span ring evicted"); warned != tc.warn || !tc.warn && stderr.Len() != 0 {
+			t.Fatalf("%v: stderr %q, want eviction warning %t and nothing else", tc.extra, stderr.String(), tc.warn)
+		}
+	}
+}
+
 // buildCLIs builds the named commands into a temporary directory and
 // returns it. It skips the test in -short mode or without a go toolchain.
 func buildCLIs(t *testing.T, names ...string) string {

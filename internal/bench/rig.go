@@ -67,8 +67,10 @@ const hostSeriesCap = 8192
 // the zero value is a bare ring.
 type Attach struct {
 	// Obsv attaches an observability set: transaction spans, metrics and
-	// the telemetry sampler's probes.
-	Obsv bool
+	// the telemetry sampler's probes. NoSpans leaves the spans out: the
+	// set has no recorder, so no packet is traced.
+	Obsv    bool
+	NoSpans bool
 	// Prof attributes host time per component (and, on an observed rig,
 	// records a host-time series on the telemetry timeline). Kernel runs
 	// are measured under Label whether or not Prof is set.
@@ -117,7 +119,11 @@ func NewRig(n int, prm tcanet.Params, a Attach) (*Rig, error) {
 	}
 	r := &Rig{eng: eng, sc: sc, prof: a.Prof, label: a.Label, interval: a.Interval}
 	if a.Obsv {
-		r.Set = obsv.NewSet(spanCap)
+		if a.NoSpans {
+			r.Set = &obsv.Set{Reg: obsv.NewRegistry(), Sam: obsv.NewSampler(obsv.DefaultSeriesCap)}
+		} else {
+			r.Set = obsv.NewSet(spanCap)
+		}
 		sc.Instrument(r.Set)
 	}
 	if inj != nil {

@@ -47,3 +47,31 @@ func BenchmarkRunDiff(b *testing.B) {
 		}
 	}
 }
+
+// TestRunAllocationCeiling gates what one checked run allocates on a
+// committed reproducer: a 12-node ring with two dead links, a 48 KiB GPU
+// put and two strided puts. Payload bytes move once — completions are
+// pooled and filled in place, DMA reads allocate nothing of their own,
+// and FinalMem is read straight into place — so the run took 13,656
+// allocations when the ceiling was set (20,784 before). The count is
+// deterministic for a given Go release; the ceiling leaves 5% for
+// runtime drift.
+func TestRunAllocationCeiling(t *testing.T) {
+	const ceiling = 14300
+	text, err := os.ReadFile(filepath.Join("testdata", "parked-dead-port-seed4.tcaspec"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, err := scenariogen.Parse(string(text))
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(3, func() {
+		if _, err := Run(spec, Options{}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > ceiling {
+		t.Fatalf("check.Run allocates %.0f times on the seed-4 reproducer, ceiling %d", allocs, ceiling)
+	}
+}

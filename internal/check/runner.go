@@ -119,6 +119,19 @@ func fillBytes(seed int64, op, n int) []byte {
 	return b
 }
 
+// regionLen is the byte length of op o's destination region: the bytes it
+// writes, the whole strided span, or none for a barrier.
+func regionLen(o scenariogen.Op) int {
+	switch o.Kind {
+	case scenariogen.OpPIO, scenariogen.OpHostPut, scenariogen.OpDMA:
+		return o.Bytes
+	case scenariogen.OpStride:
+		return o.Stride*(o.Count-1) + o.BlockLen
+	default:
+		return 0
+	}
+}
+
 // Run executes one scenario under the conservation ledger and audits
 // every fabric invariant at quiesce.
 func Run(spec scenariogen.Spec, opt Options) (*Result, error) {
@@ -299,25 +312,27 @@ func Run(spec scenariogen.Spec, opt Options) (*Result, error) {
 		}
 	}
 
-	// Capture the observable outcome: every op's destination region.
+	// Capture the observable outcome: every op's destination region, read
+	// straight into its place in FinalMem.
+	total := 0
+	for _, o := range spec.Ops {
+		total += regionLen(o)
+	}
+	r.FinalMem = make([]byte, total)
+	at := 0
 	for i, o := range spec.Ops {
-		var region []byte
+		region := r.FinalMem[at : at+regionLen(o)]
+		at += len(region)
 		var rerr error
 		switch o.Kind {
-		case scenariogen.OpPIO, scenariogen.OpHostPut:
-			region, rerr = comm.ReadHost(hostBufs[o.Dst], dstOff(i), units.ByteSize(o.Bytes))
-		case scenariogen.OpStride:
-			span := o.Stride*(o.Count-1) + o.BlockLen
-			region, rerr = comm.ReadHost(hostBufs[o.Dst], dstOff(i), units.ByteSize(span))
+		case scenariogen.OpPIO, scenariogen.OpHostPut, scenariogen.OpStride:
+			rerr = comm.ReadHostInto(hostBufs[o.Dst], dstOff(i), region)
 		case scenariogen.OpDMA:
-			region, rerr = comm.ReadGPU(gpuBufs[o.Dst][o.DstGPU], dstOff(i), units.ByteSize(o.Bytes))
-		case scenariogen.OpBarrier:
-			continue
+			rerr = comm.ReadGPUInto(gpuBufs[o.Dst][o.DstGPU], dstOff(i), region)
 		}
 		if rerr != nil {
 			return nil, rerr
 		}
-		r.FinalMem = append(r.FinalMem, region...)
 	}
 
 	r.Summary = led.Audit(r.End)

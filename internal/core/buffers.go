@@ -91,6 +91,12 @@ func (c *Comm) ReadGPU(b GPUBuffer, off units.ByteSize, n units.ByteSize) ([]byt
 	return g.Memory().ReadBytes(uint64(b.Ptr)+uint64(off), n)
 }
 
+// ReadGPUInto is ReadGPU into buf, whose length is the byte count.
+func (c *Comm) ReadGPUInto(b GPUBuffer, off units.ByteSize, buf []byte) error {
+	g := c.driverOf(b.Node).node.GPU(b.GPU)
+	return g.Memory().Read(uint64(b.Ptr)+uint64(off), buf)
+}
+
 // WriteHost initializes host buffer contents.
 func (c *Comm) WriteHost(b HostBuffer, off units.ByteSize, data []byte) error {
 	return c.driverOf(b.Node).node.WriteLocal(b.Bus+pcie.Addr(off), data)
@@ -99,6 +105,11 @@ func (c *Comm) WriteHost(b HostBuffer, off units.ByteSize, data []byte) error {
 // ReadHost reads host buffer contents for verification.
 func (c *Comm) ReadHost(b HostBuffer, off, n units.ByteSize) ([]byte, error) {
 	return c.driverOf(b.Node).node.ReadLocal(b.Bus+pcie.Addr(off), n)
+}
+
+// ReadHostInto is ReadHost into buf, whose length is the byte count.
+func (c *Comm) ReadHostInto(b HostBuffer, off units.ByteSize, buf []byte) error {
+	return c.driverOf(b.Node).node.ReadLocalInto(b.Bus+pcie.Addr(off), buf)
 }
 
 // ReadHostBus reads node-local host memory by raw bus address — what the

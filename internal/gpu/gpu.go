@@ -10,6 +10,7 @@ package gpu
 import (
 	"fmt"
 
+	"tca/internal/freelist"
 	"tca/internal/memory"
 	"tca/internal/obsv"
 	"tca/internal/pcie"
@@ -82,7 +83,10 @@ type GPU struct {
 	bar1Next units.ByteSize
 	pinned   map[uint64]uint64
 
-	readSer   sim.Serializer
+	readSer sim.Serializer
+	// pool and readFree recycle the read completions and read replies.
+	pool      pcie.TLPPool
+	readFree  freelist.List[readReply]
 	writeTLPs uint64
 	readTLPs  uint64
 	bytesIn   units.ByteSize
@@ -236,7 +240,7 @@ func (g *GPU) Accept(now sim.Time, t *pcie.TLP, port *pcie.Port) units.Duration 
 		if g.led != nil && t.LID != 0 {
 			g.led.Delivered(now, t.LID, uint64(t.Addr), nil, g.name)
 		}
-		req := *t
+		req := t.ReadReq()
 		t.Release()
 		// The BAR translation unit works through the request in
 		// completion-sized units: a 512 B read costs two service slots.
@@ -245,24 +249,35 @@ func (g *GPU) Accept(now sim.Time, t *pcie.TLP, port *pcie.Port) units.Duration 
 		unitCount := (int64(req.ReadLen) + 255) / 256
 		service := units.Duration(unitCount) * g.params.BARReadService
 		start := g.readSer.Reserve(now, service)
-		reply := start.Add(service).Add(g.params.BARReadLatency)
-		g.eng.At(reply, func() {
-			off, err := g.translate(req.Addr)
-			if err != nil {
-				panic(err)
-			}
-			data, err := g.mem.ReadBytes(off, req.ReadLen)
-			if err != nil {
-				panic(fmt.Sprintf("gpu %s: %v", g.name, err))
-			}
-			g.bytesOut += units.ByteSize(len(data))
-			maxPayload := port.Link().Params().MaxPayload
-			for _, c := range pcie.SplitCompletion(&req, data, maxPayload) {
-				port.Send(g.eng.Now(), c)
-			}
-		})
+		a := g.readFree.Get()
+		a.g, a.port, a.req = g, port, req
+		// The reply inherits the running event's component, as At would.
+		g.eng.AtAction(g.eng.CurrentComp(), start.Add(service).Add(g.params.BARReadLatency), a)
 		return 0
 	default:
 		panic(fmt.Sprintf("gpu %s: unexpected %v", g.name, t.Kind))
 	}
+}
+
+// readReply is the pooled BAR read reply. The bytes are read when it runs,
+// at reply time, not when the request arrived: that timing is the
+// paper's inbound-read behaviour.
+type readReply struct {
+	g    *GPU
+	port *pcie.Port
+	req  pcie.ReadReq
+}
+
+// RunAction implements sim.Action.
+func (a *readReply) RunAction(now sim.Time) {
+	g, port, req := a.g, a.port, a.req
+	g.readFree.Put(a)
+	off, err := g.translate(req.Addr)
+	if err != nil {
+		panic(err)
+	}
+	if err := pcie.SendCompletions(now, port, &g.pool, req, g.mem, off); err != nil {
+		panic(fmt.Sprintf("gpu %s: %v", g.name, err))
+	}
+	g.bytesOut += req.ReadLen
 }

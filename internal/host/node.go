@@ -267,6 +267,11 @@ func (n *Node) ReadLocal(a pcie.Addr, size units.ByteSize) ([]byte, error) {
 	return n.rc.dram.ReadBytes(uint64(a), size)
 }
 
+// ReadLocalInto is ReadLocal into buf, whose length is the byte count.
+func (n *Node) ReadLocalInto(a pcie.Addr, buf []byte) error {
+	return n.rc.dram.Read(uint64(a), buf)
+}
+
 // Store performs an uncached CPU store to a device bus address — the PIO
 // primitive (§III-F1): "a user program can seamlessly perform RDMA write
 // access according to an ordinary store instruction to the mmaped area."

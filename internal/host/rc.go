@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"tca/internal/fault"
+	"tca/internal/freelist"
 	"tca/internal/memory"
 	"tca/internal/obsv"
 	"tca/internal/pcie"
@@ -19,8 +20,12 @@ import (
 // over QPI should be still prohibited", §IV-A2).
 type RootComplex struct {
 	node *Node
+	// name is the device name, "<node>.rc", built once.
+	name string
 	dram *memory.RAM
 	dn   [2]*pcie.Port
+	// readFree recycles the DRAM read replies.
+	readFree freelist.List[rcReadAction]
 
 	sockWin [2][]pcie.Range
 	qpiSer  sim.Serializer
@@ -63,14 +68,14 @@ func (rc *RootComplex) instrument(set *obsv.Set) {
 }
 
 func newRootComplex(n *Node) *RootComplex {
-	rc := &RootComplex{node: n, dram: memory.NewRAM(n.params.DRAMSize)}
+	rc := &RootComplex{node: n, name: n.name + ".rc", dram: memory.NewRAM(n.params.DRAMSize)}
 	rc.dn[0] = pcie.NewPort(rc, "dn0", pcie.RoleRC)
 	rc.dn[1] = pcie.NewPort(rc, "dn1", pcie.RoleRC)
 	return rc
 }
 
 // DevName implements pcie.Device.
-func (rc *RootComplex) DevName() string { return rc.node.name + ".rc" }
+func (rc *RootComplex) DevName() string { return rc.name }
 
 func (rc *RootComplex) addSocketWindow(sock int, w pcie.Range) {
 	rc.sockWin[sock] = append(rc.sockWin[sock], w)
@@ -191,28 +196,37 @@ func (rc *RootComplex) Accept(now sim.Time, t *pcie.TLP, in *pcie.Port) units.Du
 			if rc.led != nil && t.LID != 0 {
 				rc.led.Delivered(now, t.LID, uint64(t.Addr), nil, rc.DevName())
 			}
-			req := *t
+			a := rc.readFree.Get()
+			a.rc, a.in, a.req = rc, in, t.ReadReq()
 			t.Release()
-			reply := now.Add(rc.node.params.DRAMReadLatency)
-			rc.node.eng.AtComp(rc.node.comp, reply, func() {
-				data, err := rc.dram.ReadBytes(uint64(req.Addr), req.ReadLen)
-				if err != nil {
-					panic(fmt.Sprintf("%s: DRAM read %v: %v", rc.DevName(), req.Addr, err))
-				}
-				if rc.rec != nil && req.Txn != 0 {
-					rc.rec.Record(obsv.Event{At: rc.node.eng.Now(), Txn: req.Txn, Stage: obsv.StageQueueExit,
-						Where: rc.DevName(), Addr: uint64(req.Addr), Cause: obsv.CauseOutstandingRead})
-				}
-				maxPayload := in.Link().Params().MaxPayload
-				for _, c := range pcie.SplitCompletion(&req, data, maxPayload) {
-					in.Send(rc.node.eng.Now(), c)
-				}
-				rc.outstanding--
-			})
+			rc.node.eng.AtAction(rc.node.comp, now.Add(rc.node.params.DRAMReadLatency), a)
 			return 0
 		}
 		panic(fmt.Sprintf("%s: peer-to-peer MRd to %v across QPI is prohibited (§IV-A2)", rc.DevName(), t.Addr))
 	default:
 		panic(fmt.Sprintf("%s: unexpected %v at root complex", rc.DevName(), t.Kind))
 	}
+}
+
+// rcReadAction is the pooled DRAM read reply: after the read latency it
+// answers req out of the port the MRd arrived on, reading each completion's
+// payload straight from DRAM into the packet.
+type rcReadAction struct {
+	rc  *RootComplex
+	in  *pcie.Port
+	req pcie.ReadReq
+}
+
+// RunAction implements sim.Action.
+func (a *rcReadAction) RunAction(now sim.Time) {
+	rc, in, req := a.rc, a.in, a.req
+	rc.readFree.Put(a)
+	if rc.rec != nil && req.Txn != 0 {
+		rc.rec.Record(obsv.Event{At: now, Txn: req.Txn, Stage: obsv.StageQueueExit,
+			Where: rc.name, Addr: uint64(req.Addr), Cause: obsv.CauseOutstandingRead})
+	}
+	if err := pcie.SendCompletions(now, in, &rc.node.pool, req, rc.dram, uint64(req.Addr)); err != nil {
+		panic(fmt.Sprintf("%s: DRAM read %v: %v", rc.name, req.Addr, err))
+	}
+	rc.outstanding--
 }

@@ -5,10 +5,15 @@ import (
 	"testing"
 )
 
+// sinkFunc adapts a function to a ReadSink.
+type sinkFunc func(data []byte)
+
+func (f sinkFunc) ReadDone(data []byte) { f(data) }
+
 func TestTagTableAllocAndComplete(t *testing.T) {
 	tt := NewTagTable(8)
 	var got []byte
-	tag, ok := tt.Alloc(6, func(data []byte) { got = data })
+	tag, ok := tt.Alloc(6, sinkFunc(func(data []byte) { got = data }))
 	if !ok {
 		t.Fatal("Alloc failed on empty table")
 	}
@@ -34,7 +39,7 @@ func TestTagTableAllocAndComplete(t *testing.T) {
 
 func TestTagTableExhaustion(t *testing.T) {
 	tt := NewTagTable(2)
-	cb := func([]byte) {}
+	cb := sinkFunc(func([]byte) {})
 	if _, ok := tt.Alloc(1, cb); !ok {
 		t.Fatal("first Alloc failed")
 	}
@@ -62,13 +67,13 @@ func TestTagTableUnknownTag(t *testing.T) {
 
 func TestTagTableOverflowAndShortRead(t *testing.T) {
 	tt := NewTagTable(4)
-	tag, _ := tt.Alloc(2, func([]byte) {})
+	tag, _ := tt.Alloc(2, sinkFunc(func([]byte) {}))
 	if err := tt.HandleCompletion(&TLP{Kind: CplD, Tag: tag, Data: []byte{1, 2, 3}, Last: true}); err == nil {
 		t.Fatal("overflowing completion accepted")
 	}
 
 	tt2 := NewTagTable(4)
-	tag2, _ := tt2.Alloc(10, func([]byte) {})
+	tag2, _ := tt2.Alloc(10, sinkFunc(func([]byte) {}))
 	if err := tt2.HandleCompletion(&TLP{Kind: CplD, Tag: tag2, Data: []byte{1}, Last: true}); err == nil {
 		t.Fatal("short read accepted")
 	}
@@ -106,7 +111,7 @@ func TestTagTableAllocValidation(t *testing.T) {
 				t.Error("zero-length Alloc did not panic")
 			}
 		}()
-		tt.Alloc(0, func([]byte) {})
+		tt.Alloc(0, sinkFunc(func([]byte) {}))
 	}()
 	func() {
 		defer func() {
@@ -124,7 +129,7 @@ func TestTagTableAllocValidation(t *testing.T) {
 // capacity and a later Alloc could hand the same tag to two readers.
 func TestTagTableDoubleCompletion(t *testing.T) {
 	tt := NewTagTable(4)
-	tag, ok := tt.Alloc(2, func([]byte) {})
+	tag, ok := tt.Alloc(2, sinkFunc(func([]byte) {}))
 	if !ok {
 		t.Fatal("Alloc failed on empty table")
 	}
@@ -148,7 +153,7 @@ func TestTagTableDoubleCompletion(t *testing.T) {
 // CancelAll must find nothing to cancel and must not re-free the tag.
 func TestTagTableCancelAfterComplete(t *testing.T) {
 	tt := NewTagTable(4)
-	tag, ok := tt.Alloc(1, func([]byte) {})
+	tag, ok := tt.Alloc(1, sinkFunc(func([]byte) {}))
 	if !ok {
 		t.Fatal("Alloc failed on empty table")
 	}
@@ -168,7 +173,7 @@ func TestTagTableCancelAfterComplete(t *testing.T) {
 func TestTagTableDoubleCancel(t *testing.T) {
 	tt := NewTagTable(4)
 	for i := 0; i < 3; i++ {
-		if _, ok := tt.Alloc(1, func([]byte) { t.Fatal("cancelled read ran its callback") }); !ok {
+		if _, ok := tt.Alloc(1, sinkFunc(func([]byte) { t.Fatal("cancelled read ran its callback") })); !ok {
 			t.Fatalf("Alloc %d failed", i)
 		}
 	}
@@ -190,7 +195,7 @@ func TestTagTableDoubleCancel(t *testing.T) {
 // legitimately deliver a completion for a read the requester abandoned.
 func TestTagTableCancelThenStaleCompletion(t *testing.T) {
 	tt := NewTagTable(4)
-	tag, ok := tt.Alloc(1, func([]byte) { t.Fatal("cancelled read ran its callback") })
+	tag, ok := tt.Alloc(1, sinkFunc(func([]byte) { t.Fatal("cancelled read ran its callback") }))
 	if !ok {
 		t.Fatal("Alloc failed on empty table")
 	}

@@ -201,7 +201,7 @@ func TestCancelAllReleasesTags(t *testing.T) {
 	tt := NewTagTable(8)
 	fired := false
 	for i := 0; i < 5; i++ {
-		if _, ok := tt.Alloc(64, func([]byte) { fired = true }); !ok {
+		if _, ok := tt.Alloc(64, sinkFunc(func([]byte) { fired = true })); !ok {
 			t.Fatal("alloc failed")
 		}
 	}
@@ -215,7 +215,7 @@ func TestCancelAllReleasesTags(t *testing.T) {
 		t.Fatalf("outstanding=%d free=%d after CancelAll", tt.Outstanding(), len(tt.free))
 	}
 	// The table must still work afterwards.
-	tag, ok := tt.Alloc(4, func(data []byte) { fired = len(data) == 4 })
+	tag, ok := tt.Alloc(4, sinkFunc(func(data []byte) { fired = len(data) == 4 }))
 	if !ok {
 		t.Fatal("alloc after CancelAll failed")
 	}

@@ -17,7 +17,7 @@ package pcie
 //     Release is a no-op and the long-lived alias stays valid.
 //
 // Release and Pin are safe on any *TLP: packets built with plain composite
-// literals (SplitWrite, SplitCompletion, tests) have no pool and both calls
+// literals (SplitWrite, tests) have no pool and both calls
 // are no-ops, so sinks can release unconditionally.
 
 import "tca/internal/freelist"
@@ -48,6 +48,18 @@ func (p *TLPPool) Get() *TLP {
 func (t *TLP) SetPayload(data []byte) {
 	t.scratch = append(t.scratch[:0], data...)
 	t.Data = t.scratch
+}
+
+// PayloadBuf points Data at n bytes of the retained scratch buffer and
+// returns them for the caller to fill in place: SetPayload without the
+// source copy, for a producer that reads its bytes straight into the
+// packet.
+func (t *TLP) PayloadBuf(n int) []byte {
+	if cap(t.scratch) < n {
+		t.scratch = make([]byte, n)
+	}
+	t.Data = t.scratch[:n]
+	return t.Data
 }
 
 // Pooled reports whether t is currently owned by a pool — true only between

@@ -40,6 +40,8 @@ type Switch struct {
 	down     []*Port
 	windows  AddressMap // window -> *Port
 	idRoutes map[DeviceID]*Port
+	// egress holds each port's "egress <label>" span note, built once.
+	egress map[*Port]string
 
 	// comp is the switch's host-time attribution tag (0 when unprofiled).
 	comp sim.CompID
@@ -78,8 +80,10 @@ func NewSwitch(eng *sim.Engine, name string, params SwitchParams) *Switch {
 		name:     name,
 		params:   params,
 		idRoutes: make(map[DeviceID]*Port),
+		egress:   make(map[*Port]string),
 	}
 	s.up = NewPort(s, "up", RoleEP)
+	s.egress[s.up] = "egress " + s.up.Label
 	return s
 }
 
@@ -97,6 +101,7 @@ func (s *Switch) AddDownstream(label string, w Range) (*Port, error) {
 		return nil, fmt.Errorf("switch %s: %w", s.name, err)
 	}
 	s.down = append(s.down, p)
+	s.egress[p] = "egress " + label
 	return p, nil
 }
 
@@ -116,7 +121,7 @@ func (s *Switch) Accept(now sim.Time, t *TLP, in *Port) units.Duration {
 	s.mForwards.Inc()
 	if s.rec != nil && t.Txn != 0 {
 		s.rec.Record(obsv.Event{At: now, Txn: t.Txn, Stage: obsv.StageSwitch,
-			Where: s.name, Port: in.Label, Addr: uint64(t.Addr), Note: "egress " + out.Label})
+			Where: s.name, Port: in.Label, Addr: uint64(t.Addr), Note: s.egress[out]})
 	}
 	a := s.fwdFree.Get()
 	a.s, a.out, a.t = s, out, t

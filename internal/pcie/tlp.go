@@ -211,56 +211,34 @@ func SplitWrite(addr Addr, data []byte, maxPayload units.ByteSize, relaxed bool)
 	return tlps
 }
 
-// SplitRead chops a read of length n at addr into MRd TLPs bounded by
-// maxReq and 4 KiB pages.
-func SplitRead(addr Addr, n units.ByteSize, maxReq units.ByteSize) []*TLP {
+// ReadChunk returns the length of the first MRd of a read of left bytes at
+// addr: at most maxReq, and never crossing a 4 KiB page. A requester
+// splits a read by issuing one chunk and advancing addr and left past it.
+func ReadChunk(addr Addr, left, maxReq units.ByteSize) units.ByteSize {
 	if maxReq <= 0 {
 		panic(fmt.Sprintf("pcie: non-positive max read request %d", maxReq))
 	}
-	var tlps []*TLP
-	const page = 4096
-	for n > 0 {
-		l := maxReq
-		if l > n {
-			l = n
-		}
-		if room := units.ByteSize(page - uint64(addr)%page); l > room {
-			l = room
-		}
-		tlps = append(tlps, &TLP{Kind: MRd, Addr: addr, ReadLen: l})
-		addr += Addr(l)
-		n -= l
+	l := min(maxReq, left)
+	if room := units.ByteSize(4096 - uint64(addr)%4096); l > room {
+		l = room
 	}
-	if len(tlps) > 0 {
-		tlps[len(tlps)-1].Last = true
-	}
-	return tlps
+	return l
 }
 
-// SplitCompletion chops read-reply data into CplD TLPs of at most
-// maxPayload, preserving requester/tag, marking the final one Last.
-func SplitCompletion(req *TLP, data []byte, maxPayload units.ByteSize) []*TLP {
-	if req.Kind != MRd {
-		panic(fmt.Sprintf("pcie: SplitCompletion for non-MRd %v", req))
+// ReadReq is what a completer keeps of an MRd once it has released the
+// request packet: where to read, how much, and whom to answer.
+type ReadReq struct {
+	Addr      Addr
+	ReadLen   units.ByteSize
+	Requester DeviceID
+	Tag       uint8
+	Txn       uint64
+}
+
+// ReadReq returns the fields of an MRd its completions need.
+func (t *TLP) ReadReq() ReadReq {
+	if t.Kind != MRd {
+		panic(fmt.Sprintf("pcie: ReadReq of non-MRd %v", t))
 	}
-	var tlps []*TLP
-	for off := 0; off < len(data); {
-		n := int(maxPayload)
-		if n > len(data)-off {
-			n = len(data) - off
-		}
-		tlps = append(tlps, &TLP{
-			Kind:      CplD,
-			Data:      data[off : off+n : off+n],
-			Requester: req.Requester,
-			Tag:       req.Tag,
-			Txn:       req.Txn,
-		})
-		off += n
-	}
-	if len(tlps) == 0 {
-		return []*TLP{{Kind: Cpl, Requester: req.Requester, Tag: req.Tag, Last: true, Txn: req.Txn}}
-	}
-	tlps[len(tlps)-1].Last = true
-	return tlps
+	return ReadReq{Addr: t.Addr, ReadLen: t.ReadLen, Requester: t.Requester, Tag: t.Tag, Txn: t.Txn}
 }

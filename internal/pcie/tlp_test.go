@@ -2,6 +2,8 @@ package pcie
 
 import (
 	"bytes"
+	"fmt"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -103,62 +105,89 @@ func TestSplitWriteEmpty(t *testing.T) {
 }
 
 func TestSplitRead(t *testing.T) {
-	tlps := SplitRead(Addr(4096-64), 1024, 512)
-	if tlps[0].ReadLen != 64 {
-		t.Fatalf("first read len = %d, want 64 (page clamp)", tlps[0].ReadLen)
-	}
-	var total units.ByteSize
-	next := Addr(4096 - 64)
-	for i, p := range tlps {
-		if p.Kind != MRd {
-			t.Fatalf("TLP %d kind = %v", i, p.Kind)
+	addr, left := Addr(4096-64), units.ByteSize(1024)
+	var lens []units.ByteSize
+	for left > 0 {
+		n := ReadChunk(addr, left, 512)
+		if n <= 0 || n > 512 {
+			t.Fatalf("chunk at %v = %d, want 1..512", addr, n)
 		}
-		if p.Addr != next {
-			t.Fatalf("TLP %d addr = %v, want %v", i, p.Addr, next)
+		if uint64(addr)/4096 != (uint64(addr)+uint64(n)-1)/4096 {
+			t.Fatalf("chunk at %v of %d crosses a page", addr, n)
 		}
-		if p.ReadLen > 512 {
-			t.Fatalf("TLP %d read len %d exceeds max", i, p.ReadLen)
-		}
-		next += Addr(p.ReadLen)
-		total += p.ReadLen
+		lens = append(lens, n)
+		addr += Addr(n)
+		left -= n
 	}
-	if total != 1024 {
-		t.Fatalf("total read length = %d, want 1024", total)
-	}
-	if !tlps[len(tlps)-1].Last {
-		t.Fatal("final read TLP not marked Last")
+	if want := []units.ByteSize{64, 512, 448}; !slices.Equal(lens, want) {
+		t.Fatalf("chunks = %v, want %v (page clamp first)", lens, want)
 	}
 }
 
+// memBytes is a MemReader over a plain byte slice.
+type memBytes []byte
+
+func (m memBytes) Read(off uint64, buf []byte) error {
+	if off+uint64(len(buf)) > uint64(len(m)) {
+		return fmt.Errorf("read [%d, %d) outside %d bytes", off, off+uint64(len(buf)), len(m))
+	}
+	copy(buf, m[off:])
+	return nil
+}
+
+// sendCompletions answers req with SendCompletions over a fresh link and
+// returns what arrived at the far end.
+func sendCompletions(t *testing.T, req ReadReq, src MemReader, off uint64) ([]*TLP, error) {
+	t.Helper()
+	eng, _, b, pa, _, _ := testLink(t, LinkParams{Config: Gen2x8, MaxPayload: 256})
+	var pool TLPPool
+	err := SendCompletions(0, pa, &pool, req, src, off)
+	eng.Run()
+	return b.got, err
+}
+
 func TestSplitCompletion(t *testing.T) {
-	req := &TLP{Kind: MRd, ReadLen: 700, Requester: 7, Tag: 3}
-	data := make([]byte, 700)
+	data := make(memBytes, 800)
 	for i := range data {
 		data[i] = byte(i * 3)
 	}
-	cpls := SplitCompletion(req, data, 256)
+	cpls, err := sendCompletions(t, ReadReq{ReadLen: 700, Requester: 7, Tag: 3, Txn: 5}, data, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cpls) != 3 {
+		t.Fatalf("%d completions, want 3 of at most 256 bytes", len(cpls))
+	}
 	var rebuilt []byte
 	for i, c := range cpls {
 		if c.Kind != CplD {
 			t.Fatalf("completion %d kind = %v", i, c.Kind)
 		}
-		if c.Requester != 7 || c.Tag != 3 {
-			t.Fatalf("completion %d lost requester/tag: %+v", i, c)
+		if c.Requester != 7 || c.Tag != 3 || c.Txn != 5 {
+			t.Fatalf("completion %d lost requester/tag/txn: %+v", i, c)
 		}
 		if (c.Last) != (i == len(cpls)-1) {
 			t.Fatalf("completion %d Last = %t", i, c.Last)
 		}
+		if !c.Pooled() {
+			t.Fatalf("completion %d is not pooled", i)
+		}
 		rebuilt = append(rebuilt, c.Data...)
 	}
-	if !bytes.Equal(rebuilt, data) {
+	if !bytes.Equal(rebuilt, data[100:800]) {
 		t.Fatal("completions do not reassemble to read data")
+	}
+	if _, err := sendCompletions(t, ReadReq{ReadLen: 700}, data, 200); err == nil {
+		t.Fatal("read past the source accepted")
 	}
 }
 
 func TestSplitCompletionZeroLength(t *testing.T) {
-	req := &TLP{Kind: MRd, ReadLen: 1, Requester: 2, Tag: 9}
-	cpls := SplitCompletion(req, nil, 256)
-	if len(cpls) != 1 || cpls[0].Kind != Cpl || !cpls[0].Last {
+	cpls, err := sendCompletions(t, ReadReq{Requester: 2, Tag: 9}, memBytes(nil), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cpls) != 1 || cpls[0].Kind != Cpl || !cpls[0].Last || cpls[0].Tag != 9 {
 		t.Fatalf("zero-length completion = %+v, want single Last Cpl", cpls)
 	}
 }
@@ -166,10 +195,33 @@ func TestSplitCompletionZeroLength(t *testing.T) {
 func TestSplitCompletionPanicsOnNonRead(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("no panic for SplitCompletion of MWr")
+			t.Fatal("no panic for ReadReq of MWr")
 		}
 	}()
-	SplitCompletion(&TLP{Kind: MWr, Data: []byte{1}}, []byte{1}, 256)
+	(&TLP{Kind: MWr, Data: []byte{1}}).ReadReq()
+}
+
+// TestPooledCompletionsReuseScratch recycles completions between reads:
+// the second read's payloads land in the first read's retained buffers,
+// so a steady stream of reads allocates nothing.
+func TestPooledCompletionsReuseScratch(t *testing.T) {
+	eng, _, b, pa, _, _ := testLink(t, LinkParams{Config: Gen2x8, MaxPayload: 256})
+	var src MemReader = make(memBytes, 512)
+	var pool TLPPool
+	read := func() {
+		b.got, b.at = b.got[:0], b.at[:0]
+		if err := SendCompletions(eng.Now(), pa, &pool, ReadReq{ReadLen: 512}, src, 0); err != nil {
+			t.Fatal(err)
+		}
+		eng.Run()
+		for _, c := range b.got {
+			c.Release()
+		}
+	}
+	read()
+	if allocs := testing.AllocsPerRun(20, read); allocs != 0 {
+		t.Fatalf("steady-state 512 B reply allocates %.1f times, want 0", allocs)
+	}
 }
 
 // Property: SplitWrite then concatenation is the identity, for arbitrary

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"tca/internal/fifo"
+	"tca/internal/freelist"
 	"tca/internal/obsv"
 	"tca/internal/pcie"
 	"tca/internal/prof"
@@ -137,11 +138,19 @@ type DMAC struct {
 	totalWriteTLPs  int
 	writeTLPsIssued int
 	issuesPending   int
-	readQueue       fifo.Queue[readReq]
-	readsPending    int
-	allGenerated    bool
-	waitAck         bool
-	ackSeen         bool
+	// readQueue holds the read runs not yet fully requested; readsQueued
+	// counts their requests. readFree recycles the in-flight read records.
+	readQueue    fifo.Queue[readRun]
+	readsQueued  int
+	readsPending int
+	readFree     freelist.List[readRec]
+	allGenerated bool
+	waitAck      bool
+	ackSeen      bool
+	// table receives the descriptor-table fetch; fetchLeft counts its
+	// requests still outstanding. The buffer is reused chain to chain.
+	table     []byte
+	fetchLeft int
 
 	// Fault recovery. chainGen invalidates every callback scheduled for a
 	// chain that has since been aborted (it only advances on doorbell and
@@ -212,7 +221,7 @@ func (d *DMAC) registerProbes(sam *obsv.Sampler, name string) {
 		return 100 * float64(delta) / float64(elapsed)
 	})
 	sam.Register("dma_read_queue", name, "", "reqs", func(sim.Time, units.Duration) float64 {
-		return float64(d.readQueue.Len())
+		return float64(d.readsQueued)
 	})
 	sam.Register("dma_reads_inflight", name, "", "reads", func(sim.Time, units.Duration) float64 {
 		return float64(d.readsPending)
@@ -224,13 +233,120 @@ func (d *DMAC) registerProbes(sam *obsv.Sampler, name string) {
 // close with StageChainDone.
 func (d *DMAC) LastChainTxn() uint64 { return d.lastTxn }
 
-type readReq struct {
-	tlp    *pcie.TLP
-	onData func(data []byte)
-	// tagWait marks that a queue-enter wait event was recorded for this
-	// request when the tag table starved, so dequeueing pairs it with the
-	// matching queue-exit.
+// readKind says where a DMA read's bytes go.
+type readKind uint8
+
+const (
+	// readFetch copies them into the descriptor table.
+	readFetch readKind = iota
+	// readDesc writes them to internal memory (DescRead).
+	readDesc
+	// readPipelined issues them straight out as write TLPs (DescPipelined).
+	readPipelined
+)
+
+// readRun is a stretch of read requests generated together — a table
+// fetch, one DescRead or one DescPipelined — that pumpReads requests
+// chunk by chunk as tags free up. The fields describe the run's next
+// request; advance moves them to the one after.
+type readRun struct {
+	kind   readKind
+	addr   pcie.Addr      // source of the next request
+	left   units.ByteSize // bytes not yet requested
+	maxReq units.ByteSize
+	// dst is where the next request's bytes go: a table offset, an
+	// internal-memory offset or, when pipelined, a destination bus address.
+	dst        uint64
+	maxPayload units.ByteSize // pipelined write TLP size
+	relaxed    bool           // pipelined writes target a GPU
+	// tagWait marks that a queue-enter wait event was recorded for the
+	// next request when the tag table starved, so issuing it pairs it
+	// with the matching queue-exit.
 	tagWait bool
+}
+
+// advance moves the run past a request of n bytes.
+func (r *readRun) advance(n units.ByteSize) {
+	r.addr += pcie.Addr(n)
+	r.dst += uint64(n)
+	r.left -= n
+	r.tagWait = false
+}
+
+// readRec is one DMA read from its tag allocation to its last completion.
+// The pooled record is both the read's issue event (a sim.Action) and its
+// completion sink (a pcie.ReadSink), so a read allocates no closures.
+type readRec struct {
+	d    *DMAC
+	kind readKind
+	addr pcie.Addr
+	n    units.ByteSize
+	last bool // final request of its run
+	tag  uint8
+	txn  uint64
+	// gen is chainGen when the read was requested.
+	gen        uint64
+	dst        uint64
+	maxPayload units.ByteSize
+	relaxed    bool
+	// use counts the reads the record has completed. It survives
+	// recycling, so a completion timeout armed for an earlier read sees
+	// it moved and stands down.
+	use uint64
+}
+
+// RunAction implements sim.Action: the request leaves at the end of its
+// issue slot.
+func (r *readRec) RunAction(now sim.Time) {
+	d := r.d
+	if r.gen != d.chainGen {
+		return // chain aborted since this slot was reserved
+	}
+	d.chip.ports[PortN].Send(now, r.request())
+	d.armReadTimeout(r, r.use, 0)
+}
+
+// request builds the record's MRd from the chip's pool; the completer
+// releases it.
+func (r *readRec) request() *pcie.TLP {
+	t := r.d.chip.pool.Get()
+	t.Kind = pcie.MRd
+	t.Addr = r.addr
+	t.ReadLen = r.n
+	t.Tag = r.tag
+	t.Requester = r.d.chip.id
+	t.Txn = r.txn
+	t.Last = r.last
+	return t
+}
+
+// ReadDone implements pcie.ReadSink. Fetched and DescRead bytes are used
+// up here, so they may live in the tag's reused buffer; pipelined bytes
+// are the record's own buffer and move on with the issue run.
+func (r *readRec) ReadDone(data []byte) {
+	d := r.d
+	d.readsPending--
+	switch r.kind {
+	case readFetch:
+		copy(d.table[r.dst:], data)
+		d.fetchLeft--
+	case readDesc:
+		if err := d.chip.intMem.Write(r.dst, data); err != nil {
+			panic(fmt.Sprintf("peach2 %s: DMA read sink: %v", d.chip.name, err))
+		}
+	case readPipelined:
+		d.queueIssue(issueRun{addr: pcie.Addr(r.dst), data: data, left: units.ByteSize(len(data)),
+			maxPayload: r.maxPayload, relaxed: r.relaxed})
+	}
+	fetched := r.kind == readFetch && d.fetchLeft == 0
+	use := r.use + 1
+	d.readFree.Put(r)
+	r.use = use
+	if fetched {
+		d.parseAndRun(len(d.table) / DescriptorBytes)
+	}
+	d.pumpReads()
+	d.maybeComplete()
 }
 
 func newDMAC(c *Chip) *DMAC {
@@ -268,23 +384,13 @@ func (d *DMAC) start(now sim.Time, tableAddr pcie.Addr, count int) {
 	d.chainGen++
 	d.armWatchdog()
 	d.beginTxn(now, tableAddr)
-	total := units.ByteSize(count) * DescriptorBytes
-	table := make([]byte, total)
-	chunks := pcie.SplitRead(tableAddr, total, d.chip.params.DMA.FetchChunk)
-	remaining := len(chunks)
-	var off uint64
-	for _, ch := range chunks {
-		chunkOff := off
-		chunkLen := ch.ReadLen
-		d.enqueueRead(ch, func(data []byte) {
-			copy(table[chunkOff:], data)
-			remaining--
-			if remaining == 0 {
-				d.parseAndRun(table, count)
-			}
-		})
-		off += uint64(chunkLen)
+	total := count * DescriptorBytes
+	if cap(d.table) < total {
+		d.table = make([]byte, total)
 	}
+	d.table = d.table[:total]
+	d.fetchLeft = d.enqueueRead(readRun{kind: readFetch, addr: tableAddr,
+		left: units.ByteSize(total), maxReq: d.chip.params.DMA.FetchChunk})
 	d.pumpReads()
 }
 
@@ -336,6 +442,7 @@ func (d *DMAC) resetChain() {
 	d.writeTLPsIssued = 0
 	d.issuesPending = 0
 	d.readQueue.Clear()
+	d.readsQueued = 0
 	d.readsPending = 0
 	d.allGenerated = false
 	d.waitAck = false
@@ -344,10 +451,11 @@ func (d *DMAC) resetChain() {
 	d.stuck = false
 }
 
-func (d *DMAC) parseAndRun(table []byte, count int) {
+// parseAndRun decodes the fetched table's count descriptors and runs them.
+func (d *DMAC) parseAndRun(count int) {
 	descs := make([]Descriptor, 0, count)
 	for i := 0; i < count; i++ {
-		desc, err := DecodeDescriptor(table[i*DescriptorBytes:])
+		desc, err := DecodeDescriptor(d.table[i*DescriptorBytes:])
 		if err != nil {
 			panic(fmt.Sprintf("peach2 %s: descriptor %d: %v", d.chip.name, i, err))
 		}
@@ -406,9 +514,10 @@ func (d *DMAC) runChain(descs []Descriptor) {
 		case DescWrite:
 			d.totalWriteTLPs += splitCount(pcie.Addr(desc.Dst), desc.Len, maxPayload)
 		case DescPipelined:
-			for _, ch := range pcie.SplitRead(pcie.Addr(desc.Src), desc.Len, d.chip.params.DMA.MaxReadRequest) {
-				delta := uint64(ch.Addr) - desc.Src
-				d.totalWriteTLPs += splitCount(pcie.Addr(desc.Dst+delta), ch.ReadLen, maxPayload)
+			for r := d.pipelinedRun(desc, maxPayload); r.left > 0; {
+				n := pcie.ReadChunk(r.addr, r.left, r.maxReq)
+				d.totalWriteTLPs += splitCount(pcie.Addr(r.dst), n, maxPayload)
+				r.advance(n)
 			}
 		}
 	}
@@ -678,138 +787,132 @@ func (d *DMAC) sendFromDMAC(t *pcie.TLP) {
 
 // generateRead schedules a DescRead: local bus → internal memory.
 func (d *DMAC) generateRead(desc Descriptor) {
-	for _, ch := range pcie.SplitRead(pcie.Addr(desc.Src), desc.Len, d.chip.params.DMA.MaxReadRequest) {
-		delta := uint64(ch.Addr) - desc.Src
-		dstOff := desc.Dst + delta
-		d.enqueueRead(ch, func(data []byte) {
-			if err := d.chip.intMem.Write(dstOff, data); err != nil {
-				panic(fmt.Sprintf("peach2 %s: DMA read sink: %v", d.chip.name, err))
-			}
-		})
-	}
+	d.enqueueRead(readRun{kind: readDesc, addr: pcie.Addr(desc.Src), left: desc.Len,
+		maxReq: d.chip.params.DMA.MaxReadRequest, dst: desc.Dst})
 }
 
 // generatePipelined schedules a DescPipelined: as each read completion
 // arrives from the local source, its bytes stream straight out as write
 // TLPs — no staging in internal memory (§IV-B2's "new DMAC").
 func (d *DMAC) generatePipelined(desc Descriptor, maxPayload units.ByteSize) {
-	relaxed := d.classOfGlobal(pcie.Addr(desc.Dst)) == ClassGPU
-	for _, ch := range pcie.SplitRead(pcie.Addr(desc.Src), desc.Len, d.chip.params.DMA.MaxReadRequest) {
-		delta := uint64(ch.Addr) - desc.Src
-		dst := pcie.Addr(desc.Dst + delta)
-		d.enqueueRead(ch, func(data []byte) {
-			d.queueIssue(issueRun{addr: dst, data: data, left: units.ByteSize(len(data)),
-				maxPayload: maxPayload, relaxed: relaxed})
-		})
-	}
+	d.enqueueRead(d.pipelinedRun(desc, maxPayload))
 }
 
-// enqueueRead queues a read request; pumpReads issues as tags free up.
-func (d *DMAC) enqueueRead(tlp *pcie.TLP, onData func([]byte)) {
-	d.readQueue.Push(readReq{tlp: tlp, onData: onData})
-	d.mQueue.Set(int64(d.readQueue.Len()))
+// pipelinedRun is the read run of a DescPipelined.
+func (d *DMAC) pipelinedRun(desc Descriptor, maxPayload units.ByteSize) readRun {
+	return readRun{kind: readPipelined, addr: pcie.Addr(desc.Src), left: desc.Len,
+		maxReq: d.chip.params.DMA.MaxReadRequest, dst: desc.Dst, maxPayload: maxPayload,
+		relaxed: d.classOfGlobal(pcie.Addr(desc.Dst)) == ClassGPU}
+}
+
+// enqueueRead queues a read run and returns its request count; pumpReads
+// issues the requests as tags free up.
+func (d *DMAC) enqueueRead(r readRun) int {
+	n := 0
+	for w := r; w.left > 0; n++ {
+		w.advance(pcie.ReadChunk(w.addr, w.left, w.maxReq))
+	}
+	d.readQueue.Push(r)
+	d.readsQueued += n
+	d.mQueue.Set(int64(d.readsQueued))
+	return n
 }
 
 // pumpReads issues queued reads while tags are available. Reads verify that
 // the target is local: the DMAC may only read through Port N (§III-F).
 func (d *DMAC) pumpReads() {
 	for d.readQueue.Len() > 0 {
-		req := *d.readQueue.At(0)
-		out, err := d.chip.route(req.tlp.Addr)
+		run := d.readQueue.At(0)
+		out, err := d.chip.route(run.addr)
 		if err != nil {
 			panic(fmt.Sprintf("peach2 %s: DMA read: %v", d.chip.name, err))
 		}
 		if out != PortN {
-			panic(fmt.Sprintf("peach2 %s: DMA read from %v is not local — RDMA put only", d.chip.name, req.tlp.Addr))
+			panic(fmt.Sprintf("peach2 %s: DMA read from %v is not local — RDMA put only", d.chip.name, run.addr))
 		}
-		onData := req.onData
-		st := &readState{}
-		tag, ok := d.tags.Alloc(req.tlp.ReadLen, func(data []byte) {
-			st.done = true
-			d.readsPending--
-			onData(data)
-			d.pumpReads()
-			d.maybeComplete()
-		})
-		if !ok {
+		if d.tags.Full() {
 			// Tag-starved; retry on next completion. Mark the wait once so
 			// the traced chain attributes the stall to tag exhaustion.
-			if d.txn != 0 && !req.tagWait {
-				d.readQueue.At(0).tagWait = true
+			if d.txn != 0 && !run.tagWait {
+				run.tagWait = true
 				d.chip.rec.Record(obsv.Event{At: d.chip.eng.Now(), Txn: d.txn,
 					Stage: obsv.StageQueueEnter, Where: d.chip.name,
-					Addr: uint64(req.tlp.Addr), Cause: obsv.CauseTagWait})
+					Addr: uint64(run.addr), Cause: obsv.CauseTagWait})
 			}
 			return
 		}
-		d.readQueue.Pop()
-		d.mQueue.Set(int64(d.readQueue.Len()))
+		n := pcie.ReadChunk(run.addr, run.left, run.maxReq)
+		r := d.readFree.Get()
+		r.d, r.kind, r.addr, r.n, r.last = d, run.kind, run.addr, n, n == run.left
+		r.dst, r.maxPayload, r.relaxed = run.dst, run.maxPayload, run.relaxed
+		if run.kind == readPipelined {
+			// The bytes move on with the issue run: they need their own
+			// buffer, not the tag's reused one.
+			r.tag, _ = d.tags.AllocInto(make([]byte, n), r)
+		} else {
+			r.tag, _ = d.tags.Alloc(n, r)
+		}
+		tagWait := run.tagWait
+		run.advance(n)
+		if run.left == 0 {
+			d.readQueue.Pop()
+		}
+		d.readsQueued--
+		d.mQueue.Set(int64(d.readsQueued))
 		d.readsPending++
 		d.mReads.Inc()
-		if req.tagWait && d.txn != 0 {
+		if tagWait && d.txn != 0 {
 			d.chip.rec.Record(obsv.Event{At: d.chip.eng.Now(), Txn: d.txn,
 				Stage: obsv.StageQueueExit, Where: d.chip.name,
-				Addr: uint64(req.tlp.Addr), Cause: obsv.CauseTagWait})
+				Addr: uint64(r.addr), Cause: obsv.CauseTagWait})
 		}
-		mrd := *req.tlp
-		mrd.Tag = tag
-		mrd.Requester = d.chip.id
-		mrd.Txn = d.txn
-		gen := d.chainGen
+		r.txn = d.txn
+		r.gen = d.chainGen
 		reservedAt := d.chip.eng.Now()
 		slot := d.readIssue.Reserve(reservedAt, d.chip.params.DMA.IssueInterval)
 		if d.txn != 0 && slot > reservedAt {
 			// Paced behind earlier read requests in the issue pipeline.
 			d.chip.rec.Record(obsv.Event{At: reservedAt, Txn: d.txn,
 				Stage: obsv.StageQueueEnter, Where: d.chip.name,
-				Addr: uint64(mrd.Addr), Cause: obsv.CauseChainSerialization})
+				Addr: uint64(r.addr), Cause: obsv.CauseChainSerialization})
 			d.chip.rec.Record(obsv.Event{At: slot, Txn: d.txn,
 				Stage: obsv.StageQueueExit, Where: d.chip.name,
-				Addr: uint64(mrd.Addr), Cause: obsv.CauseChainSerialization})
+				Addr: uint64(r.addr), Cause: obsv.CauseChainSerialization})
 		}
-		d.chip.eng.AtComp(d.comp, slot.Add(d.chip.params.DMA.IssueInterval), func() {
-			if gen != d.chainGen {
-				return // chain aborted since this slot was reserved
-			}
-			d.chip.ports[PortN].Send(d.chip.eng.Now(), &mrd)
-			d.armReadTimeout(&mrd, st, 0, gen)
-		})
+		d.chip.eng.AtAction(d.comp, slot.Add(d.chip.params.DMA.IssueInterval), r)
 	}
 }
 
-// readState marks one read's completion so its timeout can stand down.
-type readState struct{ done bool }
-
-// armReadTimeout schedules the completion timeout for one outstanding
-// read: each expiry retransmits the request with exponential backoff until
-// the retry budget runs out, then the whole chain is aborted with an
-// error. Gated on fault injection so fault-free runs schedule nothing.
-func (d *DMAC) armReadTimeout(mrd *pcie.TLP, st *readState, attempt int, gen uint64) {
+// armReadTimeout schedules the completion timeout for r's outstanding
+// read, its use-th: each expiry retransmits the request with exponential
+// backoff until the retry budget runs out, then the whole chain is
+// aborted with an error. Gated on fault injection so fault-free runs
+// schedule nothing.
+func (d *DMAC) armReadTimeout(r *readRec, use uint64, attempt int) {
 	if !d.chip.faults.Enabled() {
 		return
 	}
+	gen := r.gen
 	timeout := DefaultCplTimeout << uint(attempt)
 	d.chip.eng.AfterComp(d.comp, timeout, func() {
-		if st.done || gen != d.chainGen || d.state == dmacIdle {
+		if r.use != use || gen != d.chainGen || d.state == dmacIdle {
 			return
 		}
 		if attempt >= DefaultCplRetries {
-			d.failChain(fmt.Errorf("read %v (tag %d) lost: no completion after %d retries", mrd.Addr, mrd.Tag, attempt))
+			d.failChain(fmt.Errorf("read %v (tag %d) lost: no completion after %d retries", r.addr, r.tag, attempt))
 			return
 		}
 		d.chip.faults.NoteReadRetry()
 		if d.txn != 0 {
 			d.chip.rec.Record(obsv.Event{At: d.chip.eng.Now(), Txn: d.txn,
-				Stage: obsv.StageReadRetry, Where: d.chip.name, Addr: uint64(mrd.Addr),
+				Stage: obsv.StageReadRetry, Where: d.chip.name, Addr: uint64(r.addr),
 				Note: fmt.Sprintf("attempt %d", attempt+1)})
 		}
-		retry := *mrd
 		// A retry is a logically new request, not the old packet moving
-		// again: clear the conservation-ledger identity so the fabric
-		// births it fresh instead of flagging a duplicate.
-		retry.LID = 0
-		d.chip.ports[PortN].Send(d.chip.eng.Now(), &retry)
-		d.armReadTimeout(mrd, st, attempt+1, gen)
+		// again: a fresh packet has no conservation-ledger identity, so
+		// the fabric births it instead of flagging a duplicate.
+		d.chip.ports[PortN].Send(d.chip.eng.Now(), r.request())
+		d.armReadTimeout(r, use, attempt+1)
 	})
 }
 
@@ -831,6 +934,7 @@ func (d *DMAC) failChain(err error) {
 	}
 	d.tags.CancelAll()
 	d.readQueue.Clear()
+	d.readsQueued = 0
 	d.mQueue.Set(0)
 	d.readsPending = 0
 	d.issuesPending = 0
@@ -890,7 +994,7 @@ func (d *DMAC) maybeComplete() {
 	if d.stuck {
 		return // a wedged descriptor never finishes; the watchdog reaps it
 	}
-	if d.issuesPending > 0 || d.readsPending > 0 || d.readQueue.Len() > 0 {
+	if d.issuesPending > 0 || d.readsPending > 0 || d.readsQueued > 0 {
 		return
 	}
 	if d.waitAck && !d.ackSeen {

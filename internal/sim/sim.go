@@ -234,6 +234,12 @@ func (e *Engine) SetExecutor(x Executor) { e.exec = x }
 // causality.
 func (e *Engine) At(t Time, fn func()) { e.schedule(e.curComp, t, fn) }
 
+// CurrentComp reports the component tag of the running event (0 outside
+// handlers): the tag At and After give the events they schedule. A
+// component without its own tag passes it to AtAction to attribute a
+// pooled action the way At would attribute a closure.
+func (e *Engine) CurrentComp() CompID { return e.curComp }
+
 // AtComp is At with an explicit component attribution tag — the call
 // components use at their entry points so downstream events inherit it.
 func (e *Engine) AtComp(comp CompID, t Time, fn func()) { e.schedule(comp, t, fn) }
