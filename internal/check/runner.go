@@ -151,14 +151,7 @@ func Run(spec scenariogen.Spec, opt Options) (*Result, error) {
 	}
 
 	led := NewLedger()
-	spanCap := 256
-	if opt.KeepObs {
-		// A retained set feeds a trace export; keep enough span events for
-		// every hop of a full MaxOps program.
-		spanCap = 1 << 16
-	}
-	set := obsv.NewSet(spanCap)
-	set.Led = led
+	set := observe(opt, led)
 	sc.Instrument(set)
 
 	var inj *fault.Injector
@@ -349,6 +342,21 @@ func Run(spec scenariogen.Spec, opt Options) (*Result, error) {
 		r.Obs = set
 	}
 	return r, nil
+}
+
+// observe builds the observability set a run instruments. The checker
+// reads only the registry (auditFabric's byte cross-check) and the
+// ledger, so that is all a plain run gets. Spans and telemetry series
+// feed the trace export of a retained set, so only KeepObs adds the span
+// recorder, sized for every hop of a full MaxOps program, and the
+// sampler.
+func observe(opt Options, led *Ledger) *obsv.Set {
+	if opt.KeepObs {
+		set := obsv.NewSet(1 << 16)
+		set.Led = led
+		return set
+	}
+	return &obsv.Set{Reg: obsv.NewRegistry(), Led: led}
 }
 
 // auditFabric runs the quiesce checks that need the hardware, not just

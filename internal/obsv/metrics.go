@@ -1,6 +1,7 @@
 package obsv
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
 	"strings"
@@ -116,25 +117,43 @@ func (h *Histogram) Observe(d units.Duration) {
 }
 
 // desc identifies a metric: a name, the component that owns it, and extra
-// label dimensions.
+// label dimensions. Two registrations name the same metric exactly when
+// all three are equal.
 type desc struct {
 	name      string
 	component string
 	labels    []Label
 }
 
-func (d desc) key() string {
-	var sb strings.Builder
-	sb.WriteString(d.name)
-	sb.WriteByte('|')
-	sb.WriteString(d.component)
-	for _, l := range d.labels {
-		sb.WriteByte('|')
-		sb.WriteString(l.Key)
-		sb.WriteByte('=')
-		sb.WriteString(l.Value)
+// metric is what the registry stores: any of the three kinds, each
+// carrying its identity.
+type metric interface{ id() *desc }
+
+func (c *Counter) id() *desc   { return &c.desc }
+func (g *Gauge) id() *desc     { return &g.desc }
+func (h *Histogram) id() *desc { return &h.desc }
+
+// keyBufLen sizes the stack buffer a registration or lookup encodes its
+// key into; every fabric metric's key fits, so only a new metric's stored
+// key reaches the heap.
+const keyBufLen = 128
+
+// appendKey appends the registry's map key for an identity to b. Every
+// string is length-prefixed, so distinct identities never share a key
+// (unlike the rendered "name|component|k=v" form, in which "c|k=v" with no
+// labels and "c" with k=v coincide).
+func appendKey(b []byte, name, component string, labels []Label) []byte {
+	b = appendField(b, name)
+	b = appendField(b, component)
+	for _, l := range labels {
+		b = appendField(b, l.Key)
+		b = appendField(b, l.Value)
 	}
-	return sb.String()
+	return b
+}
+
+func appendField(b []byte, s string) []byte {
+	return append(binary.AppendUvarint(b, uint64(len(s))), s...)
 }
 
 // Registry holds every registered metric. The nil registry is a valid
@@ -143,12 +162,55 @@ func (d desc) key() string {
 // atomics so a Snapshot may be taken while an engine runs elsewhere.
 type Registry struct {
 	mu    sync.Mutex
-	byKey map[string]any
+	byKey map[string]metric
+	// counters is the chunk new counters are carved from, so a fabric's
+	// hundreds of counters take a few allocations, not one each. A chunk
+	// never grows in place: its counters never move.
+	counters []Counter
+}
+
+// counterChunk is how many counters one chunk allocation holds: 63
+// 64-byte counters plus the runtime's 8-byte header for a large object
+// with pointers fill the 4 KiB size class, where 64 would spill into the
+// 4.75 KiB one.
+const counterChunk = 63
+
+// newCounter carves a counter with identity d from the current chunk.
+// The caller holds r.mu.
+func (r *Registry) newCounter(d desc) *Counter {
+	if len(r.counters) == cap(r.counters) {
+		r.counters = make([]Counter, 0, counterChunk)
+	}
+	r.counters = r.counters[:len(r.counters)+1]
+	c := &r.counters[len(r.counters)-1]
+	c.desc = d
+	return c
 }
 
 // NewRegistry creates an empty enabled registry.
 func NewRegistry() *Registry {
-	return &Registry{byKey: make(map[string]any)}
+	return &Registry{byKey: make(map[string]metric)}
+}
+
+// register returns the metric registered under the identity, or stores
+// fresh's when there is none. Re-fetching allocates nothing; a new metric
+// allocates itself and its exactly-sized key. The labels slice is kept,
+// so callers pass one that never changes.
+func register[M metric](r *Registry, name, component string, labels []Label, fresh func(desc) M) M {
+	var buf [keyBufLen]byte
+	key := appendKey(buf[:0], name, component, labels)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if m, ok := r.byKey[string(key)]; ok {
+		got, ok := m.(M)
+		if !ok {
+			panic(fmt.Sprintf("obsv: metric %s %s %v re-registered with a different type", name, component, labels))
+		}
+		return got
+	}
+	m := fresh(desc{name: name, component: component, labels: labels})
+	r.byKey[string(key)] = m
+	return m
 }
 
 // Counter registers (or re-fetches) a counter.
@@ -156,20 +218,7 @@ func (r *Registry) Counter(name, component string, labels ...Label) *Counter {
 	if r == nil {
 		return nil
 	}
-	d := desc{name: name, component: component, labels: labels}
-	key := d.key()
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if m, ok := r.byKey[key]; ok {
-		c, ok := m.(*Counter)
-		if !ok {
-			panic(fmt.Sprintf("obsv: metric %q re-registered with a different type", key))
-		}
-		return c
-	}
-	c := &Counter{desc: d}
-	r.byKey[key] = c
-	return c
+	return register(r, name, component, labels, func(d desc) *Counter { return r.newCounter(d) })
 }
 
 // Gauge registers (or re-fetches) a gauge.
@@ -177,20 +226,7 @@ func (r *Registry) Gauge(name, component string, labels ...Label) *Gauge {
 	if r == nil {
 		return nil
 	}
-	d := desc{name: name, component: component, labels: labels}
-	key := d.key()
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if m, ok := r.byKey[key]; ok {
-		g, ok := m.(*Gauge)
-		if !ok {
-			panic(fmt.Sprintf("obsv: metric %q re-registered with a different type", key))
-		}
-		return g
-	}
-	g := &Gauge{desc: d}
-	r.byKey[key] = g
-	return g
+	return register(r, name, component, labels, func(d desc) *Gauge { return &Gauge{desc: d} })
 }
 
 // Histogram registers (or re-fetches) a latency histogram with the given
@@ -202,20 +238,9 @@ func (r *Registry) Histogram(name, component string, bounds []units.Duration, la
 	if bounds == nil {
 		bounds = DefaultLatencyBounds
 	}
-	d := desc{name: name, component: component, labels: labels}
-	key := d.key()
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if m, ok := r.byKey[key]; ok {
-		h, ok := m.(*Histogram)
-		if !ok {
-			panic(fmt.Sprintf("obsv: metric %q re-registered with a different type", key))
-		}
-		return h
-	}
-	h := &Histogram{desc: d, bounds: bounds, buckets: make([]atomic.Uint64, len(bounds)+1)}
-	r.byKey[key] = h
-	return h
+	return register(r, name, component, labels, func(d desc) *Histogram {
+		return &Histogram{desc: d, bounds: bounds, buckets: make([]atomic.Uint64, len(bounds)+1)}
+	})
 }
 
 // CounterValue reads a registered counter's current value without
@@ -225,13 +250,12 @@ func (r *Registry) CounterValue(name, component string, labels ...Label) (uint64
 	if r == nil {
 		return 0, false
 	}
-	key := desc{name: name, component: component, labels: labels}.key()
+	var buf [keyBufLen]byte
+	key := appendKey(buf[:0], name, component, labels)
 	r.mu.Lock()
-	c, ok := r.byKey[key].(*Counter)
+	c, ok := r.byKey[string(key)].(*Counter)
 	r.mu.Unlock()
-	// Distinct identities can render the same key ("c|k=v" with no labels
-	// vs "c" with k=v); only the exact identity counts.
-	if !ok || !sameID(c.desc.name, c.desc.component, c.desc.labels, name, component, labels) {
+	if !ok {
 		return 0, false
 	}
 	return c.Value(), true
@@ -274,26 +298,32 @@ type Snapshot struct {
 }
 
 // Snapshot freezes every metric's value at time now, each kind ordered by
-// its rendered identity key. A nil registry snapshots to an empty
-// Snapshot.
+// its rendered identity and, between identities that render alike, by
+// registry key. A nil registry snapshots to an empty Snapshot.
 func (r *Registry) Snapshot(now sim.Time) *Snapshot {
 	s := &Snapshot{AtPS: int64(now)}
 	if r == nil {
 		return s
 	}
-	r.mu.Lock()
-	keys := make([]string, 0, len(r.byKey))
-	for k := range r.byKey {
-		keys = append(keys, k)
+	type entry struct {
+		rendered, key string
+		m             metric
 	}
-	sort.Strings(keys)
-	metrics := make([]any, len(keys))
-	for i, k := range keys {
-		metrics[i] = r.byKey[k]
+	r.mu.Lock()
+	entries := make([]entry, 0, len(r.byKey))
+	for k, m := range r.byKey {
+		entries = append(entries, entry{m.id().rendered(), k, m})
 	}
 	r.mu.Unlock()
-	for _, m := range metrics {
-		switch m := m.(type) {
+	sort.Slice(entries, func(i, j int) bool {
+		a, b := entries[i], entries[j]
+		if a.rendered != b.rendered {
+			return a.rendered < b.rendered
+		}
+		return a.key < b.key // distinct identities that render alike
+	})
+	for _, e := range entries {
+		switch m := e.m.(type) {
 		case *Counter:
 			s.Counters = append(s.Counters, CounterVal{
 				Name: m.desc.name, Component: m.desc.component, Labels: m.desc.labels,
@@ -320,6 +350,22 @@ func (r *Registry) Snapshot(now sim.Time) *Snapshot {
 		}
 	}
 	return s
+}
+
+// rendered is the identity as Snapshot orders it:
+// "name|component|k=v|...".
+func (d *desc) rendered() string {
+	var sb strings.Builder
+	sb.WriteString(d.name)
+	sb.WriteByte('|')
+	sb.WriteString(d.component)
+	for _, l := range d.labels {
+		sb.WriteByte('|')
+		sb.WriteString(l.Key)
+		sb.WriteByte('=')
+		sb.WriteString(l.Value)
+	}
+	return sb.String()
 }
 
 // sameID reports whether a frozen metric has the wanted identity,

@@ -178,3 +178,90 @@ func TestRegistryCounterValueMatchesReference(t *testing.T) {
 		t.Errorf("nil registry CounterValue = %d, %v", v, ok)
 	}
 }
+
+// rendered is the reference rendering Snapshot orders by.
+func rendered(name, component string, labels []Label) string {
+	s := name + "|" + component
+	for _, l := range labels {
+		s += "|" + l.Key + "=" + l.Value
+	}
+	return s
+}
+
+// TestRegistryIdentity: re-fetching a counter registered with a static
+// label slice allocates nothing; identities whose rendered keys coincide
+// ("c|k=v" with no labels and "c" with k=v) are distinct metrics; and
+// Snapshot orders every metric by rendered key, alike-rendering ones in
+// the same order whichever registered first.
+func TestRegistryIdentity(t *testing.T) {
+	static := []Label{{Key: "k", Value: "v"}}
+	reg := NewRegistry()
+	c := reg.Counter("n", "c", static...)
+	if allocs := testing.AllocsPerRun(100, func() {
+		if reg.Counter("n", "c", static...) != c {
+			t.Fatal("re-fetch returned a different counter")
+		}
+	}); allocs != 0 {
+		t.Fatalf("re-fetching a counter with static labels allocates %.1f times", allocs)
+	}
+
+	aliases := []lookupID{
+		{"n", "c|k=v", nil},
+		{"n", "c", static},
+		{"n|c", "k=v", nil},
+		{"n", "c|k", []Label{{Key: "", Value: "v"}}},
+	}
+	snaps := make([]*Snapshot, 2)
+	for pass := range snaps {
+		reg := NewRegistry()
+		for i := range aliases {
+			id := aliases[i]
+			if pass == 1 {
+				id = aliases[len(aliases)-1-i]
+			}
+			reg.Counter(id.name, id.component, id.labels...).Add(uint64(len(id.component) + 10*len(id.labels)))
+		}
+		snaps[pass] = reg.Snapshot(0)
+		if got := len(snaps[pass].Counters); got != len(aliases) {
+			t.Fatalf("pass %d: %d counters for %d distinct identities", pass, got, len(aliases))
+		}
+		for _, id := range aliases {
+			want := uint64(len(id.component) + 10*len(id.labels))
+			if v, ok := reg.CounterValue(id.name, id.component, id.labels...); !ok || v != want {
+				t.Errorf("pass %d: CounterValue%v = %d, %v; want %d", pass, id, v, ok, want)
+			}
+		}
+	}
+	for i := range snaps[0].Counters {
+		a, b := snaps[0].Counters[i], snaps[1].Counters[i]
+		if a.Name != b.Name || a.Component != b.Component || !sameLabels(a.Labels, b.Labels) {
+			t.Fatalf("Snapshot order depends on registration order at %d: %v vs %v", i, a, b)
+		}
+	}
+
+	// Every kind follows rendered-key order on a registry mixing the
+	// lookup identities with the aliases.
+	mixed, _ := lookupRegistry()
+	for _, id := range aliases {
+		mixed.Counter(id.name, id.component, id.labels...)
+	}
+	s := mixed.Snapshot(0)
+	for i := 1; i < len(s.Counters); i++ {
+		p, q := s.Counters[i-1], s.Counters[i]
+		if rendered(p.Name, p.Component, p.Labels) > rendered(q.Name, q.Component, q.Labels) {
+			t.Errorf("counter %v sorts before %v", p, q)
+		}
+	}
+	for i := 1; i < len(s.Gauges); i++ {
+		p, q := s.Gauges[i-1], s.Gauges[i]
+		if rendered(p.Name, p.Component, p.Labels) > rendered(q.Name, q.Component, q.Labels) {
+			t.Errorf("gauge %v sorts before %v", p, q)
+		}
+	}
+	for i := 1; i < len(s.Histograms); i++ {
+		p, q := s.Histograms[i-1], s.Histograms[i]
+		if rendered(p.Name, p.Component, p.Labels) > rendered(q.Name, q.Component, q.Labels) {
+			t.Errorf("histogram %v sorts before %v", p, q)
+		}
+	}
+}

@@ -5,6 +5,7 @@ import (
 
 	"tca/internal/fault"
 	"tca/internal/fifo"
+	"tca/internal/freelist"
 	"tca/internal/obsv"
 	"tca/internal/sim"
 	"tca/internal/units"
@@ -115,6 +116,58 @@ type dll struct {
 	params DLLParams
 	inj    *fault.Injector
 	dirs   [2]dllDir
+	// free recycles the layer's scheduled events, so a frame, its ACK or
+	// NAK, its credit drain and the replay timer allocate nothing in
+	// steady state.
+	free freelist.List[dllAction]
+}
+
+// dllEvent says what a pooled dllAction does when it runs.
+type dllEvent uint8
+
+const (
+	dllFrameArrive dllEvent = iota // a frame lands at the receiver's DLL
+	dllDLLPArrive                  // an ACK or NAK lands at the sender
+	dllDrain                       // the receiver drained a delivered TLP
+	dllReplayTimer                 // a replay timer expires
+)
+
+// dllAction is one scheduled DLL event of direction di. Each is scheduled
+// once with AtAction or AfterAction, taking the one tie-break seq a
+// closure would have taken, and goes back to the link's free list as it
+// runs.
+type dllAction struct {
+	l     *Link
+	event dllEvent
+	di    int
+	frame dllEntry // dllFrameArrive: the arriving frame
+	seq   uint64   // dllDLLPArrive: the cumulative ACK/NAK seq; dllReplayTimer: the timer generation
+	nak   bool     // dllDLLPArrive: a NAK, not an ACK
+}
+
+// newAction takes a recycled action for direction di.
+func (l *Link) newAction(event dllEvent, di int) *dllAction {
+	a := l.dll.free.Get()
+	a.l, a.event, a.di = l, event, di
+	return a
+}
+
+// RunAction implements sim.Action. The action is recycled before it
+// acts, so whatever it schedules can reuse it.
+func (a *dllAction) RunAction(now sim.Time) {
+	l, x := a.l, *a
+	l.dll.free.Put(a)
+	switch x.event {
+	case dllFrameArrive:
+		d, _ := l.dirByIndex(x.di)
+		l.dllArrive(now, d, x.di, x.frame)
+	case dllDLLPArrive:
+		l.dllpArrive(now, x.di, x.seq, x.nak)
+	case dllDrain:
+		l.dllDrained(now, x.di)
+	case dllReplayTimer:
+		l.replayTimerFired(now, x.di, x.seq)
+	}
 }
 
 // EnableDLL attaches a data-link layer to the link under the given cable
@@ -209,10 +262,9 @@ func (l *Link) sendFrame(now sim.Time, d *linkDir, di int, e dllEntry, replayed 
 		l.rec.Record(obsv.Event{At: start, Txn: e.tlp.Txn, Stage: stage,
 			Where: l.obsName, Port: d.dst.Label, Addr: uint64(e.tlp.Addr)})
 	}
-	arrive := start.Add(ser).Add(l.params.Propagation)
-	l.eng.AtComp(l.comp, arrive, func() {
-		l.dllArrive(l.eng.Now(), d, di, e)
-	})
+	a := l.newAction(dllFrameArrive, di)
+	a.frame = e
+	l.eng.AtAction(l.comp, start.Add(ser).Add(l.params.Propagation), a)
 }
 
 // dllArrive is the receiver side: LCRC check, injected losses, sequence
@@ -249,16 +301,20 @@ func (l *Link) dllArrive(now sim.Time, d *linkDir, di int, e dllEntry) {
 	if drain < 0 {
 		panic(fmt.Sprintf("pcie: negative drain %v from %s", drain, d.dst.owner.DevName()))
 	}
-	l.eng.AfterComp(l.comp, drain, func() {
-		if dd.dead {
-			return // credits were reset when the link died
-		}
-		d.inFlight--
-		if d.inFlight < 0 {
-			panic("pcie: credit underflow")
-		}
-		l.pump(l.eng.Now(), d, di)
-	})
+	l.eng.AfterAction(l.comp, drain, l.newAction(dllDrain, di))
+}
+
+// dllDrained returns the credit of a TLP the receiver has drained.
+func (l *Link) dllDrained(now sim.Time, di int) {
+	if l.dll.dirs[di].dead {
+		return // credits were reset when the link died
+	}
+	d, _ := l.dirByIndex(di)
+	d.inFlight--
+	if d.inFlight < 0 {
+		panic("pcie: credit underflow")
+	}
+	l.pump(now, d, di)
 }
 
 // sendDLLP schedules an ACK (nak=false) or NAK (nak=true) DLLP back to
@@ -266,9 +322,9 @@ func (l *Link) dllArrive(now sim.Time, d *linkDir, di int, e dllEntry) {
 // below it is acknowledged. DLLPs are latency-only — they are a few bytes
 // and never contend with TLPs for wire time in this model.
 func (l *Link) sendDLLP(now sim.Time, di int, ackSeq uint64, nak bool) {
-	l.eng.AfterComp(l.comp, l.dll.params.AckNakLatency+l.params.Propagation, func() {
-		l.dllpArrive(l.eng.Now(), di, ackSeq, nak)
-	})
+	a := l.newAction(dllDLLPArrive, di)
+	a.seq, a.nak = ackSeq, nak
+	l.eng.AfterAction(l.comp, l.dll.params.AckNakLatency+l.params.Propagation, a)
 }
 
 // dllpArrive is the sender side of the ACK/NAK protocol: release
@@ -307,14 +363,20 @@ func (l *Link) dllpArrive(now sim.Time, di int, ackSeq uint64, nak bool) {
 func (l *Link) armReplayTimer(di int) {
 	dd := &l.dll.dirs[di]
 	dd.timerGen++
-	gen := dd.timerGen
-	l.eng.AfterComp(l.comp, l.dll.params.ReplayTimeout, func() {
-		if dd.dead || gen != dd.timerGen || dd.buf.Len() == 0 {
-			return
-		}
-		dd.nakSeq = 0 // a timeout replay clears the NAK guard
-		l.replay(l.eng.Now(), di)
-	})
+	a := l.newAction(dllReplayTimer, di)
+	a.seq = dd.timerGen
+	l.eng.AfterAction(l.comp, l.dll.params.ReplayTimeout, a)
+}
+
+// replayTimerFired replays direction di unless the timer of generation
+// gen was cancelled or re-armed since, or nothing is left to replay.
+func (l *Link) replayTimerFired(now sim.Time, di int, gen uint64) {
+	dd := &l.dll.dirs[di]
+	if dd.dead || gen != dd.timerGen || dd.buf.Len() == 0 {
+		return
+	}
+	dd.nakSeq = 0 // a timeout replay clears the NAK guard
+	l.replay(now, di)
 }
 
 // replay retransmits every unacknowledged frame of direction di

@@ -224,10 +224,10 @@ func (l *Link) Instrument(set *obsv.Set, name string) {
 	l.obsName = name
 	l.rec = set.Recorder()
 	l.led = set.Ledger()
-	for i, d := range dirLabels {
-		l.mTLPs[i] = reg.Counter("link_tlps_tx", name, obsv.Label{Key: "dir", Value: d})
-		l.mBytes[i] = reg.Counter("link_bytes_tx", name, obsv.Label{Key: "dir", Value: d})
-		l.mStalled[i] = reg.Counter("link_credit_stalls", name, obsv.Label{Key: "dir", Value: d})
+	for i, ls := range dirLabelSets {
+		l.mTLPs[i] = reg.Counter("link_tlps_tx", name, ls...)
+		l.mBytes[i] = reg.Counter("link_bytes_tx", name, ls...)
+		l.mStalled[i] = reg.Counter("link_credit_stalls", name, ls...)
 	}
 	l.registerProbes(set.Sampler(), name)
 }
@@ -277,6 +277,14 @@ func (l *Link) registerProbes(sam *obsv.Sampler, name string) {
 // dirLabels are the direction labels shared by the registry counters and
 // the conservation ledger: index 0 is the a→b direction of Connect order.
 var dirLabels = [2]string{"ab", "ba"}
+
+// dirLabelSets are the counters' label sets for each direction, built
+// once and shared by every link, so registering them allocates no label
+// slices.
+var dirLabelSets = [2][]obsv.Label{
+	{{Key: "dir", Value: dirLabels[0]}},
+	{{Key: "dir", Value: dirLabels[1]}},
+}
 
 // Stats reports TLP and byte counts sent from port a→b and b→a.
 func (l *Link) Stats() (tlps [2]uint64, bytes [2]units.ByteSize) {

@@ -79,6 +79,15 @@ type chipMetrics struct {
 	routeMiss *obsv.Counter
 }
 
+// portLabels are the label sets of the per-port counters, built once and
+// shared by every chip, so registering them allocates no label slices.
+var portLabels = func() (ls [numPorts][]obsv.Label) {
+	for p := range ls {
+		ls[p] = []obsv.Label{{Key: "port", Value: PortID(p).String()}}
+	}
+	return ls
+}()
+
 // Instrument attaches the chip (and its DMAC) to an observability set:
 // per-port TLP counters, conversion/ack/IRQ counters, DMAC queue and busy
 // metrics, and typed span events for traced transactions.
@@ -87,12 +96,12 @@ func (c *Chip) Instrument(set *obsv.Set) {
 	c.rec = set.Recorder()
 	c.led = set.Ledger()
 	for p := PortN; p <= PortS; p++ {
-		c.cm.tlpsIn[p] = reg.Counter("port_tlps_in", c.name, obsv.Label{Key: "port", Value: p.String()})
-		c.cm.bytesIn[p] = reg.Counter("port_bytes_in", c.name, obsv.Label{Key: "port", Value: p.String()})
+		c.cm.tlpsIn[p] = reg.Counter("port_tlps_in", c.name, portLabels[p]...)
+		c.cm.bytesIn[p] = reg.Counter("port_bytes_in", c.name, portLabels[p]...)
 	}
 	for p := PortN; p < numPorts; p++ {
-		c.cm.tlpsOut[p] = reg.Counter("port_tlps_out", c.name, obsv.Label{Key: "port", Value: p.String()})
-		c.cm.bytesOut[p] = reg.Counter("port_bytes_out", c.name, obsv.Label{Key: "port", Value: p.String()})
+		c.cm.tlpsOut[p] = reg.Counter("port_tlps_out", c.name, portLabels[p]...)
+		c.cm.bytesOut[p] = reg.Counter("port_bytes_out", c.name, portLabels[p]...)
 	}
 	c.registerProbes(set.Sampler())
 	c.cm.converted = reg.Counter("addr_conversions", c.name)

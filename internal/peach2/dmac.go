@@ -144,6 +144,7 @@ type DMAC struct {
 	readsQueued  int
 	readsPending int
 	readFree     freelist.List[readRec]
+	timerFree    freelist.List[readTimer] // armed completion timeouts
 	allGenerated bool
 	waitAck      bool
 	ackSeen      bool
@@ -892,28 +893,48 @@ func (d *DMAC) armReadTimeout(r *readRec, use uint64, attempt int) {
 	if !d.chip.faults.Enabled() {
 		return
 	}
-	gen := r.gen
-	timeout := DefaultCplTimeout << uint(attempt)
-	d.chip.eng.AfterComp(d.comp, timeout, func() {
-		if r.use != use || gen != d.chainGen || d.state == dmacIdle {
-			return
-		}
-		if attempt >= DefaultCplRetries {
-			d.failChain(fmt.Errorf("read %v (tag %d) lost: no completion after %d retries", r.addr, r.tag, attempt))
-			return
-		}
-		d.chip.faults.NoteReadRetry()
-		if d.txn != 0 {
-			d.chip.rec.Record(obsv.Event{At: d.chip.eng.Now(), Txn: d.txn,
-				Stage: obsv.StageReadRetry, Where: d.chip.name, Addr: uint64(r.addr),
-				Note: fmt.Sprintf("attempt %d", attempt+1)})
-		}
-		// A retry is a logically new request, not the old packet moving
-		// again: a fresh packet has no conservation-ledger identity, so
-		// the fabric births it instead of flagging a duplicate.
-		d.chip.ports[PortN].Send(d.chip.eng.Now(), r.request())
-		d.armReadTimeout(r, use, attempt+1)
-	})
+	tm := d.timerFree.Get()
+	*tm = readTimer{d: d, r: r, use: use, gen: r.gen, attempt: attempt}
+	d.chip.eng.AfterAction(d.comp, DefaultCplTimeout<<uint(attempt), tm)
+}
+
+// readTimer is one armed completion timeout. Its read record may be
+// recycled, and reused by a later read, before the timer fires, so the
+// timer keeps its own copies of the read's use count, chain generation
+// and retry attempt: a moved use count means the read completed, and the
+// timer stands down without reading anything else from the record.
+type readTimer struct {
+	d       *DMAC
+	r       *readRec
+	use     uint64
+	gen     uint64
+	attempt int
+}
+
+// RunAction implements sim.Action: the timeout expires, and the read is
+// retransmitted or, past the retry budget, its chain aborted. The timer
+// is recycled first, so re-arming reuses it.
+func (tm *readTimer) RunAction(now sim.Time) {
+	d, r, x := tm.d, tm.r, *tm
+	d.timerFree.Put(tm)
+	if r.use != x.use || x.gen != d.chainGen || d.state == dmacIdle {
+		return
+	}
+	if x.attempt >= DefaultCplRetries {
+		d.failChain(fmt.Errorf("read %v (tag %d) lost: no completion after %d retries", r.addr, r.tag, x.attempt))
+		return
+	}
+	d.chip.faults.NoteReadRetry()
+	if d.txn != 0 {
+		d.chip.rec.Record(obsv.Event{At: now, Txn: d.txn,
+			Stage: obsv.StageReadRetry, Where: d.chip.name, Addr: uint64(r.addr),
+			Note: fmt.Sprintf("attempt %d", x.attempt+1)})
+	}
+	// A retry is a logically new request, not the old packet moving
+	// again: a fresh packet has no conservation-ledger identity, so the
+	// fabric births it instead of flagging a duplicate.
+	d.chip.ports[PortN].Send(now, r.request())
+	d.armReadTimeout(r, x.use, x.attempt+1)
 }
 
 // failChain aborts the running chain: outstanding reads are cancelled,
